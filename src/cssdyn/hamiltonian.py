@@ -222,10 +222,17 @@ class Table:
 
 @dataclass(frozen=True)
 class ComplexParts:
-    """Complex profile assembled from independent real and imaginary profiles."""
+    """Complex profile assembled from independent real and imaginary profiles.
+
+    Bare numbers are coerced to Constant profiles, as as_profile() does.
+    """
 
     real: object = Constant(0.0)
     imag: object = Constant(0.0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "real", as_profile(self.real))
+        object.__setattr__(self, "imag", as_profile(self.imag))
 
     def __call__(self, t: float) -> complex:
         return complex(self.real(t)) + 1j * complex(self.imag(t))

@@ -87,12 +87,10 @@ class DrivenOscillatorConfig:
 
 @dataclass(frozen=True)
 class MathieuParameters:
-    """Standard-form parameters; nu_hint is the q -> 0 characteristic
-    exponent sqrt(a), informational only (nothing downstream consumes it)."""
+    """Standard-form parameters a and q of the Mathieu equation."""
 
     a: float
     q: float
-    nu_hint: float
 
 
 @dataclass(frozen=True)
@@ -112,7 +110,7 @@ class FundamentalBasis:
 def mathieu_parameters(cfg: DrivenOscillatorConfig) -> MathieuParameters:
     a = 4.0 * cfg.epsilon0 / (cfg.m0 * cfg.omega0 ** 2)
     q = 2.0 * cfg.eta0 / (cfg.m0 * cfg.omega0 ** 2)
-    return MathieuParameters(a=a, q=q, nu_hint=math.sqrt(a) if a >= 0 else 0.0)
+    return MathieuParameters(a=a, q=q)
 
 
 def _check_tau_grid(tau_grid) -> np.ndarray:

@@ -7,6 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from cssdyn import evolve, transition_probabilities
+from cssdyn.config import load_config
+
 PRESET_CONFIG = """\
 [hamiltonian]
 preset = mathieu
@@ -164,6 +167,40 @@ def test_validate_flags_crude_tolerances(tmp_path):
     assert "FAIL" in proc.stdout
     assert any(line.endswith("FAIL")
                for line in out.read_text().splitlines()[1:])
+
+
+# A generated preset run whose last frame carries a number-basis mass
+# 2.6e-10 away from 1 at the default rtol: more than 2 * tail_tolerance,
+# through integration error alone.
+NORM_DRIFT_CONFIG = """\
+[hamiltonian]
+preset = mathieu
+epsilon0 = 1.7977
+eta0 = 51.5098
+varphi0_re = -0.869403
+varphi0_im = -0.895647
+
+[integration]
+t_max = 1.3682
+num_points = 160
+
+[output]
+tail_tolerance = 1e-10
+n_max = 10000000
+"""
+
+
+def test_validate_compares_mass_with_the_frame_norm(tmp_path):
+    cfg = write(tmp_path, "run.ini", NORM_DRIFT_CONFIG)
+    rc = load_config(cfg)
+    last = evolve(rc.schedule, rc.init, rc.time_grid(), rc.settings,
+                  enforce_drift=False)[-1]
+    mass = float(np.sum(transition_probabilities(last, rc.tail_tolerance, rc.n_max)))
+    assert abs(mass - 1.0) > 2.0 * rc.tail_tolerance
+    out = tmp_path / "report.csv"
+    proc = run_cli("validate", "--config", cfg, "--out", str(out))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "PASS normalization" in proc.stdout
 
 
 def test_configuration_problems_exit_two(tmp_path):

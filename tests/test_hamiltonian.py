@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from cssdyn import (AlgebraicCoefficients, CoefficientSchedule, Constant,
-                    DomainError, Harmonic, PhysicalCoefficients, Polynomial,
-                    Table, UnitContext, to_algebraic, to_physical, validate)
+from cssdyn import (AlgebraicCoefficients, CoefficientSchedule, ComplexParts,
+                    Constant, DomainError, Harmonic, InitialConditions,
+                    PhysicalCoefficients, Polynomial, Table, UnitContext, evolve,
+                    to_algebraic, to_physical, validate)
 
 UNITS = UnitContext()
 
@@ -123,6 +124,16 @@ def test_profile_evaluation():
     tab = Table(times=(0.0, 1.0, 2.0), values=(0.0, 2.0, 2.0))
     assert tab(0.5) == pytest.approx(1.0)
     assert tab(1.5) == pytest.approx(2.0)
+
+
+def test_complex_parts_accept_bare_numbers():
+    bare = ComplexParts(real=0.02)
+    assert bare == ComplexParts(Constant(0.02))
+    grid = np.linspace(0.0, 2.0, 21)
+    frames = [evolve(CoefficientSchedule.algebraic(UNITS, alpha=parts, beta=1.0),
+                     InitialConditions(), grid)
+              for parts in (bare, ComplexParts(Constant(0.02)))]
+    assert frames[0] == frames[1]
 
 
 def test_table_refuses_extrapolation_and_disorder():

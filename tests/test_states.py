@@ -1,11 +1,13 @@
 """Number-basis expansion, normalization, and overlaps."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermval
 
+import cssdyn.states
 from cssdyn import (CoefficientSchedule, ConvergenceError, InitialConditions,
                     MotionFrame, UnitContext, branch_windings, evolve,
                     fock_coefficients, normalization, overlap, parameters,
@@ -220,6 +222,174 @@ def test_bad_expansion_arguments():
         fock_coefficients(VACUUM, tail_tolerance=0.0)
     with pytest.raises(Exception):
         fock_coefficients(VACUUM, n_max=1)
+
+
+# ---------------------------------------------------------------------------
+# the blocked engine against the plain scalar recurrence
+
+
+def scalar_reference(frame, tail_tolerance, n_max, winding=0):
+    """(c, P, truncation, tail_bound) from the level-by-level recurrence.
+
+    The one-level-at-a-time loop with the certification rule inline, kept
+    as the oracle for the blocked engine in cssdyn.states.
+    """
+    par = parameters(frame)
+    xi, zeta = complex(par.xi), complex(par.zeta)
+    phi = normalization(frame, winding)
+    weight = abs(phi) ** 2
+    zeta2 = zeta.real * zeta.real + zeta.imag * zeta.imag
+    d = [1.0 + 0.0j, -xi]
+    p = [1.0, abs(xi) ** 2]
+
+    def done(top, bound):
+        c = phi * np.array(d[:top + 1])
+        return c, weight * np.array(p[:top + 1]), top, bound
+
+    d_prev, d_cur = d
+    even_e = 0.0
+    prev_pair = p[0] + p[1]
+    ratios = deque(maxlen=16)
+    streak = 0
+    for n in range(1, n_max):
+        root = math.sqrt(n + 1.0)
+        d_next = -(xi * d_cur) / root - (math.sqrt(n) / root) * (zeta * d_prev)
+        d_prev, d_cur = d_cur, d_next
+        q = d_cur.real * d_cur.real + d_cur.imag * d_cur.imag
+        d.append(d_cur)
+        p.append(q)
+        if q == 0.0 and d_prev == 0:
+            nz = np.nonzero(p)[0]
+            return done(int(nz[-1]) if nz.size else 0, 0.0)
+        if (n + 1) & 1 == 0:
+            even_e = q
+            continue
+        pair = even_e + q
+        ratio = pair / prev_pair if prev_pair > 0.0 else math.inf
+        prev_pair = pair
+        ratios.append(ratio)
+        streak = streak + 1 if ratio < 1.0 else 0
+        if streak >= 16 and weight * pair <= tail_tolerance:
+            rho = max(max(ratios), zeta2)
+            if rho < 1.0:
+                bound = weight * pair * rho / (1.0 - rho)
+                if bound <= tail_tolerance:
+                    return done(n + 1, float(bound))
+    raise ConvergenceError(
+        f"tail not certified below {tail_tolerance:g} within n_max={n_max} "
+        f"(|zeta| = {abs(zeta):.8f}, last pair mass {weight * prev_pair:.3e})")
+
+
+def squeezed_frame(r, varphi, f_phase=0.0, g_phase=0.0):
+    """|zeta| = r exactly in modulus, with the given phases and displacement."""
+    f = np.exp(1j * f_phase) / math.sqrt(1.0 - r * r)
+    return MotionFrame(t=0.0, f=complex(f), g=complex(r * f * np.exp(1j * g_phase)),
+                       varphi=complex(varphi))
+
+
+def engine_regimes():
+    rng = np.random.default_rng(71)
+    frames = [VACUUM, COHERENT]
+    for mod in (0.5, 2.0, 4.0, 6.0):  # coherent, |xi| up to 6
+        frames.append(MotionFrame(t=0.0, f=1.0, g=0.0,
+                                  varphi=complex(mod * np.exp(2j * math.pi * rng.uniform()))))
+    for r in (0.3, 0.9, 0.99, 0.999):  # squeezed vacuum
+        frames.append(squeezed_frame(r, 0.0, *rng.uniform(0.0, 2.0 * math.pi, 2)))
+    for r in (0.2, 0.6, 0.95, 0.995):  # displaced and squeezed, displacement 3
+        varphi = 3.0 * np.exp(2j * math.pi * rng.uniform())
+        frames.append(squeezed_frame(r, varphi, *rng.uniform(0.0, 2.0 * math.pi, 2)))
+    return frames
+
+
+def assert_same_expansion(frame, tol, n_max, winding):
+    c_ref, p_ref, top, bound = scalar_reference(frame, tol, n_max, winding)
+    dist = fock_coefficients(frame, tol, n_max, winding)
+    p = transition_probabilities(frame, tol, n_max)
+    assert dist.truncation == top
+    assert p.size == top + 1
+    assert dist.tail_bound == pytest.approx(bound, rel=1e-12, abs=0.0)
+    scale = np.max(p_ref)
+    assert np.max(np.abs(dist.probabilities - p_ref)) <= 1e-13 * scale
+    assert np.max(np.abs(p - p_ref)) <= 1e-13 * scale
+    assert np.max(np.abs(dist.coefficients - c_ref)) <= 1e-13 * np.max(np.abs(c_ref))
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12, 1e-16])
+def test_engine_matches_scalar_reference(tol):
+    for i, frame in enumerate(engine_regimes()):
+        assert_same_expansion(frame, tol, 200_000, winding=i % 2)
+
+
+def test_engine_matches_scalar_reference_deep():
+    # about 2.4e5 levels: blocks some 90 levels wide
+    assert_same_expansion(squeezed_frame(0.9999, 0.01, 0.3, 1.9), 1e-10, 1_000_000, 0)
+
+
+def test_depth_prediction_allocates_close_to_the_truncation():
+    # the engine's one allocation: a few percent over, never many times over
+    for frame in engine_regimes()[1:]:
+        par = parameters(frame)
+        weight = abs(normalization(frame)) ** 2
+        for tol in (1e-8, 1e-16):
+            top = transition_probabilities(frame, tol, 200_000).size - 1
+            guess = cssdyn.states._predict_depth(complex(par.xi), complex(par.zeta),
+                                                 weight, tol)
+            assert top <= guess <= 1.1 * top + 16
+
+
+def test_growth_and_chunking_keep_the_rule(monkeypatch):
+    # a far too shallow first guess and tiny chunks: every carry is exercised
+    monkeypatch.setattr(cssdyn.states, "_predict_depth", lambda *args: 40)
+    monkeypatch.setattr(cssdyn.states, "_CHUNK", 5)
+    for frame in (COHERENT, squeezed_frame(0.99, 0.0, 0.4, 2.2),
+                  squeezed_frame(0.95, 3.0, 1.0, 0.3)):
+        assert_same_expansion(frame, 1e-12, 200_000, 0)
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 40, 41, 64, 65])
+def test_refusal_matches_scalar_reference(n_max):
+    for frame in (squeezed_frame(0.999, 0.0, 0.0, 1.0),
+                  MotionFrame(t=0.0, f=1.0, g=0.0, varphi=6.0j),
+                  squeezed_frame(0.995, 3.0)):
+        with pytest.raises(ConvergenceError) as want:
+            scalar_reference(frame, 1e-16, n_max)
+        with pytest.raises(ConvergenceError) as got:
+            fock_coefficients(frame, 1e-16, n_max)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(ConvergenceError) as got:
+            transition_probabilities(frame, 1e-16, n_max)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("frame", [
+    MotionFrame(t=0.0, f=1.0, g=2.0, varphi=0.0),        # |zeta| > 1
+    squeezed_frame(0.995, 300.0),                        # overflows float64
+    MotionFrame(t=0.0, f=1.0, g=0.0, varphi=40.0),       # |Phi|^2 underflows
+])
+def test_degenerate_frames_refuse_like_scalar_reference(frame):
+    for n_max in (64, 5000):
+        with pytest.raises(ConvergenceError) as want:
+            scalar_reference(frame, 1e-10, n_max)
+        for expand in (fock_coefficients, transition_probabilities):
+            with pytest.raises(ConvergenceError) as got:
+                expand(frame, 1e-10, n_max)
+            assert str(got.value) == str(want.value)
+
+
+def test_exact_zero_termination_matches_scalar_reference():
+    # vacuum ends at once; an underflowing squeeze or displacement ends when
+    # two consecutive coefficients reach exact zero, before any streak
+    for frame in (VACUUM,
+                  MotionFrame(t=0.0, f=1.0, g=1e-30, varphi=0.0),
+                  MotionFrame(t=0.0, f=1.0, g=0.0, varphi=1e-20),
+                  MotionFrame(t=0.0, f=1.0, g=1e-200, varphi=1e-200)):
+        c_ref, p_ref, top, bound = scalar_reference(frame, 1e-16, 4096)
+        assert bound == 0.0
+        dist = fock_coefficients(frame, 1e-16, 4096)
+        assert (dist.truncation, dist.tail_bound) == (top, 0.0)
+        assert np.array_equal(dist.coefficients, c_ref)
+        assert np.array_equal(dist.probabilities, p_ref)
+        assert np.array_equal(transition_probabilities(frame, 1e-16, 4096), p_ref)
 
 
 # ---------------------------------------------------------------------------

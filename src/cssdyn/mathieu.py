@@ -16,7 +16,23 @@ fundamental solutions with unit initial data are used,
     Yc(0) = 1, Yc'(0) = 0        Ys(0) = 0, Ys'(0) = 1,
 
 whose Wronskian Yc Ys' - Yc' Ys is identically 1; its numerical drift is the
-accuracy monitor.  The displacement integral varphi is constant here
+accuracy monitor.
+
+The pair is never integrated past tau = pi/2 (Floquet theory, NIST DLMF
+§28.2).  The coefficient a - 2q cos(2 tau) is pi-periodic, so the
+fundamental matrix Phi = [[Yc, Ys], [Yc', Ys']] advances by whole periods
+through the monodromy matrix M = Phi(pi), Phi(k pi + r) = Phi(r) M^k; it
+is even, so Phi(-tau) = D Phi(tau) D with D = diag(1, -1), which gives both
+M and Phi on [pi/2, pi] from the half period [0, pi/2].  The cost of a grid
+is then one half-period integration plus a few 2x2 products, whatever its
+length, and the relative error grows like k times the half-period error.
+Inside an instability tongue Phi grows like |mu|^k, |mu| > 1 the larger
+Floquet multiplier, and the Wronskian check cancels two products of that
+size: it fails once about eps |mu|^(2k) passes its 1e-9 bound (beyond
+eight periods on the default preset), and an M^k beyond float64 fails it
+as nan.
+
+The displacement integral varphi is constant here
 (gamma = 0), both phase integrals vanish identically (E = V = F = 0 and
 beta = 2 delta), and the mean trajectory is
 
@@ -37,10 +53,14 @@ from scipy.integrate import solve_ivp
 
 from .errors import DomainError, NumericalError
 from .hamiltonian import CoefficientSchedule, Harmonic, UnitContext
-from .motion import InitialConditions, IntegratorSettings, MotionFrame
+from .motion import (InitialConditions, IntegratorSettings, MotionFrame,
+                     run_monitored)
 
 # Wronskian of the fundamental pair must stay this close to 1.
 _WRONSKIAN_TOL = 1e-9
+_HALF_PERIOD = 0.5 * math.pi
+# elementwise form of Phi -> D Phi D with D = diag(1, -1)
+_REFLECT = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -117,6 +137,8 @@ def _check_tau_grid(tau_grid) -> np.ndarray:
     taus = np.asarray(tau_grid, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
         raise DomainError("tau grid must be a one-dimensional, nonempty array")
+    if not np.all(np.isfinite(taus)):
+        raise DomainError("tau grid must be finite")
     if taus[0] != 0.0:
         raise DomainError(f"tau grid must start at 0, got {taus[0]!r}")
     if taus.size > 1 and not np.all(np.diff(taus) > 0):
@@ -127,11 +149,28 @@ def _check_tau_grid(tau_grid) -> np.ndarray:
 def fundamental_solutions(params: MathieuParameters, tau_grid,
                           settings: IntegratorSettings = IntegratorSettings()
                           ) -> FundamentalBasis:
-    """Integrate both fundamental solutions jointly over the tau grid.
+    """Both fundamental solutions on the tau grid, from one half period.
+
+    Every tau is folded to tau = k pi + r with 0 <= r < pi and
+    s = min(r, pi - r) <= pi/2.  One DOP853 run over [0, min(tau_max, pi/2)]
+    samples Phi = [[yc, ys], [yc', ys']] at the distinct s and at pi/2, so
+    the cost does not grow with tau.  The coefficient is even, which gives
+    Phi(-tau) = D Phi(tau) D with D = diag(1, -1), and pi-periodic, which
+    gives Phi(tau + pi) = Phi(tau) M for the monodromy M = Phi(pi).  Hence
+
+        M      = D Phi(pi/2)^-1 D Phi(pi/2)   (adjugate inverse, det Phi = 1)
+        Phi(r) = Phi(s)             for r <= pi/2
+               = D Phi(s) D M       for r >  pi/2
+        Phi(tau) = Phi(r) M^k,
+
+    with the powers of M built by repeated squaring from one needed k to
+    the next.  Each factor of M carries the integration error of the half
+    period forward, so the relative error grows like k times it.
 
     The Wronskian is checked at every sample against 1 to within 1e-9;
-    a breach is retried once at 100x tighter tolerance and then raised as
-    NumericalError with the offending tau.
+    a breach, or a non-finite sample once M^k overflows, is retried once at
+    100x tighter tolerance and then raised as NumericalError with the
+    offending tau.
     """
     taus = _check_tau_grid(tau_grid)
     a, q = params.a, params.q
@@ -141,33 +180,73 @@ def fundamental_solutions(params: MathieuParameters, tau_grid,
         coeff = a - 2.0 * q * math.cos(2.0 * tau)
         return (y[1], -coeff * y[0], y[3], -coeff * y[2])
 
-    y0 = (1.0, 0.0, 0.0, 1.0)
+    k, r = np.divmod(taus, math.pi)
+    reflect = r > _HALF_PERIOD
+    end = min(float(taus[-1]), _HALF_PERIOD)
+    # nodes[-1] is end: pi/2 once the grid passes it, else the last tau.
+    # Python's sort, not np.unique: the first np.unique of a process raised
+    # its peak memory by about 0.4 MB.
+    folded = np.append(np.minimum(r, math.pi - r), end)
+    nodes = np.array(sorted(set(folded.tolist())))
+    node_of = np.searchsorted(nodes, folded)
+    # k never decreases along the increasing grid
+    k = k.astype(np.int64)
+    first = np.diff(k, prepend=-1) > 0
+    periods, period_of = k[first], np.cumsum(first) - 1
 
     def run(rtol, atol):
-        if taus.size == 1:
-            ys = np.asarray(y0, dtype=float)[:, None]
+        if end == 0.0:
+            y = np.array([[1.0], [0.0], [0.0], [1.0]])
         else:
-            sol = solve_ivp(rhs, (0.0, float(taus[-1])), y0, method="DOP853",
-                            t_eval=taus, rtol=rtol, atol=atol,
+            sol = solve_ivp(rhs, (0.0, end), (1.0, 0.0, 0.0, 1.0), method="DOP853",
+                            t_eval=nodes, rtol=rtol, atol=atol,
                             max_step=settings.max_step)
             if not sol.success:
                 raise NumericalError(f"Mathieu integration failed: {sol.message}",
                                      t=float(sol.t[-1]) if sol.t.size else 0.0)
-            ys = sol.y
-        return FundamentalBasis(tau=taus.copy(), yc=ys[0].copy(), dyc=ys[1].copy(),
-                                ys=ys[2].copy(), dys=ys[3].copy())
+            y = sol.y
+        # rows (yc, dyc, ys, dys) -> one matrix [[yc, ys], [dyc, dys]] per node
+        half = np.stack([y[:2], y[2:]], axis=-1).transpose(1, 0, 2)
+        (yc, ys), (dyc, dys) = half[-1]
+        # D Phi(pi/2)^-1 D Phi(pi/2); unused (k = 0, no reflection) below pi/2
+        monodromy = np.array([[yc * dys + ys * dyc, 2.0 * ys * dys],
+                              [2.0 * yc * dyc, yc * dys + ys * dyc]])
+        phi = half[node_of[:-1]]
+        # a state too unstable for float64 overflows in M^k; the Wronskian
+        # monitor then sees a non-finite sample and refuses it
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi[reflect] = (phi[reflect] * _REFLECT) @ monodromy
+            phi = phi @ _powers(monodromy, periods)[period_of]
+        return FundamentalBasis(tau=taus.copy(), yc=phi[:, 0, 0].copy(),
+                                dyc=phi[:, 1, 0].copy(), ys=phi[:, 0, 1].copy(),
+                                dys=phi[:, 1, 1].copy())
 
-    basis = run(settings.rtol, settings.atol)
-    defect = np.abs(basis.wronskian() - 1.0)
-    if np.max(defect) > _WRONSKIAN_TOL:
-        basis = run(max(settings.rtol / 100.0, 3e-14), settings.atol / 100.0)
-        defect = np.abs(basis.wronskian() - 1.0)
-        if np.max(defect) > _WRONSKIAN_TOL:
-            bad = int(np.argmax(defect > _WRONSKIAN_TOL))
-            raise NumericalError(
-                f"Wronskian drift {np.max(defect):.3e} exceeds {_WRONSKIAN_TOL:g} "
-                "after refinement", t=float(taus[bad]))
-    return basis
+    return run_monitored(run, lambda basis: np.abs(basis.wronskian() - 1.0),
+                         _WRONSKIAN_TOL, taus, settings,
+                         "Wronskian drift {worst:.3e} exceeds {limit:g}")
+
+
+def _powers(m: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """m^k for each of the increasing nonnegative ks, stacked.
+
+    Steps from one k to the next by the binary digits of the gap, so a
+    dense run of periods costs one product each and a sparse one about
+    log2 of its gap.
+    """
+    out = np.empty((ks.size, 2, 2))
+    acc, done, squares = np.eye(2), 0, [m]
+    for i, k in enumerate(ks):
+        gap, bit = int(k) - done, 0
+        while gap:
+            if bit == len(squares):
+                squares.append(squares[-1] @ squares[-1])
+            if gap & 1:
+                acc = acc @ squares[bit]
+            gap >>= 1
+            bit += 1
+        out[i] = acc
+        done = int(k)
+    return out
 
 
 def frames(cfg: DrivenOscillatorConfig, tau_grid,

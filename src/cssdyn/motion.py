@@ -213,20 +213,39 @@ def evolve(schedule: CoefficientSchedule, init: InitialConditions, grid,
         ]
         return frames
 
-    frames = run(settings.rtol, settings.atol)
-    if enforce_drift:
-        worst = max(fr.unitarity_defect for fr in frames)
-        if worst > settings.drift_threshold:
-            # one retry at tighter tolerance, then give up with the offending time
-            frames = run(max(settings.rtol / 100.0, 3e-14), settings.atol / 100.0)
-            worst = max(fr.unitarity_defect for fr in frames)
-            if worst > settings.drift_threshold:
-                t_bad = next(fr.t for fr in frames
-                             if fr.unitarity_defect > settings.drift_threshold)
-                raise NumericalError(
-                    f"unitarity drift {worst:.3e} exceeds threshold "
-                    f"{settings.drift_threshold:g} after refinement", t=t_bad)
-    return frames
+    if not enforce_drift:
+        return run(settings.rtol, settings.atol)
+    return run_monitored(run, lambda frames: [fr.unitarity_defect for fr in frames],
+                         settings.drift_threshold, ts, settings,
+                         "unitarity drift {worst:.3e} exceeds threshold {limit:g}")
+
+
+def run_monitored(run, defects, limit: float, times, settings: IntegratorSettings,
+                  breach: str):
+    """run(rtol, atol) with its accuracy invariant held at every sample.
+
+    defects(result) gives one defect per entry of times.  Should any exceed
+    limit, or fail to be finite, the run is repeated once at 100x tighter
+    tolerances (rtol floored at 3e-14); a second breach raises
+    NumericalError at the first offending time.  breach is the message,
+    formatted with the worst defect and the limit.
+    """
+
+    def breaches(result):
+        # an overflowed run gives inf - inf = nan, which must count as a breach
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = np.asarray(defects(result), dtype=float)
+        return defect, ~(defect <= limit)
+
+    result = run(settings.rtol, settings.atol)
+    if breaches(result)[1].any():
+        result = run(max(settings.rtol / 100.0, 3e-14), settings.atol / 100.0)
+        defect, bad = breaches(result)
+        if bad.any():
+            raise NumericalError(
+                breach.format(worst=np.max(defect), limit=limit) + " after refinement",
+                t=float(times[np.argmax(bad)]))
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -96,8 +96,13 @@ def normalization(frame: MotionFrame, winding: int = 0) -> complex:
     principal value.  For a frame without trajectory context the principal
     branch (winding 0) is the documented, phase-ambiguous default; every
     modulus derived from Phi is branch-independent.
+
+    Raises DomainError for a frame whose f, g or varphi is not finite.
     """
     f, g, varphi = frame.f, frame.g, frame.varphi
+    if not all(math.isfinite(x) for v in (f, g, varphi) for x in (v.real, v.imag)):
+        raise DomainError(f"frame at t = {frame.t!r} is not finite: "
+                          f"f = {f!r}, g = {g!r}, varphi = {varphi!r}")
     root = 1.0 / np.sqrt(complex(f))
     if winding % 2:
         root = -root
@@ -473,6 +478,8 @@ def overlap(frame1: MotionFrame, frame2: MotionFrame,
     the result equals the number-basis sum conj(c_n(1)) c_n(2) exactly for
     the same winding inputs.  Same-frame overlap is identically 1.
     """
+    # first, so that a non-finite frame is refused before the kernel is formed
+    norms = normalization(frame1, winding1).conjugate() * normalization(frame2, winding2)
     f1c = frame1.f.conjugate()
     g1c = frame1.g.conjugate()
     f2, g2 = frame2.f, frame2.g
@@ -483,5 +490,4 @@ def overlap(frame1: MotionFrame, frame2: MotionFrame,
     kernel = np.exp(p1c * p2 / den
                     - p1c * p1c * g2 / (2.0 * f1c * den)
                     - p2 * p2 * g1c / (2.0 * f2 * den)) / np.sqrt(1.0 - z2)
-    return complex(normalization(frame1, winding1).conjugate()
-                   * normalization(frame2, winding2) * kernel)
+    return complex(norms * kernel)

@@ -8,10 +8,10 @@ import pytest
 from numpy.polynomial.hermite import hermval
 
 import cssdyn.states
-from cssdyn import (CoefficientSchedule, ConvergenceError, InitialConditions,
-                    MotionFrame, UnitContext, branch_windings, evolve,
-                    fock_coefficients, normalization, overlap, parameters,
-                    transition_probabilities)
+from cssdyn import (CoefficientSchedule, ConvergenceError, DomainError,
+                    InitialConditions, MotionFrame, UnitContext, branch_windings,
+                    evolve, fock_coefficients, normalization, overlap,
+                    parameters, transition_probabilities)
 
 from helpers import hyperboloid_frame, poisson_reference
 
@@ -374,6 +374,33 @@ def test_degenerate_frames_refuse_like_scalar_reference(frame):
             with pytest.raises(ConvergenceError) as got:
                 expand(frame, 1e-10, n_max)
             assert str(got.value) == str(want.value)
+
+
+NON_FINITE = [
+    MotionFrame(t=0.0, f=complex(math.nan, 0.0), g=0.0, varphi=0.0),
+    MotionFrame(t=0.0, f=1.0, g=complex(0.0, math.inf), varphi=0.0),
+    MotionFrame(t=0.0, f=1.0, g=0.0, varphi=complex(math.nan, 1.0)),
+]
+
+
+@pytest.mark.parametrize("frame", NON_FINITE)
+def test_normalization_refuses_non_finite_frames(frame):
+    with pytest.raises(DomainError, match="not finite"):
+        normalization(frame)
+
+
+@pytest.mark.parametrize("frame", NON_FINITE)
+def test_transition_probabilities_refuse_non_finite_frames(frame):
+    with pytest.raises(DomainError, match="not finite"):
+        transition_probabilities(frame)
+
+
+@pytest.mark.parametrize("frame", NON_FINITE)
+def test_overlap_refuses_non_finite_frames(frame):
+    with pytest.raises(DomainError, match="not finite"):
+        overlap(VACUUM, frame)
+    with pytest.raises(DomainError, match="not finite"):
+        overlap(frame, VACUUM)
 
 
 def test_exact_zero_termination_matches_scalar_reference():

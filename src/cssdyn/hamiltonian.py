@@ -27,12 +27,15 @@ and inversely
 
 This module holds both coefficient records, the conversion maps, the time
 profiles a coefficient may follow (constant, harmonic, polynomial, sampled
-table), and a schedule bundling one profile per coefficient.
+table), and a schedule bundling one profile per coefficient.  A schedule is
+evaluated through one compiled function t -> (alpha, beta, gamma, delta)
+that checks hermiticity and the mass on every call.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
@@ -107,15 +110,30 @@ class PhysicalCoefficients:
     def __post_init__(self):
         for name in ("m", "k", "Omega", "F", "V", "E"):
             object.__setattr__(self, name, _strict_real(getattr(self, name), name))
-        if self.m == 0.0 or not math.isfinite(self.m):
-            raise DomainError(f"mass must be finite and nonzero, got {self.m!r}")
+        _check_mass(self.m)
 
 
 def _strict_real(value: Number, name: str) -> float:
     z = complex(value)
     if z.imag != 0.0:
-        raise DomainError(f"{name} must be real (hermiticity), got {value!r}")
+        raise _not_real(name, value)
     return float(z.real)
+
+
+def _not_real(name: str, value: Number) -> DomainError:
+    return DomainError(f"{name} must be real (hermiticity), got {value!r}")
+
+
+def _check_mass(m: float) -> None:
+    if m == 0.0 or not math.isfinite(m):
+        raise DomainError(f"mass must be finite and nonzero, got {m!r}")
+
+
+def _trusted(cls, keys: Sequence[str], values: Sequence) -> object:
+    """A coefficient record from values the compiled evaluator already checked."""
+    record = object.__new__(cls)
+    record.__dict__.update(zip(keys, values))
+    return record
 
 
 def to_algebraic(phys: PhysicalCoefficients, units: UnitContext) -> AlgebraicCoefficients:
@@ -153,9 +171,10 @@ def to_physical(alg: AlgebraicCoefficients, units: UnitContext) -> PhysicalCoeff
 # ---------------------------------------------------------------------------
 # time profiles
 #
-# A profile is a callable t -> value.  Values may be complex; coefficients
-# that must stay real (beta, delta, every physical one) are checked at
-# evaluation time by the schedule.
+# A profile is a scalar callable t -> value.  Values may be complex;
+# coefficients that must stay real (beta, delta, every physical one) are
+# checked by the schedule's compiled evaluator on every call, so a value
+# that turns complex between any two sampled times is still caught.
 
 
 @dataclass(frozen=True)
@@ -196,7 +215,10 @@ class Table:
     """Piecewise-linear interpolation through (times, values) samples.
 
     times must be strictly increasing.  Evaluation outside
-    [times[0], times[-1]] raises DomainError: no extrapolation.
+    [times[0], times[-1]], or at a non-finite time, raises DomainError: no
+    extrapolation.  Each part is np.interp's value, bit for bit: the knots
+    are float tuples found by bisection and np.interp's formula is applied
+    to them.
     """
 
     times: tuple = (0.0,)
@@ -208,16 +230,40 @@ class Table:
             raise DomainError("table needs equally many times and values")
         if t.size > 1 and not np.all(np.diff(t) > 0):
             raise DomainError("table times must be strictly increasing")
+        values = [complex(v) for v in self.values]
+        knots = tuple(t.tolist())
+        object.__setattr__(self, "_knots", knots)
+        object.__setattr__(self, "_real", _segments(knots, [v.real for v in values]))
+        object.__setattr__(self, "_imag", _segments(knots, [v.imag for v in values]))
 
     def __call__(self, t: float) -> complex:
-        ts = self.times
-        if t < ts[0] or t > ts[-1]:
+        ts = self._knots
+        if not ts[0] <= t <= ts[-1]:  # NaN fails both comparisons
             raise DomainError(
-                f"table evaluated at t={t!r} outside its horizon [{ts[0]}, {ts[-1]}]"
+                f"table evaluated at t={t!r} outside its horizon "
+                f"[{self.times[0]}, {self.times[-1]}]"
             )
-        re = float(np.interp(t, ts, [complex(v).real for v in self.values]))
-        im = float(np.interp(t, ts, [complex(v).imag for v in self.values]))
-        return complex(re, im)
+        x = float(t)
+        j = bisect_right(ts, x) - 1
+        return complex(_interp(ts, *self._real, j, x), _interp(ts, *self._imag, j, x))
+
+
+def _segments(ts: tuple, ys: list) -> tuple:
+    """(ys, slope of each segment), the slopes formed as np.interp forms them."""
+    slopes = tuple((ys[j + 1] - ys[j]) / (ts[j + 1] - ts[j]) for j in range(len(ts) - 1))
+    return tuple(ys), slopes
+
+
+def _interp(ts: tuple, ys: tuple, slopes: tuple, j: int, x: float) -> float:
+    """np.interp at x, for ts[j] <= x <= ts[-1], operation for operation."""
+    if j == len(ts) - 1 or ts[j] == x:
+        return ys[j]
+    y = slopes[j] * (x - ts[j]) + ys[j]
+    if y != y:  # NaN one way: np.interp tries from the right knot
+        y = slopes[j] * (x - ts[j + 1]) + ys[j + 1]
+        if y != y and ys[j] == ys[j + 1]:
+            y = ys[j]
+    return y
 
 
 @dataclass(frozen=True)
@@ -260,11 +306,19 @@ class CoefficientSchedule:
     Exactly one parameterization ("algebraic" or "physical") is authoritative;
     the other is obtained through the exact maps on demand.  Construct via
     the algebraic()/physical() classmethods rather than directly.
+
+    Every evaluation goes through one evaluator, compiled on first use (so
+    the profiles are read then): t -> (alpha, beta, gamma, delta), with the
+    physical -> algebraic map folded in for physical schedules.  Each call
+    checks that beta, delta and every physical coefficient are real and
+    that the mass is finite and nonzero, with the errors the coefficient
+    records raise.
     """
 
     units: UnitContext
     parameterization: str
     profiles: Mapping[str, object] = field(default_factory=dict)
+    _evaluators: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.parameterization not in ("algebraic", "physical"):
@@ -293,22 +347,76 @@ class CoefficientSchedule:
     def _raw(self, key: str, t: float) -> complex:
         return complex(self.profiles[key](t))
 
+    def _compiled(self) -> tuple:
+        if self._evaluators is None:
+            object.__setattr__(self, "_evaluators", _compile(self))
+        return self._evaluators
+
+    def compiled(self):
+        """The checked evaluator t -> (alpha, beta, gamma, delta), bit-identical to
+        the records' route (to_algebraic of the physical record)."""
+        return self._compiled()[0]
+
     def algebraic_at(self, t: float) -> AlgebraicCoefficients:
-        if self.parameterization == "algebraic":
-            return AlgebraicCoefficients(
-                alpha=self._raw("alpha", t),
-                beta=_strict_real(self._raw("beta", t), "beta"),
-                gamma=self._raw("gamma", t),
-                delta=_strict_real(self._raw("delta", t), "delta"),
-            )
-        return to_algebraic(self.physical_at(t), self.units)
+        return _trusted(AlgebraicCoefficients, _ALGEBRAIC_KEYS, self._compiled()[0](t))
 
     def physical_at(self, t: float) -> PhysicalCoefficients:
-        if self.parameterization == "physical":
-            return PhysicalCoefficients(
-                **{k: _strict_real(self._raw(k, t), k) for k in _PHYSICAL_KEYS}
-            )
-        return to_physical(self.algebraic_at(t), self.units)
+        physical = self._compiled()[1]
+        if physical is None:
+            return to_physical(self.algebraic_at(t), self.units)
+        return _trusted(PhysicalCoefficients, _PHYSICAL_KEYS, physical(t))
+
+
+def _compile(schedule: CoefficientSchedule) -> tuple:
+    """(algebraic, physical) evaluators of a schedule, checks included.
+
+    algebraic is t -> (alpha, beta, gamma, delta).  physical is
+    t -> (m, k, Omega, F, V, E) for a physical schedule, None otherwise.
+    """
+    if schedule.parameterization == "algebraic":
+        pa, pb, pg, pd = (schedule.profiles[key] for key in _ALGEBRAIC_KEYS)
+
+        def algebraic(t):
+            alpha = complex(pa(t))
+            beta = complex(pb(t))
+            if beta.imag != 0.0:
+                raise _not_real("beta", beta)
+            gamma = complex(pg(t))
+            delta = complex(pd(t))
+            if delta.imag != 0.0:
+                raise _not_real("delta", delta)
+            return alpha, beta.real, gamma, delta.real
+
+        return algebraic, None
+
+    named = tuple((key, schedule.profiles[key]) for key in _PHYSICAL_KEYS)
+
+    def physical(t):
+        values = []
+        for name, profile in named:
+            z = complex(profile(t))
+            if z.imag != 0.0:
+                raise _not_real(name, z)
+            values.append(z.real)
+        _check_mass(values[0])
+        return values
+
+    # to_algebraic's unit constants; every product and quotient below keeps
+    # its operand order, so the values are to_algebraic's bit for bit
+    hbar, l = schedule.units.hbar, schedule.units.l
+    hbar2, l4, ll, ihbar = hbar * hbar, l ** 4, l * l, 1j * hbar
+    half = ll / (2.0 * hbar)
+    quarter = 0.5 * half
+    gscale = l / (hbar * math.sqrt(2.0))
+
+    def algebraic(t):
+        m, k, Omega, F, V, E = physical(t)
+        recip = hbar2 / (l4 * m)
+        kr = k + recip
+        return (half * (k - recip) + 1j * Omega, half * kr,
+                gscale * (F + ihbar * V / ll), E / hbar + quarter * kr)
+
+    return algebraic, physical
 
 
 def validate(schedule: CoefficientSchedule, horizon: float, samples: int = 257) -> list:

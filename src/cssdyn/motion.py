@@ -173,18 +173,19 @@ def evolve(schedule: CoefficientSchedule, init: InitialConditions, grid,
         raise DomainError("grid times must be strictly increasing")
 
     hbar = schedule.units.hbar
+    coefficients = schedule.compiled()
 
     def rhs(t, y):
-        alg = schedule.algebraic_at(t)
+        alpha, beta, gamma, delta = coefficients(t)
         f = complex(y[0], y[1])
         g = complex(y[2], y[3])
         varphi = complex(y[4], y[5])
-        df = -1j * (alg.alpha.conjugate() * g - alg.beta * f)
-        dg = -1j * (alg.beta * g - alg.alpha * f)
-        dvarphi = -1j * (alg.gamma.conjugate() * g - alg.gamma * f)
+        df = -1j * (alpha.conjugate() * g - beta * f)
+        dg = -1j * (beta * g - alpha * f)
+        dvarphi = -1j * (gamma.conjugate() * g - gamma * f)
         u = g * varphi.conjugate() - f.conjugate() * varphi
-        dphi = 0.5 * (alg.beta - 2.0 * alg.delta)
-        dvartheta = hbar * (alg.delta - 0.5 * alg.beta) + hbar * (alg.gamma.conjugate() * u).real
+        dphi = 0.5 * (beta - 2.0 * delta)
+        dvartheta = hbar * (delta - 0.5 * beta) + hbar * (gamma.conjugate() * u).real
         return (df.real, df.imag, dg.real, dg.imag,
                 dvarphi.real, dvarphi.imag, dphi, dvartheta)
 

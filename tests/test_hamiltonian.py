@@ -1,14 +1,17 @@
 """Coefficient maps between the ladder and position-momentum forms."""
 
+import dataclasses
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
 
 from cssdyn import (AlgebraicCoefficients, CoefficientSchedule, ComplexParts,
                     Constant, DomainError, Harmonic, InitialConditions,
-                    PhysicalCoefficients, Polynomial, Table, UnitContext, evolve,
-                    to_algebraic, to_physical, validate)
+                    IntegratorSettings, PhysicalCoefficients, Polynomial, Table,
+                    UnitContext, evolve, to_algebraic, to_physical, validate)
 
 UNITS = UnitContext()
 
@@ -142,6 +145,126 @@ def test_table_refuses_extrapolation_and_disorder():
         tab(1.5)
     with pytest.raises(DomainError):
         Table(times=(0.0, 0.0), values=(1.0, 2.0))
+
+
+@pytest.mark.parametrize("times", [(0.0, 1.0, 4.0), (2.0,)])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+def test_table_refuses_non_finite_times(times, t):
+    tab = Table(times=times, values=(5.0,) * len(times))
+    with pytest.raises(DomainError, match="outside its horizon"):
+        tab(t)
+    sched = CoefficientSchedule.physical(UNITS, k=tab)
+    with pytest.raises(DomainError, match="outside its horizon"):
+        sched.algebraic_at(t)
+
+
+def _bits(value):
+    """Type and IEEE-754 bit pattern of a float or complex: equal means identical."""
+    if isinstance(value, complex):
+        return complex, struct.pack("<dd", value.real, value.imag)
+    return type(value), struct.pack("<d", value)
+
+
+def _record_bits(record):
+    return [(f.name, _bits(getattr(record, f.name))) for f in dataclasses.fields(record)]
+
+
+def test_table_matches_np_interp_bit_for_bit():
+    rng = np.random.default_rng(20)
+    tables = []
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        times = np.cumsum(rng.exponential(10.0 ** rng.uniform(-3, 2), n)) - rng.uniform(0, 5)
+        values = (rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)
+                  + 1j * rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n))
+        tables.append((times, values))
+    # infinite slopes and values, where np.interp's knot and NaN rules decide
+    tables.append((np.array([0.0, 1e-300, 1.0]), np.array([1e308, -1e308 + 1e308j, 0.0])))
+    tables.append((np.array([0.0, 1.0, 2.0]), np.array([math.inf, math.inf, 1.0 - 1j * math.inf])))
+    for times, values in tables:
+        tab = Table(times=tuple(times), values=tuple(values))
+        probes = list(times) + list(rng.uniform(times[0], times[-1], 20))
+        for t in probes:
+            want = complex(float(np.interp(t, times, values.real)),
+                           float(np.interp(t, times, values.imag)))
+            assert _bits(tab(t)) == _bits(want), (times, values, t)
+            assert _bits(tab(float(t))) == _bits(want)
+
+
+# every profile type, each given a base value a and a variation b over [0, 2]
+_KNOTS = (0.0, 0.5, 1.25, 2.0)
+
+
+def _profile(kind, a, b):
+    if kind == "Constant":
+        return Constant(a)
+    if kind == "Harmonic":
+        return Harmonic(offset=a, amplitude=b, omega=2.3)
+    if kind == "Polynomial":
+        return Polynomial((a, b, -0.3 * b))
+    if kind == "ComplexParts":
+        return ComplexParts(Harmonic(complex(a).real, complex(b).real, 1.7),
+                            Polynomial((complex(a).imag, complex(b).imag)))
+    if kind == "lambda":
+        return lambda t: a + b * math.sin(t)
+    if kind == "Table":
+        return Table(times=_KNOTS, values=tuple(a + b * s for s in (0.0, 0.6, -0.4, 0.3)))
+    if kind == "single-knot Table":
+        return Table(times=(0.75,), values=(a,))
+    raise ValueError(kind)
+
+
+_PHYSICAL_BASE = {"m": (1.2, 0.15), "k": (-0.7, 0.5), "Omega": (0.3, -0.2),
+                  "F": (0.45, 0.25), "V": (-0.35, 0.1), "E": (0.8, -0.6)}
+_ALGEBRAIC_BASE = {"alpha": (0.3 - 0.4j, 0.2 + 0.1j), "beta": (1.4, 0.3),
+                   "gamma": (-0.2 + 0.5j, 0.1 - 0.3j), "delta": (0.25, -0.15)}
+
+
+@pytest.mark.parametrize("kind", ["Constant", "Harmonic", "Polynomial", "ComplexParts",
+                                  "lambda", "Table", "single-knot Table"])
+def test_compiled_evaluation_matches_record_route_bit_for_bit(kind):
+    # the record route: raw profile values through the validating records and
+    # the public maps, as every evaluation went before the schedule compiled
+    rng = np.random.default_rng(21)
+    times = [0.75] if kind == "single-knot Table" else list(_KNOTS) + list(rng.uniform(0, 2, 25))
+    for units in (UnitContext(hbar=1.7, l=0.6), UnitContext(hbar=0.45, l=2.3)):
+        phys_sched = CoefficientSchedule.physical(
+            units, **{key: _profile(kind, *ab) for key, ab in _PHYSICAL_BASE.items()})
+        alg_sched = CoefficientSchedule.algebraic(
+            units, **{key: _profile(kind, *ab) for key, ab in _ALGEBRAIC_BASE.items()})
+        for t in times:
+            phys = PhysicalCoefficients(**{key: phys_sched._raw(key, t) for key in _PHYSICAL_BASE})
+            assert _record_bits(phys_sched.physical_at(t)) == _record_bits(phys)
+            assert _record_bits(phys_sched.algebraic_at(t)) == _record_bits(to_algebraic(phys, units))
+            alg = AlgebraicCoefficients(**{key: alg_sched._raw(key, t) for key in _ALGEBRAIC_BASE})
+            assert _record_bits(alg_sched.algebraic_at(t)) == _record_bits(alg)
+            assert _record_bits(alg_sched.physical_at(t)) == _record_bits(to_physical(alg, units))
+            for sched in (phys_sched, alg_sched):
+                want = sched.algebraic_at(t)
+                got = sched.compiled()(t)
+                assert [_bits(v) for v in got] == [_bits(getattr(want, key))
+                                                   for key in _ALGEBRAIC_BASE]
+
+
+def test_checks_hold_on_every_call_between_validate_samples():
+    # validate samples [0, 1] at k/256; each defect lives strictly between two samples
+    t_bad = 128.5 / 256
+    inside = lambda t: abs(t - t_bad) < 0.25 / 256  # noqa: E731
+    complex_beta = CoefficientSchedule.algebraic(
+        UNITS, alpha=0.1, beta=lambda t: 1.0 + (1e-3j if inside(t) else 0.0))
+    massless = CoefficientSchedule.physical(
+        UnitContext(hbar=1.3, l=0.8), m=lambda t: 0.0 if inside(t) else 1.0, k=1.0)
+    cases = ((complex_beta, "beta must be real (hermiticity), got (1+0.001j)"),
+             (massless, "mass must be finite and nonzero, got 0.0"))
+    # steps of at most 1e-3 must put a step start inside the 2e-3-wide window
+    settings = IntegratorSettings(max_step=1e-3)
+    for sched, message in cases:
+        assert validate(sched, horizon=1.0) == []
+        for evaluate in (sched.algebraic_at, sched.physical_at, sched.compiled()):
+            with pytest.raises(DomainError, match=re.escape(message)):
+                evaluate(t_bad)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            evolve(sched, InitialConditions(), np.linspace(0.0, 1.0, 11), settings)
 
 
 def test_schedule_rejects_unknown_keys_and_kinds():

@@ -29,7 +29,9 @@ This module holds both coefficient records, the conversion maps, the time
 profiles a coefficient may follow (constant, harmonic, polynomial, sampled
 table), and a schedule bundling one profile per coefficient.  A schedule is
 evaluated through one compiled function t -> (alpha, beta, gamma, delta)
-that checks hermiticity and the mass on every call.
+that checks hermiticity and the mass on every call.  It also lists its
+knots, the sample times of its tables, where the coefficients may have a
+kink: integrators put step edges there.
 """
 
 from __future__ import annotations
@@ -219,6 +221,10 @@ class Table:
     extrapolation.  Each part is np.interp's value, bit for bit: the knots
     are float tuples found by bisection and np.interp's formula is applied
     to them.
+
+    The profile has a kink at each interior knot, so a schedule holding the
+    table lists its times as knots (CoefficientSchedule.knots), and evolve
+    restarts its integrator there instead of stepping across.
     """
 
     times: tuple = (0.0,)
@@ -312,7 +318,13 @@ class CoefficientSchedule:
     physical -> algebraic map folded in for physical schedules.  Each call
     checks that beta, delta and every physical coefficient are real and
     that the mass is finite and nonzero, with the errors the coefficient
-    records raise.
+    records raise.  The other parameterization's map is compiled in the
+    same way.
+
+    The knots (knots()) are compiled with the evaluators: the union of the
+    times of every Table profile, those inside ComplexParts included.
+    Between two knots every table is linear; at a knot the coefficients may
+    kink, so evolve takes them as step edges.  Other callables add none.
     """
 
     units: UnitContext
@@ -357,22 +369,37 @@ class CoefficientSchedule:
         the records' route (to_algebraic of the physical record)."""
         return self._compiled()[0]
 
+    def knots(self) -> tuple:
+        """Sorted distinct times of every Table profile, as floats."""
+        return self._compiled()[2]
+
     def algebraic_at(self, t: float) -> AlgebraicCoefficients:
         return _trusted(AlgebraicCoefficients, _ALGEBRAIC_KEYS, self._compiled()[0](t))
 
     def physical_at(self, t: float) -> PhysicalCoefficients:
-        physical = self._compiled()[1]
-        if physical is None:
-            return to_physical(self.algebraic_at(t), self.units)
-        return _trusted(PhysicalCoefficients, _PHYSICAL_KEYS, physical(t))
+        return _trusted(PhysicalCoefficients, _PHYSICAL_KEYS, self._compiled()[1](t))
+
+
+def _table_times(profile) -> list:
+    """Knots of a profile: a Table's times, a ComplexParts' of both parts."""
+    if isinstance(profile, Table):
+        return list(profile._knots)
+    if isinstance(profile, ComplexParts):
+        return _table_times(profile.real) + _table_times(profile.imag)
+    return []
 
 
 def _compile(schedule: CoefficientSchedule) -> tuple:
-    """(algebraic, physical) evaluators of a schedule, checks included.
+    """(algebraic, physical, knots) of a schedule, checks included.
 
-    algebraic is t -> (alpha, beta, gamma, delta).  physical is
-    t -> (m, k, Omega, F, V, E) for a physical schedule, None otherwise.
+    algebraic is t -> (alpha, beta, gamma, delta) and physical is
+    t -> (m, k, Omega, F, V, E), each bit-identical to the records' route
+    (to_algebraic or to_physical of the authoritative record).  knots is
+    the sorted tuple of distinct Table times over the profiles.
     """
+    knots = tuple(sorted({t for profile in schedule.profiles.values()
+                          for t in _table_times(profile)}))
+    hbar, l = schedule.units.hbar, schedule.units.l
     if schedule.parameterization == "algebraic":
         pa, pb, pg, pd = (schedule.profiles[key] for key in _ALGEBRAIC_KEYS)
 
@@ -387,7 +414,21 @@ def _compile(schedule: CoefficientSchedule) -> tuple:
                 raise _not_real("delta", delta)
             return alpha, beta.real, gamma, delta.real
 
-        return algebraic, None
+        # to_physical's unit constants, its operations in its order
+        mscale, kscale = l * l / hbar, hbar / (l * l)
+        fscale, vscale = math.sqrt(2.0) * hbar / l, math.sqrt(2.0) * l
+
+        def physical(t):
+            alpha, beta, gamma, delta = algebraic(t)
+            inv_m = mscale * (beta - alpha.real)
+            if inv_m == 0.0:
+                raise DomainError("Re(beta - alpha) = 0: no finite-mass (x, p) form exists")
+            m = 1.0 / inv_m
+            _check_mass(m)
+            return (m, kscale * (beta + alpha.real), alpha.imag, fscale * gamma.real,
+                    vscale * gamma.imag, hbar * (delta - 0.5 * beta))
+
+        return algebraic, physical, knots
 
     named = tuple((key, schedule.profiles[key]) for key in _PHYSICAL_KEYS)
 
@@ -403,7 +444,6 @@ def _compile(schedule: CoefficientSchedule) -> tuple:
 
     # to_algebraic's unit constants; every product and quotient below keeps
     # its operand order, so the values are to_algebraic's bit for bit
-    hbar, l = schedule.units.hbar, schedule.units.l
     hbar2, l4, ll, ihbar = hbar * hbar, l ** 4, l * l, 1j * hbar
     half = ll / (2.0 * hbar)
     quarter = 0.5 * half
@@ -416,7 +456,7 @@ def _compile(schedule: CoefficientSchedule) -> tuple:
         return (half * (k - recip) + 1j * Omega, half * kr,
                 gscale * (F + ihbar * V / ll), E / hbar + quarter * kr)
 
-    return algebraic, physical
+    return algebraic, physical, knots
 
 
 def validate(schedule: CoefficientSchedule, horizon: float, samples: int = 257) -> list:

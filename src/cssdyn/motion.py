@@ -144,6 +144,12 @@ def evolve(schedule: CoefficientSchedule, init: InitialConditions, grid,
            enforce_drift: bool = True) -> list:
     """Integrate (f, g, varphi) and both phase integrals over a time grid.
 
+    The schedule's knots (CoefficientSchedule.knots) strictly inside
+    (0, grid[-1]) are step edges: DOP853 restarts at each one from the
+    state it reached there, so no step straddles a table's kink.  Between
+    edges, and for a knot-free schedule over the whole horizon, it is one
+    solve_ivp call evaluated at the grid times.
+
     Parameters
     ----------
     schedule : CoefficientSchedule
@@ -192,18 +198,30 @@ def evolve(schedule: CoefficientSchedule, init: InitialConditions, grid,
     y0 = (init.f0.real, init.f0.imag, init.g0.real, init.g0.imag,
           init.varphi0.real, init.varphi0.imag, 0.0, 0.0)
 
+    # spans between step edges: the knots strictly inside the horizon, where
+    # a table kinks; the single-point grid has none
+    t_end = float(ts[-1])
+    inner = [k for k in schedule.knots() if 0.0 < k < t_end]
+    edges = [0.0, *inner, t_end] if t_end > 0.0 else []
+
     def run(rtol, atol):
-        if ts.size == 1:
-            ys = np.asarray(y0, dtype=float)[:, None]
-        else:
-            sol = solve_ivp(rhs, (0.0, float(ts[-1])), y0, method="DOP853",
-                            t_eval=ts, rtol=rtol, atol=atol,
+        ys = np.empty((len(y0), ts.size))
+        ys[:, 0] = y0
+        y, lo = y0, 0
+        for a, b in zip(edges, edges[1:]):
+            # a span yields the grid times in [a, b), the last one t_end too;
+            # the state at b carries over to the next span
+            hi = ts.size if b == t_end else int(np.searchsorted(ts, b))
+            t_eval = ts[lo:] if b == t_end else np.append(ts[lo:hi], b)
+            sol = solve_ivp(rhs, (a, b), y, method="DOP853",
+                            t_eval=t_eval, rtol=rtol, atol=atol,
                             max_step=settings.max_step, dense_output=False)
             if not sol.success:
-                t_fail = float(sol.t[-1]) if sol.t.size else 0.0
+                t_fail = float(sol.t[-1]) if sol.t.size else a
                 raise NumericalError(f"integration failed: {sol.message}", t=t_fail)
-            ys = sol.y
-        frames = [
+            ys[:, lo:hi] = sol.y[:, :hi - lo]
+            y, lo = sol.y[:, -1], hi
+        return [
             MotionFrame(t=float(ts[i]),
                         f=complex(ys[0, i], ys[1, i]),
                         g=complex(ys[2, i], ys[3, i]),
@@ -212,7 +230,6 @@ def evolve(schedule: CoefficientSchedule, init: InitialConditions, grid,
                         phase_vartheta=float(ys[7, i]))
             for i in range(ts.size)
         ]
-        return frames
 
     if not enforce_drift:
         return run(settings.rtol, settings.atol)

@@ -183,6 +183,10 @@ def hamilton_residual(records, schedule: CoefficientSchedule):
         dpbar/dt = -k xbar - Omega pbar - F
 
     Second-order accurate: halving the spacing should shrink both by ~4x.
+    Across a schedule knot (a table's kink) the means' second derivative
+    jumps and the central difference is only first order, so points whose
+    stencil (t[i-1], t[i+1]) holds a knot strictly inside are skipped,
+    unless that leaves none.
     """
     recs = list(records)
     if len(recs) < 3:
@@ -194,9 +198,15 @@ def hamilton_residual(records, schedule: CoefficientSchedule):
         raise DomainError("records must sit on a uniformly spaced, increasing grid")
     xb = np.array([r.xbar for r in recs])
     pb = np.array([r.pbar for r in recs])
+    knots = np.asarray(schedule.knots(), dtype=float)
+    kinked = (np.searchsorted(knots, ts[2:], side="left")
+              > np.searchsorted(knots, ts[:-2], side="right"))
+    interior = np.flatnonzero(~kinked) + 1
+    if interior.size == 0:
+        interior = range(1, len(recs) - 1)
     res_x = 0.0
     res_p = 0.0
-    for i in range(1, len(recs) - 1):
+    for i in interior:
         phys = schedule.physical_at(float(ts[i]))
         dx = (xb[i + 1] - xb[i - 1]) / (2.0 * h)
         dp = (pb[i + 1] - pb[i - 1]) / (2.0 * h)

@@ -203,6 +203,43 @@ def test_validate_compares_mass_with_the_frame_norm(tmp_path):
     assert "PASS normalization" in proc.stdout
 
 
+# A generated explicit run whose V follows a table: its kinks make the
+# central difference first order across them (halving ratio 0.97 when every
+# stencil counts).
+TABLE_CONFIG = """\
+[hamiltonian]
+parameterization = physical
+m = 0.922738
+k = harmonic 1.37928 0.48274 1.38028
+Omega = -0.061649
+F = poly 0.0358997 0.00922052
+V = table 0:-0.130939 1.15462:-0.176698 2.30925:-0.166521 3.46387:0.214412 4.61849:-0.201283
+
+[initial]
+varphi0_re = -0.285065
+varphi0_im = -0.760058
+
+[integration]
+t_max = 4.61849
+num_points = 191
+
+[output]
+tail_tolerance = 1e-10
+n_max = 10000000
+"""
+
+
+def test_validate_passes_on_table_configuration(tmp_path):
+    cfg = write(tmp_path, "run.ini", TABLE_CONFIG)
+    out = tmp_path / "report.csv"
+    proc = run_cli("validate", "--config", cfg, "--out", str(out))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    ratio = next(line for line in out.read_text().splitlines()
+                 if line.startswith("hamilton_convergence,"))
+    assert 3.5 <= float(ratio.split(",")[1]) <= 4.5
+    assert load_config(cfg).schedule.knots() == (0.0, 1.15462, 2.30925, 3.46387, 4.61849)
+
+
 def test_configuration_problems_exit_two(tmp_path):
     missing = run_cli("evolve", "--config", str(tmp_path / "nope.ini"))
     assert missing.returncode == 2

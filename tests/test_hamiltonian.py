@@ -246,6 +246,39 @@ def test_compiled_evaluation_matches_record_route_bit_for_bit(kind):
                                                    for key in _ALGEBRAIC_BASE]
 
 
+@pytest.mark.parametrize("alpha, beta", [
+    (0.5 + 0.3j, 0.5),  # Re(beta - alpha) = 0: no (x, p) form
+    (-1e308, 1e308),  # 1/m overflows, so m = 0
+    (complex(math.inf, 0.0), math.inf),  # 1/m is NaN
+    (0.25 - 0.1j, 1.5),
+])
+@pytest.mark.parametrize("units", [UNITS, UnitContext(hbar=0.45, l=2.3)])
+def test_algebraic_physical_map_matches_to_physical(alpha, beta, units):
+    # the compiled map raises what to_physical raises, and returns its values
+    sched = CoefficientSchedule.algebraic(units, alpha=alpha, beta=beta, gamma=0.3 - 0.2j,
+                                          delta=0.7)
+    record = AlgebraicCoefficients(alpha=alpha, beta=beta, gamma=0.3 - 0.2j, delta=0.7)
+    try:
+        want = _record_bits(to_physical(record, units))
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=re.escape(str(exc))):
+            sched.physical_at(0.4)
+    else:
+        assert _record_bits(sched.physical_at(0.4)) == want
+
+
+def test_knots_are_the_table_times():
+    inner = Table(times=(0.25, 1.0, 2.0), values=(0.1, 0.3, 0.2))
+    sched = CoefficientSchedule.algebraic(
+        UNITS, alpha=ComplexParts(Table(times=(0.0, 1.0, 3.0), values=(0.0, 1.0, 0.0)), inner),
+        beta=Table(times=(np.float64(2.0), 5), values=(1.0, 1.0)),
+        gamma=lambda t: 0.1 * t, delta=Harmonic(0.0, 1.0, 2.0))
+    assert sched.knots() == (0.0, 0.25, 1.0, 2.0, 3.0, 5.0)
+    assert all(type(k) is float for k in sched.knots())
+    assert CoefficientSchedule.physical(UNITS, m=1.0, k=Harmonic(1.0, 0.5, 3.0)).knots() == ()
+    assert CoefficientSchedule.physical(UNITS, m=inner, F=inner).knots() == (0.25, 1.0, 2.0)
+
+
 def test_checks_hold_on_every_call_between_validate_samples():
     # validate samples [0, 1] at k/256; each defect lives strictly between two samples
     t_bad = 128.5 / 256

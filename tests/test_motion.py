@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from cssdyn import (AlgebraicCoefficients, CoefficientSchedule, Constant,
-                    DomainError, Harmonic, InitialConditions,
+import cssdyn.motion
+from cssdyn import (AlgebraicCoefficients, CoefficientSchedule, ComplexParts,
+                    Constant, DomainError, Harmonic, InitialConditions,
                     IntegratorSettings, NumericalError, Polynomial, Table,
                     UnitContext, closed_form, deviations, evolve,
                     from_initial_width, u_of)
+
+from helpers import hidden, kinked_schedule
 
 UNITS = UnitContext()
 TIGHT = IntegratorSettings(rtol=1e-12, atol=1e-14)
@@ -113,6 +116,133 @@ def test_superposition_of_the_linear_flow():
     for fa, fb, ft in zip(probe_a, probe_b, target):
         assert a * fa.f + b * fb.f == pytest.approx(ft.f, abs=1e-8)
         assert a * fa.g + b * fb.g == pytest.approx(ft.g, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# knots as step edges
+
+
+KINKED_INIT = InitialConditions(f0=math.cosh(0.3), g0=math.sinh(0.3) * 1j,
+                                varphi0=0.4 - 0.2j)
+
+
+def relative_distance(frames, reference):
+    return max(frame_distance(a, b) / max(1.0, abs(b.f)) for a, b in zip(frames, reference))
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    """(t_span, t_eval) of every solve_ivp call evolve makes."""
+    calls = []
+    solve = cssdyn.motion.solve_ivp
+
+    def recording(fun, t_span, y0, **kwargs):
+        calls.append((t_span, list(kwargs["t_eval"])))
+        return solve(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(cssdyn.motion, "solve_ivp", recording)
+    return calls
+
+
+def test_collinear_table_matches_linear_polynomial():
+    a, b = 0.9, 0.35
+    times = (0.0, 0.37, 1.1, 1.5, 1.9, 2.5)
+    line = Table(times, tuple(a + b * t for t in times))
+    grid = np.linspace(0.0, 2.5, 26)
+    init = InitialConditions(f0=math.cosh(0.2), g0=math.sinh(0.2) * 1j, varphi0=0.3)
+    got, want = (evolve(CoefficientSchedule.physical(UNITS, m=1.2, k=k, F=0.2, V=-0.1),
+                        init, grid, TIGHT)
+                 for k in (line, Polynomial((a, b))))
+    assert relative_distance(got, want) < 1e-10
+    for fr, ref in zip(got, want):
+        assert fr.phase_phi == pytest.approx(ref.phase_phi, abs=1e-10)
+        assert fr.phase_vartheta == pytest.approx(ref.phase_vartheta, abs=1e-10)
+
+
+def test_constant_table_matches_closed_form():
+    alg = AlgebraicCoefficients(alpha=0.5 - 0.3j, beta=1.2, gamma=0.25 + 0.4j, delta=-0.3)
+    times = (0.0, 0.5, 0.8, 1.7, 2.0)  # 0.5 on the grid, 0.8 and 1.7 off it
+    flat = lambda v: Table(times, (v,) * len(times))  # noqa: E731
+    sched = CoefficientSchedule.algebraic(
+        UNITS, alpha=flat(alg.alpha), beta=flat(alg.beta),
+        gamma=ComplexParts(flat(alg.gamma.real), flat(alg.gamma.imag)), delta=flat(alg.delta))
+    init = InitialConditions(f0=math.cosh(0.4), g0=-math.sinh(0.4), varphi0=0.1j)
+    for fr in evolve(sched, init, np.linspace(0.0, 2.0, 9), TIGHT)[1:]:
+        ref = closed_form(alg, init, fr.t)
+        assert frame_distance(fr, ref) < 1e-9
+        assert fr.phase_phi == pytest.approx(ref.phase_phi, abs=1e-10)
+        assert fr.phase_vartheta == pytest.approx(ref.phase_vartheta, abs=1e-9)
+
+
+def test_knots_inside_the_horizon_are_step_edges(spans):
+    # knots at 0 and 0.5 (on the grid), at 0.8 (off it), shared by two
+    # profiles; 2.0 ends the horizon and 2.6 lies beyond it
+    sched = CoefficientSchedule.algebraic(
+        UNITS, beta=Table((0.0, 0.5, 0.8, 2.6), (1.0, 1.4, 0.9, 1.2)),
+        alpha=ComplexParts(Table((0.0, 0.8, 2.0), (0.2, -0.1, 0.3)), 0.1))
+    assert sched.knots() == (0.0, 0.5, 0.8, 2.0, 2.6)
+    grid = np.linspace(0.0, 2.0, 9)
+    frames = evolve(sched, KINKED_INIT, grid, TIGHT)
+    assert [t_span for t_span, _ in spans] == [(0.0, 0.5), (0.5, 0.8), (0.8, 2.0)]
+    # each span evaluates its grid times and its right edge, the last span t_end
+    assert [t_eval for _, t_eval in spans] == [[0.0, 0.25, 0.5], [0.5, 0.75, 0.8],
+                                               list(grid[4:])]
+    assert [fr.t for fr in frames] == list(grid)  # the knot at 0.5 appears once
+    assert frames[0].f == KINKED_INIT.f0
+    spans.clear()
+    reference = evolve(CoefficientSchedule.algebraic(
+        UNITS, beta=hidden(sched.profiles["beta"]), alpha=hidden(sched.profiles["alpha"])),
+        KINKED_INIT, grid, IntegratorSettings(rtol=3e-14, atol=1e-16))
+    assert len(spans) == 1
+    assert relative_distance(frames, reference) < 1e-10
+
+
+def test_knot_free_horizon_is_one_span(spans):
+    # knots only at 0, at t_end and beyond: the single call of a knot-free
+    # schedule, with bit-identical frames
+    table = Table((0.0, 1.5, 2.5), (0.8, 1.3, 0.7))
+    grid = np.linspace(0.0, 1.5, 7)
+    frames = [evolve(CoefficientSchedule.physical(UNITS, m=1.0, k=k), KINKED_INIT, grid)
+              for k in (table, hidden(table))]
+    assert [t_span for t_span, _ in spans] == [(0.0, 1.5)] * 2
+    assert [t_eval for _, t_eval in spans] == [list(grid)] * 2
+    assert frames[0] == frames[1]
+
+
+def test_single_point_grid_integrates_nothing(spans):
+    frame, = evolve(kinked_schedule(), KINKED_INIT, [0.0])
+    assert spans == []
+    assert (frame.f, frame.g, frame.varphi) == (KINKED_INIT.f0, KINKED_INIT.g0,
+                                                KINKED_INIT.varphi0)
+
+
+def test_kinked_table_against_tight_reference():
+    grid = np.linspace(0.0, 3.0, 61)
+    reference = evolve(kinked_schedule(hidden), KINKED_INIT, grid,
+                       IntegratorSettings(rtol=3e-14, atol=1e-16))
+    segmented = evolve(kinked_schedule(), KINKED_INIT, grid)
+    single_span = evolve(kinked_schedule(hidden), KINKED_INIT, grid)
+    bound = 5e-10
+    assert relative_distance(segmented, reference) < bound
+    assert relative_distance(single_span, reference) > bound  # what the edges buy
+
+
+def test_step_edges_halve_the_evaluations():
+    table = Table(tuple(np.linspace(0.0, 3.0, 7)), (0.2, -0.3, 0.4, -0.1, 0.3, -0.4, 0.1))
+    grid = np.linspace(0.0, 3.0, 31)
+    counts = []
+    for real in (table, hidden(table)):
+        calls = []
+
+        def counting(t):
+            calls.append(t)
+            return 0.15
+
+        sched = CoefficientSchedule.algebraic(UNITS, alpha=ComplexParts(real, counting),
+                                              beta=1.3)
+        evolve(sched, KINKED_INIT, grid)
+        counts.append(len(calls))
+    assert counts[0] <= counts[1] / 2
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from cssdyn import (AlgebraicCoefficients, CoefficientSchedule, DomainError,
                     hamilton_residual, mean_energy, means, observe,
                     uncertainty, varphi_from_means, wavefunction)
 
-from helpers import hyperboloid_frame
+from helpers import hidden, hyperboloid_frame, kinked_schedule
 
 UNITS = UnitContext()
 VACUUM = MotionFrame(t=0.0, f=1.0, g=0.0, varphi=0.0)
@@ -284,6 +284,26 @@ def test_modulated_stiffness_residuals():
         run_records(sched, init, 2.0 * math.pi / w0, h / 2.0), sched)
     assert 3.5 <= rx / rx2 <= 4.5
     assert 3.5 <= rp / rp2 <= 4.5
+
+
+def test_residual_skips_stencils_across_knots():
+    tables, bare = kinked_schedule(), kinked_schedule(hidden)
+    init = InitialConditions(varphi0=-1j)
+    coarse = run_records(tables, init, 3.0, 0.02)
+    fine = run_records(tables, init, 3.0, 0.01)
+    for rc, rf in zip(hamilton_residual(coarse, tables), hamilton_residual(fine, tables)):
+        assert 3.5 <= rc / rf <= 4.5
+    # every stencil counts when the knots are hidden: first order at the kinks
+    for rc, rf in zip(hamilton_residual(coarse, bare), hamilton_residual(fine, bare)):
+        assert rc / rf < 2.5
+
+
+def test_residual_falls_back_to_all_stencils():
+    tables, bare = kinked_schedule(), kinked_schedule(hidden)
+    records = run_records(tables, InitialConditions(varphi0=-1j), 1.0, 0.5)
+    assert len(records) == 3  # the one stencil (0, 1) holds the knot at 0.5
+    assert hamilton_residual(records, tables) == hamilton_residual(records, bare)
+    assert min(hamilton_residual(records, tables)) > 0.0
 
 
 def test_residual_needs_enough_uniform_samples():

@@ -18,19 +18,34 @@ fundamental solutions with unit initial data are used,
 whose Wronskian Yc Ys' - Yc' Ys is identically 1; its numerical drift is the
 accuracy monitor.
 
-The pair is never integrated past tau = pi/2 (Floquet theory, NIST DLMF
+The pair is never solved past tau = pi/2 (Floquet theory, NIST DLMF
 §28.2).  The coefficient a - 2q cos(2 tau) is pi-periodic, so the
 fundamental matrix Phi = [[Yc, Ys], [Yc', Ys']] advances by whole periods
 through the monodromy matrix M = Phi(pi), Phi(k pi + r) = Phi(r) M^k; it
 is even, so Phi(-tau) = D Phi(tau) D with D = diag(1, -1), which gives both
 M and Phi on [pi/2, pi] from the half period [0, pi/2].  The cost of a grid
-is then one half-period integration plus a few 2x2 products, whatever its
+is then one half-period solve plus a few 2x2 products, whatever its
 length, and the relative error grows like k times the half-period error.
 Inside an instability tongue Phi grows like |mu|^k, |mu| > 1 the larger
 Floquet multiplier, and the Wronskian check cancels two products of that
 size: it fails once about eps |mu|^(2k) passes its 1e-9 bound (beyond
 eight periods on the default preset), and an M^k beyond float64 fails it
 as nan.
+
+The half period itself is a Chebyshev spectral solve of the equation in
+integral form (Greengard, SIAM J. Numer. Anal. 28, 1071 (1991);
+Trefethen, Spectral Methods in MATLAB, SIAM 2000): the unknowns are Y'' at
+N + 1 Chebyshev points of [0, pi/2], Y and Y' are their first and second
+integrals plus the initial data, and one dense (N + 1)^2 solve gives both
+fundamental solutions at once.  The solution is entire in tau, so its
+Chebyshev coefficients fall faster than geometrically; N is the first
+size of a fixed ladder (33 to 513 points) whose trailing coefficients have
+fallen below min(rtol, atol), or to the rounding floor when that is
+larger.  The preset and the tongue around it need N = 32, and
+a = 400, q = 10 needs 48; the solve resolves the half period to within a
+few rounding errors of its floor (about 1e-15 relative near the preset).
+A half period that the largest size does not resolve, roughly
+|a| + 2|q| above 3e5, raises NumericalError.
 
 The displacement integral varphi is constant here
 (gamma = 0), both phase integrals vanish identically (E = V = F = 0 and
@@ -47,9 +62,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, NumericalError
 from .hamiltonian import CoefficientSchedule, Harmonic, UnitContext
@@ -61,6 +76,11 @@ _WRONSKIAN_TOL = 1e-9
 _HALF_PERIOD = 0.5 * math.pi
 # elementwise form of Phi -> D Phi D with D = diag(1, -1)
 _REFLECT = np.array([[1.0, -1.0], [-1.0, 1.0]])
+# Chebyshev node counts of the half period, tried in turn; the last is the cap
+_SIZES = (32, 48, 64, 96, 128, 192, 256, 384, 512)
+# the decay test reads this many trailing Chebyshev coefficients per column
+_TAIL = 3
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -152,9 +172,10 @@ def fundamental_solutions(params: MathieuParameters, tau_grid,
     """Both fundamental solutions on the tau grid, from one half period.
 
     Every tau is folded to tau = k pi + r with 0 <= r < pi and
-    s = min(r, pi - r) <= pi/2.  One DOP853 run over [0, min(tau_max, pi/2)]
-    samples Phi = [[yc, ys], [yc', ys']] at the distinct s and at pi/2, so
-    the cost does not grow with tau.  The coefficient is even, which gives
+    s = min(r, pi - r) <= pi/2.  One Chebyshev solve on [0, pi/2] (see
+    _half_period) gives Phi = [[yc, ys], [yc', ys']] at its nodes, and
+    barycentric interpolation reads it off at every s, so the cost does not
+    grow with tau.  The coefficient is even, which gives
     Phi(-tau) = D Phi(tau) D with D = diag(1, -1), and pi-periodic, which
     gives Phi(tau + pi) = Phi(tau) M for the monodromy M = Phi(pi).  Hence
 
@@ -164,54 +185,47 @@ def fundamental_solutions(params: MathieuParameters, tau_grid,
         Phi(tau) = Phi(r) M^k,
 
     with the powers of M built by repeated squaring from one needed k to
-    the next.  Each factor of M carries the integration error of the half
-    period forward, so the relative error grows like k times it.
+    the next.  Each factor of M carries the error of the half period
+    forward, so the relative error grows like k times it.
+
+    N, the Chebyshev degree of the half period, is the first of _SIZES
+    (32 to 512) whose coefficients have decayed to min(rtol, atol) or to
+    the rounding floor, whichever is larger (see _half_period), and whose
+    widest node gap, under pi^2 / (4 N), is at most settings.max_step; a
+    max_step below that gap at N = 512 gets N = 512.  So rtol, atol and
+    max_step bound the spectral route from above and never loosen it: the
+    defaults already ask for a tail of 1e-12 relative, which in the
+    instability tongue leaves rounding error only, and tighter settings
+    can only raise N.  At tau = 0 the sample is exactly the identity.
 
     The Wronskian is checked at every sample against 1 to within 1e-9;
     a breach, or a non-finite sample once M^k overflows, is retried once at
-    100x tighter tolerance and then raised as NumericalError with the
-    offending tau.
+    100x tighter tolerances and a larger N than the first run's, and then
+    raised as NumericalError with the offending tau.
     """
     taus = _check_tau_grid(tau_grid)
     a, q = params.a, params.q
 
-    def rhs(tau, y):
-        # y = (yc, dyc, ys, dys); y'' = -(a - 2 q cos 2 tau) y for both columns
-        coeff = a - 2.0 * q * math.cos(2.0 * tau)
-        return (y[1], -coeff * y[0], y[3], -coeff * y[2])
-
     k, r = np.divmod(taus, math.pi)
     reflect = r > _HALF_PERIOD
-    end = min(float(taus[-1]), _HALF_PERIOD)
-    # nodes[-1] is end: pi/2 once the grid passes it, else the last tau.
-    # Python's sort, not np.unique: the first np.unique of a process raised
-    # its peak memory by about 0.4 MB.
-    folded = np.append(np.minimum(r, math.pi - r), end)
-    nodes = np.array(sorted(set(folded.tolist())))
-    node_of = np.searchsorted(nodes, folded)
+    folded = np.minimum(r, math.pi - r)
     # k never decreases along the increasing grid
     k = k.astype(np.int64)
     first = np.diff(k, prepend=-1) > 0
     periods, period_of = k[first], np.cumsum(first) - 1
+    # the widest gap between n + 1 Chebyshev nodes on [0, pi/2] is below pi^2 / (4 n)
+    min_nodes = 0.25 * math.pi ** 2 / settings.max_step
 
     def run(rtol, atol):
-        if end == 0.0:
-            y = np.array([[1.0], [0.0], [0.0], [1.0]])
-        else:
-            sol = solve_ivp(rhs, (0.0, end), (1.0, 0.0, 0.0, 1.0), method="DOP853",
-                            t_eval=nodes, rtol=rtol, atol=atol,
-                            max_step=settings.max_step)
-            if not sol.success:
-                raise NumericalError(f"Mathieu integration failed: {sol.message}",
-                                     t=float(sol.t[-1]) if sol.t.size else 0.0)
-            y = sol.y
-        # rows (yc, dyc, ys, dys) -> one matrix [[yc, ys], [dyc, dys]] per node
-        half = np.stack([y[:2], y[2:]], axis=-1).transpose(1, 0, 2)
-        (yc, ys), (dyc, dys) = half[-1]
-        # D Phi(pi/2)^-1 D Phi(pi/2); unused (k = 0, no reflection) below pi/2
+        nonlocal min_nodes
+        nodes, weights, values = _half_period(a, q, min(rtol, atol), min_nodes)
+        # the retry after a Wronskian breach takes more nodes than this run
+        min_nodes = nodes.size
+        (yc, ys), (dyc, dys) = values[:, -1]
+        # D Phi(pi/2)^-1 D Phi(pi/2)
         monodromy = np.array([[yc * dys + ys * dyc, 2.0 * ys * dys],
                               [2.0 * yc * dyc, yc * dys + ys * dyc]])
-        phi = half[node_of[:-1]]
+        phi = _interpolate(nodes, weights, values, folded)
         # a state too unstable for float64 overflows in M^k; the Wronskian
         # monitor then sees a non-finite sample and refuses it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -224,6 +238,101 @@ def fundamental_solutions(params: MathieuParameters, tau_grid,
     return run_monitored(run, lambda basis: np.abs(basis.wronskian() - 1.0),
                          _WRONSKIAN_TOL, taus, settings,
                          "Wronskian drift {worst:.3e} exceeds {limit:g}")
+
+
+@lru_cache(maxsize=4)
+def _chebyshev(n: int):
+    """Chebyshev tools for n + 1 points on [0, pi/2], built once per n, read-only.
+
+    Returns
+    - the nodes tau_j = (pi/4)(1 - cos(j pi / n)), ascending from exactly 0
+      to exactly pi/2, and cos(2 tau_j);
+    - their barycentric weights;
+    - the map from values at the nodes to Chebyshev coefficients;
+    - lift = [J2; J1] and base = [1, tau; 0, 1] stacked the same way, so
+      that base + lift sigma holds (y, y') at the nodes for the two unit
+      initial data, given sigma = y'' there.  (J1 v)_j is the integral from
+      0 to tau_j of the interpolant of v, and J2 = J1 J1; both have exactly
+      zero rows at tau = 0.
+    """
+    j = np.arange(n + 1)
+    theta = (n - j) * (math.pi / n)  # x_j = cos(theta_j) ascends from -1 to 1
+    nodes = 0.25 * math.pi * (1.0 + np.cos(theta))
+    weights = np.where(j % 2, -1.0, 1.0)
+    weights[[0, -1]] *= 0.5
+    # T_m(x_j) for m = 0..n + 1; coefficient k of v is (2/n) sum_j'' T_k(x_j) v_j
+    cheb = np.cos(np.outer(theta, np.arange(n + 2)))
+    to_coeffs = (2.0 / n) * cheb[:, :-1].T * np.abs(weights)
+    to_coeffs[[0, -1]] *= 0.5
+    # antiderivative of sum c_k T_k: T_0 -> T_1, T_1 -> T_2 / 4,
+    # T_k -> T_(k+1) / (2 (k + 1)) - T_(k-1) / (2 (k - 1))
+    antider = np.zeros((n + 2, n + 1))
+    antider[1, 0], antider[2, 1] = 1.0, 0.25
+    k = np.arange(2, n + 1)
+    antider[k + 1, k] = 0.5 / (k + 1)
+    antider[k - 1, k] = -0.5 / (k - 1)
+    # subtracting the row at x = -1 puts the lower limit at tau = 0, exactly
+    j1 = (0.25 * math.pi) * ((cheb - cheb[0]) @ antider @ to_coeffs)
+    lift = np.vstack([j1 @ j1, j1])
+    base = np.zeros((2 * n + 2, 2))
+    base[:n + 1, 0] = base[n + 1:, 1] = 1.0
+    base[:n + 1, 1] = nodes
+    out = (nodes, np.cos(2.0 * nodes), weights, to_coeffs, lift, base)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _half_period(a: float, q: float, tol: float, min_nodes: float):
+    """Nodes, weights and Phi at the nodes of the Chebyshev half period.
+
+    With sigma = y'' at the nodes, y = y0 + y0' tau + J2 sigma and
+    y' = y0' + J1 sigma, so y'' + c y = 0, c = a - 2 q cos 2 tau, becomes
+    (I + diag(c) J2) sigma = -c (y0 + y0' tau): one dense solve for both
+    columns (Greengard, SIAM J. Numer. Anal. 28, 1071 (1991)).  This
+    integral form stays well conditioned as n grows, where collocation
+    with differentiation matrices loses about n^4 eps.
+
+    n is the first size of _SIZES at or above min_nodes (or the last) whose
+    coefficients have decayed: in every column of (y, y') the last _TAIL are
+    at most the largest times max(tol, rounding floor).  The floor,
+    (n + max|c| (pi/2)^2) eps, is what rounding leaves in the tail of a
+    resolved solve: n from the coefficient transform, the rest from a
+    system whose norm is up to 1 + max|c| (pi/2)^2 / 2.
+    Returns values of shape (2, n + 1, 2): values[:, j] is
+    [[yc, ys], [yc', ys']] at node j.
+    """
+    for n in _SIZES:
+        if n < min_nodes and n != _SIZES[-1]:
+            continue
+        nodes, cos2, weights, to_coeffs, lift, base = _chebyshev(n)
+        c = a - 2.0 * q * cos2
+        system = lift[:n + 1] * c[:, None]
+        system.flat[::n + 2] += 1.0
+        sigma = np.linalg.solve(system, base[:n + 1] * -c[:, None])
+        values = (base + lift @ sigma).reshape(2, n + 1, 2)
+        coeffs = np.abs(to_coeffs @ values)
+        floor = (n + np.abs(c).max() * _HALF_PERIOD ** 2) * _EPS
+        if (coeffs[:, -_TAIL:].max(1) <= max(tol, floor) * coeffs.max(1)).all():
+            return nodes, weights, values
+    raise NumericalError(f"Mathieu half period at a = {a:g}, q = {q:g} is not "
+                         f"resolved by {_SIZES[-1] + 1} Chebyshev nodes", t=0.0)
+
+
+def _interpolate(nodes, weights, values, s):
+    """values (2, n + 1, 2), given at the nodes, interpolated to each s.
+
+    Barycentric formula; a point on a node takes that node's values
+    exactly.  Returns shape (s.size, 2, 2).
+    """
+    diff = s[:, None] - nodes
+    on_node = diff == 0.0
+    diff[on_node] = 1.0
+    ratio = weights / diff
+    out = (ratio @ values) / ratio.sum(axis=1)[:, None]
+    point, node = np.nonzero(on_node)
+    out[:, point] = values[:, node]
+    return out.transpose(1, 0, 2)
 
 
 def _powers(m: np.ndarray, ks: np.ndarray) -> np.ndarray:

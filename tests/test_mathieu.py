@@ -11,6 +11,7 @@ from cssdyn import (AlgebraicCoefficients, DomainError, DrivenOscillatorConfig,
                     MathieuParameters, NumericalError, closed_form, evolve,
                     frames, fundamental_solutions, mathieu_parameters,
                     phase_trajectory, transition_snapshot)
+from cssdyn import mathieu
 from cssdyn.motion import run_monitored
 
 PRESET = DrivenOscillatorConfig()
@@ -178,6 +179,7 @@ def span_grid(periods):
 PRESET_PARAMS = mathieu_parameters(PRESET)
 STABLE = MathieuParameters(a=0.5, q=0.2)      # |trace M| = 1.35 < 2
 NEGATIVE_A = MathieuParameters(a=-0.3, q=0.1)
+FAST = MathieuParameters(a=400.0, q=10.0)     # about ten oscillations per half period
 
 
 @pytest.mark.parametrize("params, taus", [
@@ -193,10 +195,15 @@ NEGATIVE_A = MathieuParameters(a=-0.3, q=0.1)
     (MathieuParameters(a=0.0, q=0.0), anchor_grid(12)),
     (NEGATIVE_A, anchor_grid(3)),
     (NEGATIVE_A, residue_grid(3, 7)),
+    (FAST, span_grid(4)),
+    (FAST, residue_grid(4, 11)),
+    (PRESET_PARAMS, np.linspace(0.0, 1.2, 25)),
+    (STABLE, np.array([0.0, 0.3])),
 ], ids=["preset-anchors", "preset-origin", "preset-8-periods", "preset-residues",
         "stable-anchors", "stable-12-periods", "stable-40-periods",
         "stable-residues", "unmodulated-12-periods", "free-anchors",
-        "negative-a-anchors", "negative-a-residues"])
+        "negative-a-anchors", "negative-a-residues", "fast-4-periods",
+        "fast-residues", "preset-short-grid", "stable-one-step"])
 def test_floquet_route_matches_long_integration(params, taus):
     basis = fundamental_solutions(params, taus, SETTINGS)
     want = long_integration(params, taus)
@@ -214,6 +221,86 @@ def test_unmodulated_route_is_trigonometric_over_many_periods():
     assert np.max(np.abs(basis.dyc + w * np.sin(w * taus))) < 1e-9
     assert np.max(np.abs(basis.ys - np.sin(w * taus) / w)) < 1e-9
     assert np.max(np.abs(basis.dys - np.cos(w * taus))) < 1e-9
+
+
+# a = -0.25 keeps cosh^2 below ~1e4 over three periods: the Wronskian check
+# cancels two products of that size and refuses past about 1e-9 / eps
+@pytest.mark.parametrize("a", [0.04, 2.25, -0.25])
+def test_unmodulated_route_matches_closed_form(a):
+    taus = span_grid(3)
+    basis = fundamental_solutions(MathieuParameters(a=a, q=0.0), taus, SETTINGS)
+    w = math.sqrt(abs(a))
+    if a > 0:
+        cos, sin, slope = np.cos(w * taus), np.sin(w * taus), -w * np.sin(w * taus)
+    else:
+        cos, sin, slope = np.cosh(w * taus), np.sinh(w * taus), w * np.sinh(w * taus)
+    want = np.array([cos, slope, sin / w, cos])
+    got = np.array([basis.yc, basis.dyc, basis.ys, basis.dys])
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < 1e-13
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+def test_half_period_error_stays_below_tolerance(tol):
+    # a = 225, q = 0: at 33 nodes the Chebyshev tail is about 5e-10 and the
+    # error about 3e-12, so the tighter tolerance needs more nodes
+    taus = np.linspace(0.0, 0.5 * math.pi, 201)
+    basis = fundamental_solutions(MathieuParameters(a=225.0, q=0.0), taus,
+                                  IntegratorSettings(rtol=tol, atol=tol))
+    w = 15.0
+    cos, sin = np.cos(w * taus), np.sin(w * taus)
+    # each column against the closed form, in units of its own scale
+    err = max(np.max(np.abs(basis.yc - cos)), np.max(np.abs(w * basis.ys - sin)),
+              np.max(np.abs(basis.dyc / w + sin)), np.max(np.abs(basis.dys - cos)))
+    assert err < tol
+
+
+def spy_half_period(monkeypatch):
+    """Record (tol, node count) of every Chebyshev half period solved."""
+    seen = []
+    solve = mathieu._half_period
+
+    def spy(a, q, tol, min_nodes):
+        nodes, weights, values = solve(a, q, tol, min_nodes)
+        seen.append((tol, nodes.size))
+        return nodes, weights, values
+
+    monkeypatch.setattr(mathieu, "_half_period", spy)
+    return seen
+
+
+def test_node_count_follows_the_oscillation(monkeypatch):
+    seen = spy_half_period(monkeypatch)
+    fundamental_solutions(PRESET_PARAMS, anchor_grid(2), SETTINGS)
+    fundamental_solutions(FAST, anchor_grid(2), SETTINGS)
+    (_, slow), (_, fast) = seen
+    assert fast > slow
+
+
+def test_max_step_bounds_the_node_spacing(monkeypatch):
+    seen = spy_half_period(monkeypatch)
+    taus = anchor_grid(3)
+    fine = IntegratorSettings(max_step=0.01)
+    basis = fundamental_solutions(STABLE, taus, fine)
+    nodes = mathieu._chebyshev(seen[0][1] - 1)[0]
+    assert np.max(np.diff(nodes)) <= fine.max_step
+    want = long_integration(STABLE, taus)
+    got = np.array([basis.yc, basis.dyc, basis.ys, basis.dys])
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < 1e-9
+
+
+def test_retry_solves_with_more_nodes(monkeypatch):
+    seen = spy_half_period(monkeypatch)
+    with pytest.raises(NumericalError, match="Wronskian drift"):
+        fundamental_solutions(PRESET_PARAMS, np.array([0.0, 3000.0]), SETTINGS)
+    (tol, nodes), (retry_tol, retry_nodes) = seen
+    assert retry_tol < tol
+    assert retry_nodes > nodes
+
+
+def test_unresolvable_half_period_raises():
+    with pytest.raises(NumericalError, match="not resolved"):
+        fundamental_solutions(MathieuParameters(a=1e8, q=0.0),
+                              np.array([0.0, 1.0]), SETTINGS)
 
 
 def test_free_monodromy_is_a_shear():

@@ -180,6 +180,7 @@ PRESET_PARAMS = mathieu_parameters(PRESET)
 STABLE = MathieuParameters(a=0.5, q=0.2)      # |trace M| = 1.35 < 2
 NEGATIVE_A = MathieuParameters(a=-0.3, q=0.1)
 FAST = MathieuParameters(a=400.0, q=10.0)     # about ten oscillations per half period
+SLOW_MODULATION = MathieuParameters(a=4e6, q=2e4)  # omega0 = 0.01, two panels to tau = 0.05
 
 
 @pytest.mark.parametrize("params, taus", [
@@ -199,11 +200,13 @@ FAST = MathieuParameters(a=400.0, q=10.0)     # about ten oscillations per half 
     (FAST, residue_grid(4, 11)),
     (PRESET_PARAMS, np.linspace(0.0, 1.2, 25)),
     (STABLE, np.array([0.0, 0.3])),
+    (SLOW_MODULATION, np.linspace(0.0, 0.05, 11)),
 ], ids=["preset-anchors", "preset-origin", "preset-8-periods", "preset-residues",
         "stable-anchors", "stable-12-periods", "stable-40-periods",
         "stable-residues", "unmodulated-12-periods", "free-anchors",
         "negative-a-anchors", "negative-a-residues", "fast-4-periods",
-        "fast-residues", "preset-short-grid", "stable-one-step"])
+        "fast-residues", "preset-short-grid", "stable-one-step",
+        "slow-modulation-short-grid"])
 def test_floquet_route_matches_long_integration(params, taus):
     basis = fundamental_solutions(params, taus, SETTINGS)
     want = long_integration(params, taus)
@@ -255,14 +258,14 @@ def test_half_period_error_stays_below_tolerance(tol):
 
 
 def spy_half_period(monkeypatch):
-    """Record (tol, node count) of every Chebyshev half period solved."""
+    """Record (tol, panels) of every Chebyshev half period solved."""
     seen = []
     solve = mathieu._half_period
 
-    def spy(a, q, tol, min_nodes):
-        nodes, weights, values = solve(a, q, tol, min_nodes)
-        seen.append((tol, nodes.size))
-        return nodes, weights, values
+    def spy(a, q, end, tol, max_step):
+        panels = solve(a, q, end, tol, max_step)
+        seen.append((tol, panels))
+        return panels
 
     monkeypatch.setattr(mathieu, "_half_period", spy)
     return seen
@@ -272,35 +275,94 @@ def test_node_count_follows_the_oscillation(monkeypatch):
     seen = spy_half_period(monkeypatch)
     fundamental_solutions(PRESET_PARAMS, anchor_grid(2), SETTINGS)
     fundamental_solutions(FAST, anchor_grid(2), SETTINGS)
-    (_, slow), (_, fast) = seen
-    assert fast > slow
+    (_, [(slow, _, _)]), (_, [(fast, _, _)]) = seen
+    assert fast.size > slow.size
 
 
-def test_max_step_bounds_the_node_spacing(monkeypatch):
+@pytest.mark.parametrize("max_step", [0.01, 0.001])
+def test_max_step_bounds_the_node_spacing(monkeypatch, max_step):
     seen = spy_half_period(monkeypatch)
     taus = anchor_grid(3)
-    fine = IntegratorSettings(max_step=0.01)
-    basis = fundamental_solutions(STABLE, taus, fine)
-    nodes = mathieu._chebyshev(seen[0][1] - 1)[0]
-    assert np.max(np.diff(nodes)) <= fine.max_step
+    basis = fundamental_solutions(STABLE, taus, IntegratorSettings(max_step=max_step))
+    (_, panels), = seen
+    nodes = np.concatenate([nodes for nodes, _, _ in panels])
+    assert nodes[0] == 0.0 and nodes[-1] == 0.5 * math.pi
+    assert np.max(np.diff(nodes)) <= max_step
     want = long_integration(STABLE, taus)
     got = np.array([basis.yc, basis.dyc, basis.ys, basis.dys])
     assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < 1e-9
 
 
 def test_retry_solves_with_more_nodes(monkeypatch):
+    # at rtol = atol = 1e-5 the 33-node half period of a = 400 breaches the
+    # Wronskian check; the retry's tighter tolerance takes 49 nodes and passes
     seen = spy_half_period(monkeypatch)
-    with pytest.raises(NumericalError, match="Wronskian drift"):
-        fundamental_solutions(PRESET_PARAMS, np.array([0.0, 3000.0]), SETTINGS)
-    (tol, nodes), (retry_tol, retry_nodes) = seen
+    params, taus = MathieuParameters(a=400.0, q=0.0), span_grid(3)
+    basis = fundamental_solutions(params, taus, IntegratorSettings(rtol=1e-5, atol=1e-5))
+    (tol, [(nodes, _, _)]), (retry_tol, [(retry_nodes, _, _)]) = seen
     assert retry_tol < tol
-    assert retry_nodes > nodes
+    assert retry_nodes.size > nodes.size
+    assert np.max(np.abs(basis.wronskian() - 1.0)) < 1e-9
+    want = long_integration(params, taus)
+    got = np.array([basis.yc, basis.dyc, basis.ys, basis.dys])
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < 1e-9
 
 
-def test_unresolvable_half_period_raises():
-    with pytest.raises(NumericalError, match="not resolved"):
-        fundamental_solutions(MathieuParameters(a=1e8, q=0.0),
-                              np.array([0.0, 1.0]), SETTINGS)
+def test_panels_carry_a_fast_oscillation(monkeypatch):
+    # a = 4e6 turns sqrt(a) pi/2, about 3100 radians, per half period: far
+    # beyond one panel of 513 nodes
+    seen = spy_half_period(monkeypatch)
+    a, w = 4e6, 2000.0
+    taus = span_grid(2)
+    basis = fundamental_solutions(MathieuParameters(a=a, q=0.0), taus, SETTINGS)
+    (_, panels), = seen
+    assert len(panels) > 1
+    cos, sin = np.cos(w * taus), np.sin(w * taus)
+    err = max(np.max(np.abs(basis.yc - cos)), np.max(np.abs(w * basis.ys - sin)),
+              np.max(np.abs(basis.dyc / w + sin)), np.max(np.abs(basis.dys - cos)))
+    assert err < 1e-9
+
+
+def test_interpolation_in_chunks_matches_one_pass(monkeypatch):
+    taus = residue_grid(5, 13)
+    whole = fundamental_solutions(STABLE, taus, SETTINGS)
+    monkeypatch.setattr(mathieu, "_CHUNK", 7)
+    chunked = fundamental_solutions(STABLE, taus, SETTINGS)
+    # the same sums, blocked differently by BLAS: equal to an ulp or two
+    for name in ("yc", "dyc", "ys", "dys"):
+        want = getattr(whole, name)
+        assert np.max(np.abs(getattr(chunked, name) - want)) < 1e-15 * np.max(np.abs(want))
+
+
+def test_overflow_across_panels_raises():
+    # a = -1e6 grows like exp(1000 tau): the carried panels overflow before pi/2
+    with pytest.raises(NumericalError, match="Wronskian drift nan"):
+        fundamental_solutions(MathieuParameters(a=-1e6, q=0.0), anchor_grid(1),
+                              SETTINGS)
+
+
+def test_too_many_panels_raise():
+    # 1e12 would need about 2.5e4 panels, and max_step = 1e-7 about 3.9e5
+    with pytest.raises(NumericalError, match="more than 4096"):
+        fundamental_solutions(MathieuParameters(a=1e12, q=0.0), anchor_grid(1), SETTINGS)
+    with pytest.raises(NumericalError, match="more than 4096"):
+        fundamental_solutions(STABLE, anchor_grid(1), IntegratorSettings(max_step=1e-7))
+
+
+def test_slow_modulation_on_a_short_grid(monkeypatch):
+    # omega0 = 0.01 gives a = 4e6, q = 2e4; t <= 10 is tau <= 0.05, and the
+    # half period is solved on [0, 0.05] only
+    seen = spy_half_period(monkeypatch)
+    cfg = DrivenOscillatorConfig(epsilon0=100.0, eta0=1.0, omega0=0.01)
+    times = np.linspace(0.0, 10.0, 21)
+    taus = 0.5 * cfg.omega0 * times
+    osc = frames(cfg, taus, SETTINGS)
+    (_, panels), = seen
+    assert panels[-1][0][-1] == taus[-1]
+    generic = evolve(cfg.schedule(), cfg.init, times, SETTINGS)
+    scale = max(abs(b.f) for b in generic)
+    worst = max(max(abs(a.f - b.f), abs(a.g - b.g)) for a, b in zip(osc, generic))
+    assert worst < 1e-7 * scale
 
 
 def test_free_monodromy_is_a_shear():

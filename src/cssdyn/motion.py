@@ -20,6 +20,11 @@ where u = g conj(varphi) - conj(f) varphi.  The second identity is what the
 code integrates; it never needs the (x, p) form, so schedules with
 Re(beta - alpha) = 0 (infinite mass) evolve fine.
 
+evolve integrates the three complex coefficients and the phase pair with
+DOP853 on Python complex scalars (_dop853): Hairer's method with
+scipy.integrate.solve_ivp's step control and dense output, so rtol and
+atol mean what they mean there, without numpy work inside a step.
+
 For constant coefficients the solution is closed-form through the entire
 functions cos(Theta t) and sin(Theta t)/Theta of Theta^2 = beta^2 - |alpha|^2;
 no complex square root is ever taken.
@@ -27,12 +32,14 @@ no complex square root is ever taken.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 
+from . import _dop853
 from .errors import DomainError, NumericalError
 from .hamiltonian import AlgebraicCoefficients, CoefficientSchedule, UnitContext
 
@@ -144,11 +151,16 @@ def evolve(schedule: CoefficientSchedule, init: InitialConditions, grid,
            enforce_drift: bool = True) -> list:
     """Integrate (f, g, varphi) and both phase integrals over a time grid.
 
-    The schedule's knots (CoefficientSchedule.knots) strictly inside
-    (0, grid[-1]) are step edges: DOP853 restarts at each one from the
-    state it reached there, so no step straddles a table's kink.  Between
-    edges, and for a knot-free schedule over the whole horizon, it is one
-    solve_ivp call evaluated at the grid times.
+    The stepper is DOP853 on complex scalars (see _dop853), with
+    solve_ivp's initial step, error norm, step control and 7th-order dense
+    output at the grid times.  The schedule's knots
+    (CoefficientSchedule.knots) strictly inside (0, grid[-1]) are step
+    edges: DOP853 restarts at each one from the state it reached there, so
+    no step straddles a table's kink.  Between edges, and for a knot-free
+    schedule over the whole horizon, it is one integration that yields the
+    grid times on the way.  A step that falls below 10 ulps of t raises
+    NumericalError at that t; errors the coefficients raise (DomainError)
+    pass through unchanged.
 
     Parameters
     ----------
@@ -181,55 +193,36 @@ def evolve(schedule: CoefficientSchedule, init: InitialConditions, grid,
     hbar = schedule.units.hbar
     coefficients = schedule.compiled()
 
-    def rhs(t, y):
+    # derivatives of (f, g, varphi, phase_phi + 1j * phase_vartheta)
+    def rhs(t, f, g, varphi):
         alpha, beta, gamma, delta = coefficients(t)
-        f = complex(y[0], y[1])
-        g = complex(y[2], y[3])
-        varphi = complex(y[4], y[5])
-        df = -1j * (alpha.conjugate() * g - beta * f)
-        dg = -1j * (beta * g - alpha * f)
-        dvarphi = -1j * (gamma.conjugate() * g - gamma * f)
+        gc = gamma.conjugate()
         u = g * varphi.conjugate() - f.conjugate() * varphi
-        dphi = 0.5 * (beta - 2.0 * delta)
-        dvartheta = hbar * (delta - 0.5 * beta) + hbar * (gamma.conjugate() * u).real
-        return (df.real, df.imag, dg.real, dg.imag,
-                dvarphi.real, dvarphi.imag, dphi, dvartheta)
-
-    y0 = (init.f0.real, init.f0.imag, init.g0.real, init.g0.imag,
-          init.varphi0.real, init.varphi0.imag, 0.0, 0.0)
+        return (-1j * (alpha.conjugate() * g - beta * f),
+                -1j * (beta * g - alpha * f),
+                -1j * (gc * g - gamma * f),
+                complex(0.5 * (beta - 2.0 * delta),
+                        hbar * (delta - 0.5 * beta) + hbar * (gc * u).real))
 
     # spans between step edges: the knots strictly inside the horizon, where
     # a table kinks; the single-point grid has none
-    t_end = float(ts[-1])
+    times = ts.tolist()
+    t_end = times[-1]
     inner = [k for k in schedule.knots() if 0.0 < k < t_end]
     edges = [0.0, *inner, t_end] if t_end > 0.0 else []
 
     def run(rtol, atol):
-        ys = np.empty((len(y0), ts.size))
-        ys[:, 0] = y0
-        y, lo = y0, 0
+        # a span yields the grid times in (a, b]; its state at b starts the next
+        y = (init.f0, init.g0, init.varphi0, 0j)
+        states, lo = [y], 1
         for a, b in zip(edges, edges[1:]):
-            # a span yields the grid times in [a, b), the last one t_end too;
-            # the state at b carries over to the next span
-            hi = ts.size if b == t_end else int(np.searchsorted(ts, b))
-            t_eval = ts[lo:] if b == t_end else np.append(ts[lo:hi], b)
-            sol = solve_ivp(rhs, (a, b), y, method="DOP853",
-                            t_eval=t_eval, rtol=rtol, atol=atol,
-                            max_step=settings.max_step, dense_output=False)
-            if not sol.success:
-                t_fail = float(sol.t[-1]) if sol.t.size else a
-                raise NumericalError(f"integration failed: {sol.message}", t=t_fail)
-            ys[:, lo:hi] = sol.y[:, :hi - lo]
-            y, lo = sol.y[:, -1], hi
-        return [
-            MotionFrame(t=float(ts[i]),
-                        f=complex(ys[0, i], ys[1, i]),
-                        g=complex(ys[2, i], ys[3, i]),
-                        varphi=complex(ys[4, i], ys[5, i]),
-                        phase_phi=float(ys[6, i]),
-                        phase_vartheta=float(ys[7, i]))
-            for i in range(ts.size)
-        ]
+            hi = bisect.bisect_right(times, b, lo)
+            got, y = _dop853.integrate(rhs, a, b, y, times[lo:hi], rtol, atol,
+                                       settings.max_step)
+            states += got
+            lo = hi
+        return [MotionFrame(t, f, g, varphi, p.real, p.imag)
+                for t, (f, g, varphi, p) in zip(times, states)]
 
     if not enforce_drift:
         return run(settings.rtol, settings.atol)

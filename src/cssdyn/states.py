@@ -97,12 +97,16 @@ def normalization(frame: MotionFrame, winding: int = 0) -> complex:
     branch (winding 0) is the documented, phase-ambiguous default; every
     modulus derived from Phi is branch-independent.
 
-    Raises DomainError for a frame whose f, g or varphi is not finite.
+    Raises DomainError for a frame whose f, g or varphi is not finite, and
+    for one with |g| >= |f|, which has no normalizable state (|zeta| >= 1).
     """
     f, g, varphi = frame.f, frame.g, frame.varphi
     if not all(math.isfinite(x) for v in (f, g, varphi) for x in (v.real, v.imag)):
         raise DomainError(f"frame at t = {frame.t!r} is not finite: "
                           f"f = {f!r}, g = {g!r}, varphi = {varphi!r}")
+    if not math.hypot(g.real, g.imag) < math.hypot(f.real, f.imag):
+        raise DomainError(f"frame at t = {frame.t!r} has |g| >= |f| (f = {f!r}, g = {g!r}): "
+                          "no normalizable state")
     root = 1.0 / np.sqrt(complex(f))
     if winding % 2:
         root = -root
@@ -177,9 +181,9 @@ def _expand(frame, tail_tolerance, n_max, winding, keep_coefficients):
         raise DomainError(f"tail_tolerance must lie in (0, 1), got {tail_tolerance!r}")
     if n_max < 2:
         raise DomainError(f"n_max must be at least 2, got {n_max!r}")
+    phi = normalization(frame, winding)  # refuses |zeta| >= 1 before any level
     par = parameters(frame)
     xi, zeta = complex(par.xi), complex(par.zeta)
-    phi = normalization(frame, winding)
     weight = abs(phi) ** 2
     zeta2 = zeta.real * zeta.real + zeta.imag * zeta.imag
 

@@ -362,7 +362,7 @@ def test_refusal_matches_scalar_reference(n_max):
 
 
 @pytest.mark.parametrize("frame", [
-    MotionFrame(t=0.0, f=1.0, g=2.0, varphi=0.0),        # |zeta| > 1
+    squeezed_frame(0.99999, 0.0),                        # needs about 1e6 levels
     squeezed_frame(0.995, 300.0),                        # overflows float64
     MotionFrame(t=0.0, f=1.0, g=0.0, varphi=40.0),       # |Phi|^2 underflows
 ])
@@ -374,6 +374,24 @@ def test_degenerate_frames_refuse_like_scalar_reference(frame):
             with pytest.raises(ConvergenceError) as got:
                 expand(frame, 1e-10, n_max)
             assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("frame", [
+    MotionFrame(t=0.0, f=1.0, g=2.0, varphi=0.0),        # |zeta| = 2
+    MotionFrame(t=0.0, f=1.0, g=-1.0j, varphi=0.5),      # |zeta| = 1
+    MotionFrame(t=0.0, f=0.0, g=0.0, varphi=0.0),
+])
+def test_unit_or_larger_zeta_is_refused_up_front(frame, monkeypatch):
+    # no normalizable state: refused before the recurrence takes a step,
+    # instead of spending n_max levels on a ConvergenceError
+    def no_march(*args):
+        raise AssertionError("the recurrence started")
+
+    monkeypatch.setattr(cssdyn.states, "_march", no_march)
+    for expand in (normalization, fock_coefficients, transition_probabilities,
+                   lambda fr: overlap(VACUUM, fr)):
+        with pytest.raises(DomainError, match=r"\|g\| >= \|f\|"):
+            expand(frame)
 
 
 NON_FINITE = [

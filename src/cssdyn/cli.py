@@ -100,14 +100,13 @@ def _write_csv(path: str, header, rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _frames_on(rc: RunConfig, grid, *, enforce_drift: bool = True):
+def _frames_on(rc: RunConfig, grid):
     """Evolution frames on a time grid, routed through the preset's
     fundamental-solution path when one is configured."""
     if rc.preset is not None:
         tau = rc.preset.omega0 * np.asarray(grid, dtype=float) / 2.0
         return oscillator_frames(rc.preset, tau, rc.settings)
-    return evolve(rc.schedule, rc.init, grid, rc.settings,
-                  enforce_drift=enforce_drift)
+    return evolve(rc.schedule, rc.init, grid, rc.settings)
 
 
 def _parse_times(raw: str):

@@ -27,26 +27,28 @@ and inversely
 
 This module holds both coefficient records, the conversion maps, the time
 profiles a coefficient may follow (constant, harmonic, polynomial, sampled
-table), and a schedule bundling one profile per coefficient.  A schedule is
-evaluated through one compiled function t -> (alpha, beta, gamma, delta)
-that checks hermiticity and the mass on every call.  It also lists its
-knots, the sample times of its tables, where the coefficients may have a
-kink: integrators put step edges there.
+table), and a schedule bundling one profile per coefficient.  Each map is
+written once, as a function built from the unit constants; to_algebraic,
+to_physical and the schedule's evaluators all call it.  The hermiticity
+and mass checks are written once too, as the checked reading of each
+coefficient's value, which the records, the evaluators and validate share.
+A schedule is evaluated through one compiled function t -> (alpha, beta,
+gamma, delta) that checks hermiticity and the mass on every call.  It also
+lists its knots, the sample times of its tables, where the coefficients may
+have a kink: integrators put step edges there.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-
-Number = Union[int, float, complex]
-
 
 # ---------------------------------------------------------------------------
 # units
@@ -88,10 +90,7 @@ class AlgebraicCoefficients:
     delta: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "gamma", complex(self.gamma))
-        object.__setattr__(self, "beta", _strict_real(self.beta, "beta"))
-        object.__setattr__(self, "delta", _strict_real(self.delta, "delta"))
+        _read_fields(self, _ALGEBRAIC_KEYS)
 
 
 @dataclass(frozen=True)
@@ -110,25 +109,43 @@ class PhysicalCoefficients:
     E: float = 0.0
 
     def __post_init__(self):
-        for name in ("m", "k", "Omega", "F", "V", "E"):
-            object.__setattr__(self, name, _strict_real(getattr(self, name), name))
-        _check_mass(self.m)
+        _read_fields(self, _PHYSICAL_KEYS)
 
 
-def _strict_real(value: Number, name: str) -> float:
-    z = complex(value)
-    if z.imag != 0.0:
-        raise _not_real(name, value)
-    return float(z.real)
+_ALGEBRAIC_KEYS = ("alpha", "beta", "gamma", "delta")
+_PHYSICAL_KEYS = ("m", "k", "Omega", "F", "V", "E")
 
 
-def _not_real(name: str, value: Number) -> DomainError:
-    return DomainError(f"{name} must be real (hermiticity), got {value!r}")
+def _reading(name: str):
+    """The checked reading of coefficient name: a profile's or a record's
+    value -> the coefficient.
+
+    alpha and gamma read as complex.  Hermiticity makes every other
+    coefficient real: it reads as a float, and a nonzero imaginary part
+    raises DomainError.  The mass must also be finite and nonzero.
+    """
+    if name in ("alpha", "gamma"):
+        return complex
+    mass = name == "m"
+
+    def read(value):
+        z = complex(value)
+        if z.imag:
+            raise DomainError(f"{name} must be real (hermiticity), got {z!r}")
+        if mass and (z.real == 0.0 or not math.isfinite(z.real)):
+            raise DomainError(f"mass must be finite and nonzero, got {z.real!r}")
+        return z.real
+
+    return read
 
 
-def _check_mass(m: float) -> None:
-    if m == 0.0 or not math.isfinite(m):
-        raise DomainError(f"mass must be finite and nonzero, got {m!r}")
+_READ = {name: _reading(name) for name in _ALGEBRAIC_KEYS + _PHYSICAL_KEYS}
+
+
+def _read_fields(record, keys: Sequence[str]) -> None:
+    """Replace each field of a record by its checked reading."""
+    for key in keys:
+        object.__setattr__(record, key, _READ[key](getattr(record, key)))
 
 
 def _trusted(cls, keys: Sequence[str], values: Sequence) -> object:
@@ -138,16 +155,57 @@ def _trusted(cls, keys: Sequence[str], values: Sequence) -> object:
     return record
 
 
+def _algebraic_map(units: UnitContext, physical):
+    """t -> (alpha, beta, gamma, delta) from physical: t -> (m, k, Omega, F, V, E).
+
+    The map of the (x, p) form onto the (a, a†) form at fixed units, written
+    onto its source so that a compiled evaluator pays no call for it.
+    """
+    hbar, l = units.hbar, units.l
+    hbar2, l4, ll, ihbar = hbar * hbar, l ** 4, l * l, 1j * hbar
+    half = ll / (2.0 * hbar)
+    quarter = 0.5 * half
+    gscale = l / (hbar * math.sqrt(2.0))
+
+    def algebraic(t):
+        m, k, Omega, F, V, E = physical(t)
+        recip = hbar2 / (l4 * m)  # hbar^2 / (l^4 m)
+        kr = k + recip
+        return (half * (k - recip) + 1j * Omega, half * kr,
+                gscale * (F + ihbar * V / ll), E / hbar + quarter * kr)
+
+    return algebraic
+
+
+def _physical_map(units: UnitContext, algebraic):
+    """t -> (m, k, Omega, F, V, E) from algebraic: t -> (alpha, beta, gamma, delta).
+
+    The map of the (a, a†) form onto the (x, p) form at fixed units, written
+    onto its source like _algebraic_map.  Raises DomainError when
+    Re(beta - alpha) = 0, an infinite mass, and when the mass it gives is
+    not finite and nonzero.
+    """
+    hbar, l = units.hbar, units.l
+    mscale, kscale = l * l / hbar, hbar / (l * l)
+    fscale, vscale = math.sqrt(2.0) * hbar / l, math.sqrt(2.0) * l
+    read_m = _READ["m"]
+
+    def physical(t):
+        alpha, beta, gamma, delta = algebraic(t)
+        inv_m = mscale * (beta - alpha.real)
+        if inv_m == 0.0:
+            raise DomainError("Re(beta - alpha) = 0: no finite-mass (x, p) form exists")
+        m = read_m(1.0 / inv_m)
+        return (m, kscale * (beta + alpha.real), alpha.imag, fscale * gamma.real,
+                vscale * gamma.imag, hbar * (delta - 0.5 * beta))
+
+    return physical
+
+
 def to_algebraic(phys: PhysicalCoefficients, units: UnitContext) -> AlgebraicCoefficients:
     """Map (m, k, Omega, F, V, E) to (alpha, beta, gamma, delta) at fixed units."""
-    hbar, l = units.hbar, units.l
-    recip = hbar * hbar / (l ** 4 * phys.m)  # hbar^2 / (l^4 m)
-    half = l * l / (2.0 * hbar)
-    beta = half * (phys.k + recip)
-    alpha = half * (phys.k - recip) + 1j * phys.Omega
-    gamma = (l / (hbar * math.sqrt(2.0))) * (phys.F + 1j * hbar * phys.V / (l * l))
-    delta = phys.E / hbar + 0.5 * half * (phys.k + recip)
-    return AlgebraicCoefficients(alpha=alpha, beta=beta, gamma=gamma, delta=delta)
+    values = (phys.m, phys.k, phys.Omega, phys.F, phys.V, phys.E)
+    return AlgebraicCoefficients(*_algebraic_map(units, lambda _: values)(None))
 
 
 def to_physical(alg: AlgebraicCoefficients, units: UnitContext) -> PhysicalCoefficients:
@@ -156,18 +214,8 @@ def to_physical(alg: AlgebraicCoefficients, units: UnitContext) -> PhysicalCoeff
     Raises DomainError when Re(beta - alpha) = 0, which corresponds to an
     infinite mass: the (x, p) form does not exist there.
     """
-    hbar, l = units.hbar, units.l
-    inv_m = (l * l / hbar) * (alg.beta - alg.alpha.real)
-    if inv_m == 0.0:
-        raise DomainError("Re(beta - alpha) = 0: no finite-mass (x, p) form exists")
-    return PhysicalCoefficients(
-        m=1.0 / inv_m,
-        k=(hbar / (l * l)) * (alg.beta + alg.alpha.real),
-        Omega=alg.alpha.imag,
-        F=(math.sqrt(2.0) * hbar / l) * alg.gamma.real,
-        V=math.sqrt(2.0) * l * alg.gamma.imag,
-        E=hbar * (alg.delta - 0.5 * alg.beta),
-    )
+    values = (alg.alpha, alg.beta, alg.gamma, alg.delta)
+    return PhysicalCoefficients(*_physical_map(units, lambda _: values)(None))
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +348,7 @@ def as_profile(value) -> object:
 # ---------------------------------------------------------------------------
 # schedule
 
-_ALGEBRAIC_KEYS = ("alpha", "beta", "gamma", "delta")
-_PHYSICAL_KEYS = ("m", "k", "Omega", "F", "V", "E")
-_REAL_KEYS = frozenset(("beta", "delta") + _PHYSICAL_KEYS)
+_KEYS = {"algebraic": _ALGEBRAIC_KEYS, "physical": _PHYSICAL_KEYS}
 
 
 @dataclass(frozen=True)
@@ -315,11 +361,13 @@ class CoefficientSchedule:
 
     Every evaluation goes through one evaluator, compiled on first use (so
     the profiles are read then): t -> (alpha, beta, gamma, delta), with the
-    physical -> algebraic map folded in for physical schedules.  Each call
-    checks that beta, delta and every physical coefficient are real and
-    that the mass is finite and nonzero, with the errors the coefficient
-    records raise.  The other parameterization's map is compiled in the
-    same way.
+    physical -> algebraic map applied for physical schedules.  Each call
+    reads every profile value through the checked reading the coefficient
+    records use, so beta, delta and every physical coefficient must be real
+    and the mass finite and nonzero, with the records' errors.  A Constant
+    passes its reading once, when the schedule compiles; one that fails it
+    raises on every call.  The other parameterization is compiled in the
+    same way, through the other map.
 
     The knots (knots()) are compiled with the evaluators: the union of the
     times of every Table profile, those inside ComplexParts included.
@@ -333,12 +381,11 @@ class CoefficientSchedule:
     _evaluators: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.parameterization not in ("algebraic", "physical"):
+        if self.parameterization not in _KEYS:
             raise DomainError(
                 f"parameterization must be 'algebraic' or 'physical', got {self.parameterization!r}"
             )
-        keys = _ALGEBRAIC_KEYS if self.parameterization == "algebraic" else _PHYSICAL_KEYS
-        unknown = set(self.profiles) - set(keys)
+        unknown = set(self.profiles) - set(_KEYS[self.parameterization])
         if unknown:
             raise DomainError(f"unknown coefficient keys {sorted(unknown)} for {self.parameterization}")
 
@@ -355,9 +402,6 @@ class CoefficientSchedule:
         profiles = {"m": as_profile(m), "k": as_profile(k), "Omega": as_profile(Omega),
                     "F": as_profile(F), "V": as_profile(V), "E": as_profile(E)}
         return cls(units=units, parameterization="physical", profiles=profiles)
-
-    def _raw(self, key: str, t: float) -> complex:
-        return complex(self.profiles[key](t))
 
     def _compiled(self) -> tuple:
         if self._evaluators is None:
@@ -393,99 +437,75 @@ def _compile(schedule: CoefficientSchedule) -> tuple:
     """(algebraic, physical, knots) of a schedule, checks included.
 
     algebraic is t -> (alpha, beta, gamma, delta) and physical is
-    t -> (m, k, Omega, F, V, E), each bit-identical to the records' route
-    (to_algebraic or to_physical of the authoritative record).  knots is
+    t -> (m, k, Omega, F, V, E).  The schedule's own form reads each
+    profile through its checked reading, and the other form applies the
+    unit map to it, so both equal the records' route (to_algebraic or
+    to_physical of the authoritative record) by construction.  knots is
     the sorted tuple of distinct Table times over the profiles.
     """
     knots = tuple(sorted({t for profile in schedule.profiles.values()
                           for t in _table_times(profile)}))
-    hbar, l = schedule.units.hbar, schedule.units.l
+    readings = [_slot(read, profile) for _, read, profile in _readings(schedule)]
     if schedule.parameterization == "algebraic":
-        pa, pb, pg, pd = (schedule.profiles[key] for key in _ALGEBRAIC_KEYS)
+        (ra, pa), (rb, pb), (rg, pg), (rd, pd) = readings
 
         def algebraic(t):
-            alpha = complex(pa(t))
-            beta = complex(pb(t))
-            if beta.imag != 0.0:
-                raise _not_real("beta", beta)
-            gamma = complex(pg(t))
-            delta = complex(pd(t))
-            if delta.imag != 0.0:
-                raise _not_real("delta", delta)
-            return alpha, beta.real, gamma, delta.real
+            return ra(pa(t)), rb(pb(t)), rg(pg(t)), rd(pd(t))
 
-        # to_physical's unit constants, its operations in its order
-        mscale, kscale = l * l / hbar, hbar / (l * l)
-        fscale, vscale = math.sqrt(2.0) * hbar / l, math.sqrt(2.0) * l
+        return algebraic, _physical_map(schedule.units, algebraic), knots
 
-        def physical(t):
-            alpha, beta, gamma, delta = algebraic(t)
-            inv_m = mscale * (beta - alpha.real)
-            if inv_m == 0.0:
-                raise DomainError("Re(beta - alpha) = 0: no finite-mass (x, p) form exists")
-            m = 1.0 / inv_m
-            _check_mass(m)
-            return (m, kscale * (beta + alpha.real), alpha.imag, fscale * gamma.real,
-                    vscale * gamma.imag, hbar * (delta - 0.5 * beta))
-
-        return algebraic, physical, knots
-
-    named = tuple((key, schedule.profiles[key]) for key in _PHYSICAL_KEYS)
+    (rm, pm), (rk, pk), (rO, pO), (rF, pF), (rV, pV), (rE, pE) = readings
 
     def physical(t):
-        values = []
-        for name, profile in named:
-            z = complex(profile(t))
-            if z.imag != 0.0:
-                raise _not_real(name, z)
-            values.append(z.real)
-        _check_mass(values[0])
-        return values
+        return rm(pm(t)), rk(pk(t)), rO(pO(t)), rF(pF(t)), rV(pV(t)), rE(pE(t))
 
-    # to_algebraic's unit constants; every product and quotient below keeps
-    # its operand order, so the values are to_algebraic's bit for bit
-    hbar2, l4, ll, ihbar = hbar * hbar, l ** 4, l * l, 1j * hbar
-    half = ll / (2.0 * hbar)
-    quarter = 0.5 * half
-    gscale = l / (hbar * math.sqrt(2.0))
+    return _algebraic_map(schedule.units, physical), physical, knots
 
-    def algebraic(t):
-        m, k, Omega, F, V, E = physical(t)
-        recip = hbar2 / (l4 * m)
-        kr = k + recip
-        return (half * (k - recip) + 1j * Omega, half * kr,
-                gscale * (F + ihbar * V / ll), E / hbar + quarter * kr)
 
-    return algebraic, physical, knots
+def _slot(read, profile) -> tuple:
+    """(read, profile) of one evaluator slot, with a Constant read once here.
+
+    A Constant's checked value v becomes Constant(v), read back by type(v),
+    float or complex, which returns v as it is: the evaluator then spends no
+    Python call per evaluation on its check.  A Constant that fails its
+    reading stays as it is and raises on every call, like any profile.
+    """
+    if type(profile) is Constant:  # a subclass may override __call__
+        try:
+            value = read(profile.value)
+        except DomainError:
+            return read, profile
+        return type(value), Constant(value)
+    return read, profile
+
+
+def _readings(schedule: CoefficientSchedule) -> list:
+    """(key, checked reading, profile) of each coefficient the schedule holds."""
+    return [(key, _READ[key], schedule.profiles[key]) for key in _KEYS[schedule.parameterization]]
 
 
 def validate(schedule: CoefficientSchedule, horizon: float, samples: int = 257) -> list:
     """Sample the schedule over [0, horizon] and collect diagnostics.
 
     Returns a list of strings, empty when the schedule is usable: every
-    coefficient evaluates, is finite, respects hermiticity (realness where
-    required), and the mass never vanishes.  No exception escapes; problems
+    coefficient evaluates through the checked reading the compiled
+    evaluator uses (so it respects hermiticity, and the mass is finite and
+    nonzero) and is finite.  Each coefficient gets at most one diagnostic,
+    naming it and the first time it fails.  No exception escapes; problems
     become diagnostics.
     """
     if not (math.isfinite(horizon) and horizon >= 0):
         return [f"horizon must be finite and nonnegative, got {horizon!r}"]
     diagnostics = []
-    keys = _ALGEBRAIC_KEYS if schedule.parameterization == "algebraic" else _PHYSICAL_KEYS
-    grid = np.linspace(0.0, horizon, max(2, samples))
-    for key in keys:
+    grid = np.linspace(0.0, horizon, max(2, samples)).tolist()
+    for key, read, profile in _readings(schedule):
         for t in grid:
             try:
-                v = schedule._raw(key, float(t))
+                value = read(profile(t))
             except DomainError as exc:
                 diagnostics.append(f"{key}: evaluation failed at t={t:.6g}: {exc}")
-                break  # one diagnostic per coefficient/failure mode is enough
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                diagnostics.append(f"{key}: non-finite value {v!r} at t={t:.6g}")
                 break
-            if key in _REAL_KEYS and v.imag != 0.0:
-                diagnostics.append(f"{key}: must be real, got {v!r} at t={t:.6g}")
-                break
-            if key == "m" and v.real == 0.0:
-                diagnostics.append(f"m: vanishes at t={t:.6g}")
+            if not cmath.isfinite(value):
+                diagnostics.append(f"{key}: non-finite value {value!r} at t={t:.6g}")
                 break
     return diagnostics

@@ -74,7 +74,8 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .hamiltonian import CoefficientSchedule, Harmonic, UnitContext
 from .motion import (InitialConditions, IntegratorSettings, MotionFrame,
-                     run_monitored)
+                     _check_grid, run_monitored)
+from .observables import means
 
 # Wronskian of the fundamental pair must stay this close to 1.
 _WRONSKIAN_TOL = 1e-9
@@ -166,19 +167,6 @@ def mathieu_parameters(cfg: DrivenOscillatorConfig) -> MathieuParameters:
     return MathieuParameters(a=a, q=q)
 
 
-def _check_tau_grid(tau_grid) -> np.ndarray:
-    taus = np.asarray(tau_grid, dtype=float)
-    if taus.ndim != 1 or taus.size == 0:
-        raise DomainError("tau grid must be a one-dimensional, nonempty array")
-    if not np.all(np.isfinite(taus)):
-        raise DomainError("tau grid must be finite")
-    if taus[0] != 0.0:
-        raise DomainError(f"tau grid must start at 0, got {taus[0]!r}")
-    if taus.size > 1 and not np.all(np.diff(taus) > 0):
-        raise DomainError("tau grid must be strictly increasing")
-    return taus
-
-
 def fundamental_solutions(params: MathieuParameters, tau_grid,
                           settings: IntegratorSettings = IntegratorSettings()
                           ) -> FundamentalBasis:
@@ -222,7 +210,7 @@ def fundamental_solutions(params: MathieuParameters, tau_grid,
     run's tolerance was above the rounding floor, and then raised as
     NumericalError with the offending tau.
     """
-    taus = _check_tau_grid(tau_grid)
+    taus = _check_grid(tau_grid)
     a, q = params.a, params.q
 
     k, r = np.divmod(taus, math.pi)
@@ -442,7 +430,7 @@ def frames(cfg: DrivenOscillatorConfig, tau_grid,
     suite runs.  Frames come back in physical time t = 2 tau / omega0 with
     both phase integrals identically zero (beta = 2 delta, gamma = 0).
     """
-    taus = _check_tau_grid(tau_grid)
+    taus = _check_grid(tau_grid)
     basis = fundamental_solutions(mathieu_parameters(cfg), taus, settings)
     f0, g0 = cfg.init.f0, cfg.init.g0
     y_start = f0 - g0
@@ -463,13 +451,8 @@ def frames(cfg: DrivenOscillatorConfig, tau_grid,
 def phase_trajectory(cfg: DrivenOscillatorConfig, tau_grid,
                      settings: IntegratorSettings = IntegratorSettings()) -> list:
     """Mean trajectory [(t, xbar, pbar), ...] over a tau grid."""
-    scale_x = math.sqrt(2.0 * cfg.hbar / (cfg.m0 * cfg.omega0))
-    scale_p = math.sqrt(2.0 * cfg.hbar * cfg.m0 * cfg.omega0)
-    out = []
-    for fr in frames(cfg, tau_grid, settings):
-        u = fr.g * fr.varphi.conjugate() - fr.f.conjugate() * fr.varphi
-        out.append((fr.t, scale_x * u.real, scale_p * u.imag))
-    return out
+    units = cfg.units
+    return [(fr.t, *means(fr, units)) for fr in frames(cfg, tau_grid, settings)]
 
 
 def transition_snapshot(cfg: DrivenOscillatorConfig, tau: float,

@@ -50,6 +50,16 @@ _INIT_TOL = 1e-12
 _THETA2_EPS = 1e-24
 
 
+def _hyperboloid_defect(f: complex, g: complex) -> float:
+    """| |f|^2 - |g|^2 - 1 |, zero in exact arithmetic.
+
+    |f|^2 is Re(f conj(f)) = Re(f)^2 + Im(f)^2, squared from the parts: a
+    huge but finite f gives inf or nan, which every check refuses, where
+    abs(f) ** 2 raises OverflowError.
+    """
+    return abs((f * f.conjugate()).real - (g * g.conjugate()).real - 1.0)
+
+
 @dataclass(frozen=True)
 class InitialConditions:
     """Starting point (f0, g0, varphi0) on the hyperboloid |f0|^2 - |g0|^2 = 1."""
@@ -62,7 +72,7 @@ class InitialConditions:
         object.__setattr__(self, "f0", complex(self.f0))
         object.__setattr__(self, "g0", complex(self.g0))
         object.__setattr__(self, "varphi0", complex(self.varphi0))
-        defect = abs(abs(self.f0) ** 2 - abs(self.g0) ** 2 - 1.0)
+        defect = _hyperboloid_defect(self.f0, self.g0)
         if not defect <= _INIT_TOL:
             raise DomainError(
                 f"|f0|^2 - |g0|^2 must equal 1 within {_INIT_TOL:g}, defect {defect:.3e}"
@@ -87,7 +97,7 @@ class MotionFrame:
     @property
     def unitarity_defect(self) -> float:
         """| |f|^2 - |g|^2 - 1 |, zero in exact arithmetic."""
-        return abs(abs(self.f) ** 2 - abs(self.g) ** 2 - 1.0)
+        return _hyperboloid_defect(self.f, self.g)
 
 
 @dataclass(frozen=True)
@@ -146,6 +156,25 @@ def from_initial_width(sigma_x0: float, theta: float, units: UnitContext) -> Ini
 # numerical evolution
 
 
+def _check_grid(grid) -> np.ndarray:
+    """grid as a float array, refused with DomainError unless it is
+    one-dimensional, nonempty, finite, strictly increasing and starts at 0.
+
+    Both routes take their grids through it: evolve's times and the Mathieu
+    route's tau grids.
+    """
+    ts = np.asarray(grid, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise DomainError("grid must be a one-dimensional, nonempty array")
+    if not np.all(np.isfinite(ts)):
+        raise DomainError("grid must be finite")
+    if ts[0] != 0.0:
+        raise DomainError(f"grid must start at 0, got {ts[0]!r}")
+    if ts.size > 1 and not np.all(np.diff(ts) > 0):
+        raise DomainError("grid must be strictly increasing")
+    return ts
+
+
 def evolve(schedule: CoefficientSchedule, init: InitialConditions, grid,
            settings: IntegratorSettings = IntegratorSettings(), *,
            enforce_drift: bool = True) -> list:
@@ -169,8 +198,8 @@ def evolve(schedule: CoefficientSchedule, init: InitialConditions, grid,
     init : InitialConditions
         Values at t = 0.
     grid : array_like
-        Strictly increasing times starting exactly at 0; a frame is returned
-        for each entry.
+        Strictly increasing finite times starting exactly at 0; a frame is
+        returned for each entry.
     settings : IntegratorSettings
         Solver tolerances plus the unitarity drift threshold.
     enforce_drift : bool
@@ -182,14 +211,7 @@ def evolve(schedule: CoefficientSchedule, init: InitialConditions, grid,
     -------
     list of MotionFrame
     """
-    ts = np.asarray(grid, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise DomainError("grid must be a one-dimensional, nonempty time array")
-    if ts[0] != 0.0:
-        raise DomainError(f"grid must start at t = 0, got t0 = {ts[0]!r}")
-    if ts.size > 1 and not np.all(np.diff(ts) > 0):
-        raise DomainError("grid times must be strictly increasing")
-
+    ts = _check_grid(grid)
     hbar = schedule.units.hbar
     coefficients = schedule.compiled()
 

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import DomainError
 from .hamiltonian import AlgebraicCoefficients, CoefficientSchedule, UnitContext
 from .motion import MotionFrame, u_of
+from .states import _inverse_root
 
 
 @dataclass(frozen=True)
@@ -136,10 +137,7 @@ def wavefunction(frame: MotionFrame, x, units: UnitContext,
     f, g = frame.f, frame.g
     xbar, pbar = means(frame, units)
     xs = np.asarray(x, dtype=float)
-    root_f = 1.0 / np.sqrt(complex(f))
-    if winding % 2:
-        root_f = -root_f
-    pref = root_f / (np.sqrt(l * math.sqrt(math.pi)) * np.sqrt(1.0 - g / f))
+    pref = _inverse_root(f, winding) / (np.sqrt(l * math.sqrt(math.pi)) * np.sqrt(1.0 - g / f))
     width = (f + g) / (f - g)
     dx = xs - xbar
     phase = (pbar / (2.0 * hbar)) * (2.0 * xs - xbar) - frame.phase_vartheta / hbar

@@ -88,6 +88,13 @@ def branch_windings(frames) -> list:
     return [int(round(w)) for w in (unwrapped - args) / (2.0 * np.pi)]
 
 
+def _inverse_root(f: complex, winding: int) -> complex:
+    """f^(-1/2) on the sheet that winding selects: (-1)^winding times the
+    principal value."""
+    root = 1.0 / np.sqrt(complex(f))
+    return -root if winding % 2 else root
+
+
 def normalization(frame: MotionFrame, winding: int = 0) -> complex:
     """Normalization factor Phi of the state attached to a frame.
 
@@ -107,9 +114,7 @@ def normalization(frame: MotionFrame, winding: int = 0) -> complex:
     if not math.hypot(g.real, g.imag) < math.hypot(f.real, f.imag):
         raise DomainError(f"frame at t = {frame.t!r} has |g| >= |f| (f = {f!r}, g = {g!r}): "
                           "no normalizable state")
-    root = 1.0 / np.sqrt(complex(f))
-    if winding % 2:
-        root = -root
+    root = _inverse_root(f, winding)
     exponent = (g.conjugate() / f) * varphi * varphi / 2.0 \
         - (varphi * varphi.conjugate()).real / 2.0 + 1j * frame.phase_phi
     return complex(root * np.exp(exponent))

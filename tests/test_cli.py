@@ -261,6 +261,13 @@ def test_configuration_problems_exit_two(tmp_path):
     bad_times = run_cli("fock", "--config", cfg, "--times", "0,abc")
     assert bad_times.returncode == 2
 
+    # |f0|^2 - |g0|^2 overflows to inf - inf: off the hyperboloid, not a crash
+    huge = write(tmp_path, "huge.ini", OSCILLATOR_CONFIG.replace(
+        "varphi0_re = -1.0", "f0_re = 1e200\ng0_re = 1e200"))
+    proc = run_cli("evolve", "--config", huge, "--out", str(tmp_path / "h.csv"))
+    assert proc.returncode == 2, proc.stderr
+    assert "f0" in proc.stderr
+
 
 def test_numerical_failures_exit_three(tmp_path):
     drifty = write(tmp_path, "drifty.ini", """\
@@ -278,6 +285,20 @@ drift_threshold = 1e-15
     proc = run_cli("evolve", "--config", drifty,
                    "--out", str(tmp_path / "d.csv"))
     assert proc.returncode == 3
+    assert "drift" in proc.stderr
+
+    # |f| passes 1e154 while finite: a drift breach, not an OverflowError
+    overflowing = write(tmp_path, "overflowing.ini", """\
+[hamiltonian]
+parameterization = algebraic
+alpha_im = 461.0
+
+[integration]
+t_max = 1.0
+num_points = 11
+""")
+    proc = run_cli("evolve", "--config", overflowing, "--out", str(tmp_path / "o.csv"))
+    assert proc.returncode == 3, proc.stderr
     assert "drift" in proc.stderr
 
     starved = write(tmp_path, "starved.ini",

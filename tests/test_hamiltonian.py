@@ -233,10 +233,10 @@ def test_compiled_evaluation_matches_record_route_bit_for_bit(kind):
         alg_sched = CoefficientSchedule.algebraic(
             units, **{key: _profile(kind, *ab) for key, ab in _ALGEBRAIC_BASE.items()})
         for t in times:
-            phys = PhysicalCoefficients(**{key: phys_sched._raw(key, t) for key in _PHYSICAL_BASE})
+            phys = PhysicalCoefficients(**{key: complex(phys_sched.profiles[key](t)) for key in _PHYSICAL_BASE})
             assert _record_bits(phys_sched.physical_at(t)) == _record_bits(phys)
             assert _record_bits(phys_sched.algebraic_at(t)) == _record_bits(to_algebraic(phys, units))
-            alg = AlgebraicCoefficients(**{key: alg_sched._raw(key, t) for key in _ALGEBRAIC_BASE})
+            alg = AlgebraicCoefficients(**{key: complex(alg_sched.profiles[key](t)) for key in _ALGEBRAIC_BASE})
             assert _record_bits(alg_sched.algebraic_at(t)) == _record_bits(alg)
             assert _record_bits(alg_sched.physical_at(t)) == _record_bits(to_physical(alg, units))
             for sched in (phys_sched, alg_sched):
@@ -300,6 +300,22 @@ def test_checks_hold_on_every_call_between_validate_samples():
             evolve(sched, InitialConditions(), np.linspace(0.0, 1.0, 11), settings)
 
 
+def test_failing_constant_raises_where_it_is_evaluated():
+    # a Constant is read once when the schedule compiles; one that fails its
+    # reading raises on evaluation, as before, and not when compiling
+    complex_beta = CoefficientSchedule.algebraic(UNITS, alpha=0.1, beta=Constant(1.0 + 1e-3j))
+    massless = CoefficientSchedule.physical(UNITS, m=0.0, k=1.0)
+    cases = ((complex_beta, "beta must be real (hermiticity), got (1+0.001j)"),
+             (massless, "mass must be finite and nonzero, got 0.0"))
+    for sched, message in cases:
+        assert sched.knots() == ()
+        for evaluate in (sched.algebraic_at, sched.physical_at, sched.compiled()):
+            with pytest.raises(DomainError, match=re.escape(message)):
+                evaluate(0.5)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            evolve(sched, InitialConditions(), [0.0, 1.0])
+
+
 def test_schedule_rejects_unknown_keys_and_kinds():
     with pytest.raises(DomainError):
         CoefficientSchedule(units=UNITS, parameterization="spectral")
@@ -336,3 +352,29 @@ def test_validate_flags_short_table():
     problems = validate(sched, horizon=2.0)
     assert problems
     assert any("k" in p for p in problems)
+
+
+def test_validate_names_each_bad_coefficient_and_its_time():
+    # beta is complex from the start; the delta table stops before the horizon
+    sched = CoefficientSchedule.algebraic(
+        UNITS, beta=Constant(1.0 + 1e-3j), delta=Table(times=(0.0, 1.0), values=(0.2, 0.3)))
+    problems = validate(sched, horizon=2.0)
+    assert len(problems) == 2
+    assert problems[0].startswith("beta:") and "t=0" in problems[0]
+    # the first sample past t = 1 is 129/128
+    assert problems[1].startswith("delta:") and "t=1.00781" in problems[1]
+
+
+def test_validate_flags_non_finite_values():
+    sched = CoefficientSchedule.physical(UNITS, m=1.0, k=lambda t: math.nan if t > 0.5 else 1.0)
+    problems = validate(sched, horizon=1.0)
+    assert len(problems) == 1
+    assert problems[0].startswith("k: non-finite") and "t=0.503906" in problems[0]
+
+
+def test_validate_accepts_algebraic_schedule_without_physical_form():
+    # Re(beta - alpha) = 0 has no (x, p) form, but the algebraic form is sound
+    sched = CoefficientSchedule.algebraic(UNITS, alpha=0.5 + 0.3j, beta=0.5)
+    assert validate(sched, horizon=1.0) == []
+    with pytest.raises(DomainError, match="Re\\(beta - alpha\\) = 0"):
+        sched.physical_at(0.5)

@@ -70,6 +70,20 @@ def test_grid_must_start_at_zero_and_increase():
         evolve(sched, InitialConditions(), [0.0, 1.0, 1.0])
 
 
+def test_non_finite_grid_is_refused():
+    sched = constant_schedule(beta=1.0)
+    for grid in ([0.0, math.inf], [0.0, 1.0, math.inf]):
+        with pytest.raises(DomainError, match="finite"):
+            evolve(sched, InitialConditions(), grid)
+
+
+def test_overflowing_frame_raises_numerical_error():
+    # |f| ~ cosh(461 t) passes 1e154, where abs(f) ** 2 raises OverflowError,
+    # while f is still finite
+    with pytest.raises(NumericalError, match="unitarity drift"):
+        evolve(constant_schedule(alpha=461j), InitialConditions(), np.linspace(0.0, 1.0, 11))
+
+
 def test_drift_breach_raises_with_time():
     # crude tolerances on a stiff-ish stretch, threshold far below reach
     sched = constant_schedule(alpha=2.0)
@@ -519,6 +533,8 @@ def test_width_out_of_range_rejected():
 def test_off_hyperboloid_initial_data_rejected():
     with pytest.raises(DomainError):
         InitialConditions(f0=1.0, g0=0.5)
+    with pytest.raises(DomainError):  # |f0|^2 overflows while f0 is finite
+        InitialConditions(f0=1e200, g0=1e200)
 
 
 # ---------------------------------------------------------------------------

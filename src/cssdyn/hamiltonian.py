@@ -28,10 +28,11 @@ and inversely
 This module holds both coefficient records, the conversion maps, the time
 profiles a coefficient may follow (constant, harmonic, polynomial, sampled
 table), and a schedule bundling one profile per coefficient.  Each map is
-written once, as a function built from the unit constants; to_algebraic,
-to_physical and the schedule's evaluators all call it.  The hermiticity
-and mass checks are written once too, as the checked reading of each
-coefficient's value, which the records, the evaluators and validate share.
+written once, as a function of the coefficient values built from the unit
+constants; to_algebraic, to_physical and the schedule's evaluators all
+call it.  The hermiticity and mass checks are written once too, as the
+checked reading of each coefficient's value, which the records, the
+evaluators and validate share.
 A schedule is evaluated through one compiled function t -> (alpha, beta,
 gamma, delta) that checks hermiticity and the mass on every call.  It also
 lists its knots, the sample times of its tables, where the coefficients may
@@ -155,20 +156,15 @@ def _trusted(cls, keys: Sequence[str], values: Sequence) -> object:
     return record
 
 
-def _algebraic_map(units: UnitContext, physical):
-    """t -> (alpha, beta, gamma, delta) from physical: t -> (m, k, Omega, F, V, E).
-
-    The map of the (x, p) form onto the (a, a†) form at fixed units, written
-    onto its source so that a compiled evaluator pays no call for it.
-    """
+def _algebraic_map(units: UnitContext):
+    """(m, k, Omega, F, V, E) -> (alpha, beta, gamma, delta) at fixed units."""
     hbar, l = units.hbar, units.l
     hbar2, l4, ll, ihbar = hbar * hbar, l ** 4, l * l, 1j * hbar
     half = ll / (2.0 * hbar)
     quarter = 0.5 * half
     gscale = l / (hbar * math.sqrt(2.0))
 
-    def algebraic(t):
-        m, k, Omega, F, V, E = physical(t)
+    def algebraic(m, k, Omega, F, V, E):
         recip = hbar2 / (l4 * m)  # hbar^2 / (l^4 m)
         kr = k + recip
         return (half * (k - recip) + 1j * Omega, half * kr,
@@ -177,21 +173,18 @@ def _algebraic_map(units: UnitContext, physical):
     return algebraic
 
 
-def _physical_map(units: UnitContext, algebraic):
-    """t -> (m, k, Omega, F, V, E) from algebraic: t -> (alpha, beta, gamma, delta).
+def _physical_map(units: UnitContext):
+    """(alpha, beta, gamma, delta) -> (m, k, Omega, F, V, E) at fixed units.
 
-    The map of the (a, a†) form onto the (x, p) form at fixed units, written
-    onto its source like _algebraic_map.  Raises DomainError when
-    Re(beta - alpha) = 0, an infinite mass, and when the mass it gives is
-    not finite and nonzero.
+    Raises DomainError when Re(beta - alpha) = 0, an infinite mass, and when
+    the mass it gives is not finite and nonzero.
     """
     hbar, l = units.hbar, units.l
     mscale, kscale = l * l / hbar, hbar / (l * l)
     fscale, vscale = math.sqrt(2.0) * hbar / l, math.sqrt(2.0) * l
     read_m = _READ["m"]
 
-    def physical(t):
-        alpha, beta, gamma, delta = algebraic(t)
+    def physical(alpha, beta, gamma, delta):
         inv_m = mscale * (beta - alpha.real)
         if inv_m == 0.0:
             raise DomainError("Re(beta - alpha) = 0: no finite-mass (x, p) form exists")
@@ -204,8 +197,8 @@ def _physical_map(units: UnitContext, algebraic):
 
 def to_algebraic(phys: PhysicalCoefficients, units: UnitContext) -> AlgebraicCoefficients:
     """Map (m, k, Omega, F, V, E) to (alpha, beta, gamma, delta) at fixed units."""
-    values = (phys.m, phys.k, phys.Omega, phys.F, phys.V, phys.E)
-    return AlgebraicCoefficients(*_algebraic_map(units, lambda _: values)(None))
+    return AlgebraicCoefficients(*_algebraic_map(units)(
+        phys.m, phys.k, phys.Omega, phys.F, phys.V, phys.E))
 
 
 def to_physical(alg: AlgebraicCoefficients, units: UnitContext) -> PhysicalCoefficients:
@@ -214,8 +207,7 @@ def to_physical(alg: AlgebraicCoefficients, units: UnitContext) -> PhysicalCoeff
     Raises DomainError when Re(beta - alpha) = 0, which corresponds to an
     infinite mass: the (x, p) form does not exist there.
     """
-    values = (alg.alpha, alg.beta, alg.gamma, alg.delta)
-    return PhysicalCoefficients(*_physical_map(units, lambda _: values)(None))
+    return PhysicalCoefficients(*_physical_map(units)(alg.alpha, alg.beta, alg.gamma, alg.delta))
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +356,8 @@ class CoefficientSchedule:
     physical -> algebraic map applied for physical schedules.  Each call
     reads every profile value through the checked reading the coefficient
     records use, so beta, delta and every physical coefficient must be real
-    and the mass finite and nonzero, with the records' errors.  A Constant
-    passes its reading once, when the schedule compiles; one that fails it
-    raises on every call.  The other parameterization is compiled in the
-    same way, through the other map.
+    and the mass finite and nonzero, with the records' errors.  The other
+    parameterization is the unit map applied to that evaluator.
 
     The knots (knots()) are compiled with the evaluators: the union of the
     times of every Table profile, those inside ComplexParts included.
@@ -445,38 +435,23 @@ def _compile(schedule: CoefficientSchedule) -> tuple:
     """
     knots = tuple(sorted({t for profile in schedule.profiles.values()
                           for t in _table_times(profile)}))
-    readings = [_slot(read, profile) for _, read, profile in _readings(schedule)]
+    readings = _readings(schedule)
     if schedule.parameterization == "algebraic":
-        (ra, pa), (rb, pb), (rg, pg), (rd, pd) = readings
+        (_, ra, pa), (_, rb, pb), (_, rg, pg), (_, rd, pd) = readings
 
         def algebraic(t):
             return ra(pa(t)), rb(pb(t)), rg(pg(t)), rd(pd(t))
 
-        return algebraic, _physical_map(schedule.units, algebraic), knots
+        pmap = _physical_map(schedule.units)
+        return algebraic, lambda t: pmap(*algebraic(t)), knots
 
-    (rm, pm), (rk, pk), (rO, pO), (rF, pF), (rV, pV), (rE, pE) = readings
+    (_, rm, pm), (_, rk, pk), (_, rO, pO), (_, rF, pF), (_, rV, pV), (_, rE, pE) = readings
 
     def physical(t):
         return rm(pm(t)), rk(pk(t)), rO(pO(t)), rF(pF(t)), rV(pV(t)), rE(pE(t))
 
-    return _algebraic_map(schedule.units, physical), physical, knots
-
-
-def _slot(read, profile) -> tuple:
-    """(read, profile) of one evaluator slot, with a Constant read once here.
-
-    A Constant's checked value v becomes Constant(v), read back by type(v),
-    float or complex, which returns v as it is: the evaluator then spends no
-    Python call per evaluation on its check.  A Constant that fails its
-    reading stays as it is and raises on every call, like any profile.
-    """
-    if type(profile) is Constant:  # a subclass may override __call__
-        try:
-            value = read(profile.value)
-        except DomainError:
-            return read, profile
-        return type(value), Constant(value)
-    return read, profile
+    amap = _algebraic_map(schedule.units)
+    return lambda t: amap(*physical(t)), physical, knots
 
 
 def _readings(schedule: CoefficientSchedule) -> list:

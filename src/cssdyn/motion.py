@@ -343,7 +343,7 @@ def closed_form(alg: AlgebraicCoefficients, init: InitialConditions, t: float,
 
 
 def _closed_fgp(alg: AlgebraicCoefficients, init: InitialConditions, t: float):
-    theta2 = alg.beta * alg.beta - abs(alg.alpha) ** 2
+    theta2 = alg.beta * alg.beta - (alg.alpha * alg.alpha.conjugate()).real
     c, s, d = _entire_trig(theta2, float(t))
     f0, g0, p0 = init.f0, init.g0, init.varphi0
     al, be, ga = alg.alpha, alg.beta, alg.gamma

@@ -300,22 +300,6 @@ def test_checks_hold_on_every_call_between_validate_samples():
             evolve(sched, InitialConditions(), np.linspace(0.0, 1.0, 11), settings)
 
 
-def test_failing_constant_raises_where_it_is_evaluated():
-    # a Constant is read once when the schedule compiles; one that fails its
-    # reading raises on evaluation, as before, and not when compiling
-    complex_beta = CoefficientSchedule.algebraic(UNITS, alpha=0.1, beta=Constant(1.0 + 1e-3j))
-    massless = CoefficientSchedule.physical(UNITS, m=0.0, k=1.0)
-    cases = ((complex_beta, "beta must be real (hermiticity), got (1+0.001j)"),
-             (massless, "mass must be finite and nonzero, got 0.0"))
-    for sched, message in cases:
-        assert sched.knots() == ()
-        for evaluate in (sched.algebraic_at, sched.physical_at, sched.compiled()):
-            with pytest.raises(DomainError, match=re.escape(message)):
-                evaluate(0.5)
-        with pytest.raises(DomainError, match=re.escape(message)):
-            evolve(sched, InitialConditions(), [0.0, 1.0])
-
-
 def test_schedule_rejects_unknown_keys_and_kinds():
     with pytest.raises(DomainError):
         CoefficientSchedule(units=UNITS, parameterization="spectral")

@@ -84,6 +84,14 @@ def test_overflowing_frame_raises_numerical_error():
         evolve(constant_schedule(alpha=461j), InitialConditions(), np.linspace(0.0, 1.0, 11))
 
 
+def test_closed_form_with_huge_alpha_gives_a_refused_frame():
+    # |alpha| ** 2 of a finite alpha past 1.3e154 raises OverflowError; squared
+    # from its parts it overflows to inf and the frame fails the drift check
+    alg = AlgebraicCoefficients(alpha=1e160, beta=1e160)
+    frame = closed_form(alg, InitialConditions(), 1e-170)
+    assert not frame.unitarity_defect <= 1e-8
+
+
 def test_drift_breach_raises_with_time():
     # crude tolerances on a stiff-ish stretch, threshold far below reach
     sched = constant_schedule(alpha=2.0)

@@ -228,6 +228,10 @@ def cmd_validate(args) -> int:
     this command judges the one pipeline the config describes.
     """
     rc = load_config(args.config)
+    if rc.num_points < 3:
+        # the Hamilton residual takes central differences over the grid
+        raise ConfigError(f"validate needs [integration] num_points of at least 3, "
+                          f"got {rc.num_points}")
     units = rc.schedule.units
     # one run on the halved step serves both grids: every other point of
     # linspace(0, t_max, 2n - 1) is linspace(0, t_max, n) bit for bit (halving

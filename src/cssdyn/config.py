@@ -30,6 +30,11 @@ Sections and keys (INI syntax, keys are case-sensitive, # starts a comment):
       tail_tolerance, n_max       number-basis truncation control
       x_points, x_span_sigmas     density grid: points across xbar +/- span*sigma_x
 
+A <name>_re / <name>_im pair with one part left out keeps that part of its
+default: 0 for f0, g0 and an explicit run's varphi0, and the preset's
+varphi0 = -i in either section.  A preset takes varphi0 from [hamiltonian]
+or from [initial], not from both.
+
 A profile value is one of
 
     <number>                              constant
@@ -57,6 +62,7 @@ from .motion import InitialConditions, IntegratorSettings, from_initial_width
 
 # the preset's numbers are DrivenOscillatorConfig's fields, its start aside
 _PRESET_NUMBERS = tuple(f.name for f in fields(DrivenOscillatorConfig) if f.name != "init")
+_VARPHI0_KEYS = {"varphi0_re", "varphi0_im"}
 _INITIAL_KEYS = {"f0_re", "f0_im", "g0_re", "g0_im", "sigma_x0", "theta",
                  "varphi0_re", "varphi0_im"}
 _INTEGRATION_KEYS = {"t_max", "num_points", "rtol", "atol", "max_step",
@@ -142,6 +148,15 @@ def _profile(raw: str, where: str):
     if len(tokens) != 1:
         raise ConfigError(f"{where}: unknown profile kind {tokens[0]!r}")
     return Constant(_number(tokens[0], where))
+
+
+def _complex(section: str, values, name: str, default: complex) -> complex:
+    """The <name>_re / <name>_im pair of a section; a part not given keeps
+    the default's."""
+    real, imag = (_number(values[key], f"[{section}] {key}") if key in values else part
+                  for key, part in ((name + "_re", default.real),
+                                    (name + "_im", default.imag)))
+    return complex(real, imag)
 
 
 def _check_keys(section: str, present, allowed) -> None:
@@ -233,17 +248,16 @@ def load_config(path: str) -> RunConfig:
 
 def _load_preset(ham, ini):
     _check_keys("hamiltonian", ham.keys(),
-                {"preset", "varphi0_re", "varphi0_im", *_PRESET_NUMBERS})
+                {"preset", *_VARPHI0_KEYS, *_PRESET_NUMBERS})
     name = _unquote(ham["preset"])
     if name != "mathieu":
         raise ConfigError(f"unknown preset {name!r} (available: mathieu)")
+    if _VARPHI0_KEYS & set(ham.keys()) and _VARPHI0_KEYS & set(ini.keys()):
+        raise ConfigError("preset: give varphi0 in [hamiltonian] or in [initial], not both")
     numbers = {key: _number(ham[key], f"[hamiltonian] {key}")
                for key in _PRESET_NUMBERS if key in ham}
     base = DrivenOscillatorConfig(**numbers)  # validates positivity
-    start = base.init.varphi0
-    varphi0 = complex(
-        _number(ham["varphi0_re"], "varphi0_re") if "varphi0_re" in ham else start.real,
-        _number(ham["varphi0_im"], "varphi0_im") if "varphi0_im" in ham else start.imag)
+    varphi0 = _complex("hamiltonian", ham, "varphi0", base.init.varphi0)
     preset = replace(base, init=_load_initial(ini, base.units, varphi0))
     return preset, preset.schedule(), preset.init
 
@@ -280,11 +294,7 @@ def _load_initial(ini, units, default_varphi):
     if explicit and width:
         raise ConfigError("[initial]: give either f0/g0 components or sigma_x0/theta, not both")
 
-    varphi0 = default_varphi
-    if "varphi0_re" in ini or "varphi0_im" in ini:
-        varphi0 = complex(
-            _number(ini["varphi0_re"], "varphi0_re") if "varphi0_re" in ini else 0.0,
-            _number(ini["varphi0_im"], "varphi0_im") if "varphi0_im" in ini else 0.0)
+    varphi0 = _complex("initial", ini, "varphi0", default_varphi)
 
     if width:
         if "sigma_x0" not in ini:
@@ -293,10 +303,7 @@ def _load_initial(ini, units, default_varphi):
         base = from_initial_width(_number(ini["sigma_x0"], "sigma_x0"), theta, units)
         return InitialConditions(base.f0, base.g0, varphi0)
     if explicit:
-        f0 = complex(_number(ini["f0_re"], "f0_re") if "f0_re" in ini else 0.0,
-                     _number(ini["f0_im"], "f0_im") if "f0_im" in ini else 0.0)
-        g0 = complex(_number(ini["g0_re"], "g0_re") if "g0_re" in ini else 0.0,
-                     _number(ini["g0_im"], "g0_im") if "g0_im" in ini else 0.0)
-        return InitialConditions(f0, g0, varphi0)
+        return InitialConditions(_complex("initial", ini, "f0", 0j),
+                                 _complex("initial", ini, "g0", 0j), varphi0)
     # no f0/g0 given: start from the coherent vacuum frame
     return InitialConditions(1.0, 0.0, varphi0)

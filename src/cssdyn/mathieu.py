@@ -41,10 +41,11 @@ initial data, and one dense (N + 1)^2 solve gives both fundamental
 solutions at once.  The solution is entire in tau, so its Chebyshev
 coefficients fall faster than geometrically; N is the first size of a
 fixed ladder (33 to 513 points) whose trailing coefficients have fallen
-below min(rtol, atol), or to the rounding floor when that is larger.  The
-preset and the tongue around it need N = 32, and a = 400, q = 10 needs
-48; the solve resolves the half period to within a few rounding errors of
-its floor (about 1e-15 relative near the preset).  A fast coefficient,
+to the rounding floor, whatever rtol and atol say.  The preset and the
+tongue around it need N = 32, and a = 400, q = 10 needs 48; the solve
+resolves the half period to within a few rounding errors of its floor
+(about 1e-15 relative near the preset), so it runs once and the
+Wronskian is checked once, with no retry.  A fast coefficient,
 sqrt(|a| + 2|q|) times the interval above 64 radians, cuts the interval
 into equal panels of at most that phase, each solved from unit data and
 carried onto the end of the one before; a = 4e6, q = 0 (epsilon0 = 100,
@@ -73,9 +74,9 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .hamiltonian import CoefficientSchedule, Harmonic, UnitContext
-from .motion import (InitialConditions, IntegratorSettings, MotionFrame,
-                     _check_grid, run_monitored)
+from .motion import InitialConditions, IntegratorSettings, MotionFrame, _check_grid
 from .observables import means
+from .states import transition_probabilities
 
 # Wronskian of the fundamental pair must stay this close to 1.
 _WRONSKIAN_TOL = 1e-9
@@ -194,22 +195,19 @@ def fundamental_solutions(params: MathieuParameters, tau_grid,
     [0, end] is one Chebyshev panel unless sqrt(|a| + 2|q|) end passes 64
     radians, and then equal panels carried one onto the next.  N, the
     Chebyshev degree of a panel, is the first of _SIZES (32 to 512) whose
-    coefficients have decayed to min(rtol, atol) or to the rounding floor,
-    whichever is larger (see _panel), and whose widest node gap, under
-    pi w / (2 N) on a panel of width w, is at most settings.max_step;
-    panels are added until N = 64 can meet it.  More than 4096 panels,
-    sqrt(|a| + 2|q|) above about 1.7e5 or max_step below about 1e-5 over
-    the whole half period, raise NumericalError.  So rtol, atol and max_step
-    bound the spectral route from above and never loosen it: the defaults
-    already ask for a tail of 1e-12 relative, which in the instability
-    tongue leaves rounding error only, and tighter settings can only raise
-    N.  At tau = 0 the sample is exactly the identity.
+    coefficients have decayed to the rounding floor (see _panel) and whose
+    widest node gap, under pi w / (2 N) on a panel of width w, is at most
+    settings.max_step; panels are added until N = 64 can meet it.  Of the
+    settings only max_step is read: a solve at the rounding floor is as
+    accurate as the spectral route gets, so rtol and atol have nothing
+    left to ask for.  More than 4096 panels, sqrt(|a| + 2|q|) above about
+    1.7e5 or max_step below about 1e-5 over the whole half period, raise
+    NumericalError.  At tau = 0 the sample is exactly the identity.
 
-    The Wronskian is checked at every sample against 1 to within 1e-9;
-    a breach, or a non-finite sample once the panels or M^k overflow, is
-    retried once at 100x tighter tolerances, which raise N where the first
-    run's tolerance was above the rounding floor, and then raised as
-    NumericalError with the offending tau.
+    The Wronskian is checked once, at every sample, against 1 to within
+    1e-9.  A breach, or a non-finite sample once the panels or M^k
+    overflow, raises NumericalError at the first offending tau; there is
+    no retry, since a second solve at the floor would repeat the first.
     """
     taus = _check_grid(tau_grid)
     a, q = params.a, params.q
@@ -224,25 +222,26 @@ def fundamental_solutions(params: MathieuParameters, tau_grid,
     first = np.diff(k, prepend=-1) > 0
     periods, period_of = k[first], np.cumsum(first) - 1
 
-    def run(rtol, atol):
-        # a state too unstable for float64 overflows across the panels or in
-        # M^k; the Wronskian monitor then sees a non-finite sample and refuses it
-        with np.errstate(over="ignore", invalid="ignore"):
-            panels = _half_period(a, q, end, min(rtol, atol), settings.max_step)
-            (yc, ys), (dyc, dys) = panels[-1][2][:, -1]
-            # D Phi(pi/2)^-1 D Phi(pi/2); unused (k = 0, no reflection) below pi/2
-            monodromy = np.array([[yc * dys + ys * dyc, 2.0 * ys * dys],
-                                  [2.0 * yc * dyc, yc * dys + ys * dyc]])
-            phi = _interpolate(panels, folded)
-            phi[reflect] = (phi[reflect] * _REFLECT) @ monodromy
-            phi = phi @ _powers(monodromy, periods)[period_of]
-        return FundamentalBasis(tau=taus.copy(), yc=phi[:, 0, 0].copy(),
-                                dyc=phi[:, 1, 0].copy(), ys=phi[:, 0, 1].copy(),
-                                dys=phi[:, 1, 1].copy())
-
-    return run_monitored(run, lambda basis: np.abs(basis.wronskian() - 1.0),
-                         _WRONSKIAN_TOL, taus, settings,
-                         "Wronskian drift {worst:.3e} exceeds {limit:g}")
+    # a state too unstable for float64 overflows across the panels or in M^k;
+    # the Wronskian check then sees a non-finite sample and refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        panels = _half_period(a, q, end, settings.max_step)
+        (yc, ys), (dyc, dys) = panels[-1][2][:, -1]
+        # D Phi(pi/2)^-1 D Phi(pi/2); unused (k = 0, no reflection) below pi/2
+        monodromy = np.array([[yc * dys + ys * dyc, 2.0 * ys * dys],
+                              [2.0 * yc * dyc, yc * dys + ys * dyc]])
+        phi = _interpolate(panels, folded)
+        phi[reflect] = (phi[reflect] * _REFLECT) @ monodromy
+        phi = phi @ _powers(monodromy, periods)[period_of]
+        basis = FundamentalBasis(tau=taus.copy(), yc=phi[:, 0, 0].copy(),
+                                 dyc=phi[:, 1, 0].copy(), ys=phi[:, 0, 1].copy(),
+                                 dys=phi[:, 1, 1].copy())
+        drift = np.abs(basis.wronskian() - 1.0)
+    bad = ~(drift <= _WRONSKIAN_TOL)
+    if bad.any():
+        raise NumericalError(f"Wronskian drift {np.max(drift):.3e} exceeds {_WRONSKIAN_TOL:g}",
+                             t=float(taus[np.argmax(bad)]))
+    return basis
 
 
 @lru_cache(maxsize=4)
@@ -284,7 +283,7 @@ def _chebyshev(n: int):
     return out
 
 
-def _half_period(a: float, q: float, end: float, tol: float, max_step: float):
+def _half_period(a: float, q: float, end: float, max_step: float):
     """The fundamental matrix on [0, end], end <= pi/2, as Chebyshev panels.
 
     [0, end] is cut into equal panels, as few as keep sqrt(|a| + 2|q|) times
@@ -310,15 +309,14 @@ def _half_period(a: float, q: float, end: float, tol: float, max_step: float):
     panels = []
     for i in range(count):
         hi = end if i == count - 1 else end * (i + 1) / count
-        nodes, weights, values = _panel(a, q, end * i / count, hi, tol, min_nodes)
+        nodes, weights, values = _panel(a, q, end * i / count, hi, min_nodes)
         if panels:
             values = values @ panels[-1][2][:, -1]
         panels.append((nodes, weights, values))
     return panels
 
 
-def _panel(a: float, q: float, lo: float, hi: float, tol: float,
-           min_nodes: float):
+def _panel(a: float, q: float, lo: float, hi: float, min_nodes: float):
     """Nodes, weights and the unit-data Phi at the nodes of one panel [lo, hi].
 
     With sigma = y'' at the nodes and w = hi - lo, y = y0 + y0' (t - lo) +
@@ -331,7 +329,7 @@ def _panel(a: float, q: float, lo: float, hi: float, tol: float,
 
     n is the first size of _SIZES at or above min_nodes (or the last) whose
     coefficients have decayed: in every column of (y, y') the last _TAIL are
-    at most the largest times max(tol, rounding floor).  The floor,
+    at most the largest times the rounding floor.  The floor,
     (n + max|c| w^2) eps, is what rounding leaves in the tail of a
     resolved solve: n from the coefficient transform, the rest from a
     system whose norm is up to 1 + max|c| w^2 / 2.
@@ -355,7 +353,7 @@ def _panel(a: float, q: float, lo: float, hi: float, tol: float,
         values[1, :, 1] += 1.0
         coeffs = np.abs(to_coeffs @ values)
         floor = (n + np.abs(c).max() * width ** 2) * _EPS
-        if (coeffs[:, -_TAIL:].max(1) <= max(tol, floor) * coeffs.max(1)).all():
+        if (coeffs[:, -_TAIL:].max(1) <= floor * coeffs.max(1)).all():
             return nodes, weights, values
     raise NumericalError(f"Mathieu half period at a = {a:g}, q = {q:g} is not "
                          f"resolved by {_SIZES[-1] + 1} Chebyshev nodes on "
@@ -372,9 +370,6 @@ def _interpolate(panels, s):
     starts = [nodes[0] for nodes, _, _ in panels]
     for lo in range(0, s.size, _CHUNK):
         chunk, dest = s[lo:lo + _CHUNK], out[lo:lo + _CHUNK]
-        if len(panels) == 1:
-            dest[:] = _barycentric(*panels[0], chunk)
-            continue
         owner = np.searchsorted(starts, chunk, side="right") - 1
         for p, panel in enumerate(panels):
             mine = owner == p
@@ -431,8 +426,7 @@ def frames(cfg: DrivenOscillatorConfig, tau_grid,
     suite runs.  Frames come back in physical time t = 2 tau / omega0 with
     both phase integrals identically zero (beta = 2 delta, gamma = 0).
     """
-    taus = _check_grid(tau_grid)
-    basis = fundamental_solutions(mathieu_parameters(cfg), taus, settings)
+    basis = fundamental_solutions(mathieu_parameters(cfg), tau_grid, settings)
     f0, g0 = cfg.init.f0, cfg.init.g0
     y_start = f0 - g0
     dy_start = 2j * (f0 + g0)
@@ -440,7 +434,7 @@ def frames(cfg: DrivenOscillatorConfig, tau_grid,
     dyy = y_start * basis.dyc + dy_start * basis.dys
     xx = -0.5j * dyy
     out = []
-    for i, tau in enumerate(taus):
+    for i, tau in enumerate(basis.tau):
         f = 0.5 * (xx[i] + yy[i])
         g = 0.5 * (xx[i] - yy[i])
         out.append(MotionFrame(t=2.0 * float(tau) / cfg.omega0, f=complex(f),
@@ -460,8 +454,6 @@ def transition_snapshot(cfg: DrivenOscillatorConfig, tau: float,
                         tail_tolerance: float = 1e-10, n_max: int = 4096,
                         settings: IntegratorSettings = IntegratorSettings()):
     """Number-basis probabilities P_n of the state at one tau."""
-    from .states import transition_probabilities
-
     if tau < 0:
         raise DomainError(f"tau must be nonnegative, got {tau!r}")
     grid = np.array([0.0]) if tau == 0 else np.array([0.0, float(tau)])

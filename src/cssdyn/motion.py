@@ -102,6 +102,15 @@ class MotionFrame:
 
 @dataclass(frozen=True)
 class IntegratorSettings:
+    """Accuracy settings of the two routes to a motion frame.
+
+    evolve reads all four: rtol, atol and max_step steer DOP853, and
+    drift_threshold bounds the unitarity defect of every frame.  The
+    Mathieu route (mathieu.fundamental_solutions) reads max_step only; it
+    always solves at the rounding floor and checks the Wronskian against a
+    fixed 1e-9.
+    """
+
     rtol: float = 1e-10
     atol: float = 1e-12
     max_step: float = math.inf
@@ -203,9 +212,11 @@ def evolve(schedule: CoefficientSchedule, init: InitialConditions, grid,
     settings : IntegratorSettings
         Solver tolerances plus the unitarity drift threshold.
     enforce_drift : bool
-        When True (default), a drift breach triggers one retry at 100x
-        tighter tolerances and then NumericalError.  When False the drift is
-        only measured, which lets callers report it themselves.
+        When True (default), a unitarity defect above drift_threshold, or
+        nan, at any grid time triggers one retry at 100x tighter tolerances
+        (rtol floored at 3e-14); a second breach raises NumericalError at
+        the first offending time.  When False the first run is returned and
+        the drift is only measured, which lets callers report it themselves.
 
     Returns
     -------
@@ -246,39 +257,23 @@ def evolve(schedule: CoefficientSchedule, init: InitialConditions, grid,
         return [MotionFrame(t, f, g, varphi, p.real, p.imag)
                 for t, (f, g, varphi, p) in zip(times, states)]
 
+    frames = run(settings.rtol, settings.atol)
     if not enforce_drift:
-        return run(settings.rtol, settings.atol)
-    return run_monitored(run, lambda frames: [fr.unitarity_defect for fr in frames],
-                         settings.drift_threshold, ts, settings,
-                         "unitarity drift {worst:.3e} exceeds threshold {limit:g}")
+        return frames
 
-
-def run_monitored(run, defects, limit: float, times, settings: IntegratorSettings,
-                  breach: str):
-    """run(rtol, atol) with its accuracy invariant held at every sample.
-
-    defects(result) gives one defect per entry of times.  Should any exceed
-    limit, or fail to be finite, the run is repeated once at 100x tighter
-    tolerances (rtol floored at 3e-14); a second breach raises
-    NumericalError at the first offending time.  breach is the message,
-    formatted with the worst defect and the limit.
-    """
-
-    def breaches(result):
+    def breaches(frames):
         # an overflowed run gives inf - inf = nan, which must count as a breach
-        with np.errstate(over="ignore", invalid="ignore"):
-            defect = np.asarray(defects(result), dtype=float)
-        return defect, ~(defect <= limit)
+        defect = np.array([fr.unitarity_defect for fr in frames])
+        return defect, ~(defect <= settings.drift_threshold)
 
-    result = run(settings.rtol, settings.atol)
-    if breaches(result)[1].any():
-        result = run(max(settings.rtol / 100.0, 3e-14), settings.atol / 100.0)
-        defect, bad = breaches(result)
+    if breaches(frames)[1].any():
+        frames = run(max(settings.rtol / 100.0, 3e-14), settings.atol / 100.0)
+        defect, bad = breaches(frames)
         if bad.any():
             raise NumericalError(
-                breach.format(worst=np.max(defect), limit=limit) + " after refinement",
-                t=float(times[np.argmax(bad)]))
-    return result
+                f"unitarity drift {np.max(defect):.3e} exceeds threshold "
+                f"{settings.drift_threshold:g} after refinement", t=times[np.argmax(bad)])
+    return frames
 
 
 # ---------------------------------------------------------------------------

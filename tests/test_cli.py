@@ -293,6 +293,31 @@ def test_harmonic_overflow_exits_two(tmp_path, capsys):
     assert "k: evaluation failed" in capsys.readouterr().err
 
 
+def test_validate_with_two_points_exits_two(tmp_path, capsys):
+    cfg = write(tmp_path, "run.ini", OSCILLATOR_CONFIG.replace(
+        "num_points = 101", "num_points = 2"))
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "v.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "[integration] num_points" in err and "at least 3" in err
+
+
+@pytest.mark.parametrize("text", [
+    "[hamiltonian]\npreset = mathieu\nvarphi0_re = 0.5\n",
+    "[hamiltonian]\npreset = mathieu\n\n[initial]\nvarphi0_re = 0.5\n",
+], ids=["hamiltonian", "initial"])
+def test_preset_varphi0_part_keeps_the_other_default_part(tmp_path, text):
+    cfg = write(tmp_path, "run.ini", text)
+    rc = load_config(cfg)
+    assert rc.init.varphi0 == rc.preset.init.varphi0 == 0.5 - 1j
+
+
+def test_preset_varphi0_in_both_sections_exits_two(tmp_path, capsys):
+    cfg = write(tmp_path, "run.ini", PRESET_CONFIG.replace(
+        "preset = mathieu\n", "preset = mathieu\nvarphi0_im = 2\n\n[initial]\nvarphi0_re = 0.5\n"))
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "e.csv")]) == 2
+    assert "varphi0" in capsys.readouterr().err
+
+
 def test_configuration_problems_exit_two(tmp_path):
     missing = run_cli("evolve", "--config", str(tmp_path / "nope.ini"))
     assert missing.returncode == 2

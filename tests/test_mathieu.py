@@ -7,12 +7,11 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from cssdyn import (AlgebraicCoefficients, DomainError, DrivenOscillatorConfig,
-                    FundamentalBasis, InitialConditions, IntegratorSettings,
+                    InitialConditions, IntegratorSettings,
                     MathieuParameters, NumericalError, closed_form, evolve,
                     frames, fundamental_solutions, mathieu_parameters,
                     phase_trajectory, transition_snapshot)
 from cssdyn import mathieu
-from cssdyn.motion import run_monitored
 
 PRESET = DrivenOscillatorConfig()
 SETTINGS = IntegratorSettings()
@@ -258,13 +257,13 @@ def test_half_period_error_stays_below_tolerance(tol):
 
 
 def spy_half_period(monkeypatch):
-    """Record (tol, panels) of every Chebyshev half period solved."""
+    """Record the panels of every Chebyshev half period solved."""
     seen = []
     solve = mathieu._half_period
 
-    def spy(a, q, end, tol, max_step):
-        panels = solve(a, q, end, tol, max_step)
-        seen.append((tol, panels))
+    def spy(a, q, end, max_step):
+        panels = solve(a, q, end, max_step)
+        seen.append(panels)
         return panels
 
     monkeypatch.setattr(mathieu, "_half_period", spy)
@@ -275,7 +274,7 @@ def test_node_count_follows_the_oscillation(monkeypatch):
     seen = spy_half_period(monkeypatch)
     fundamental_solutions(PRESET_PARAMS, anchor_grid(2), SETTINGS)
     fundamental_solutions(FAST, anchor_grid(2), SETTINGS)
-    (_, [(slow, _, _)]), (_, [(fast, _, _)]) = seen
+    [(slow, _, _)], [(fast, _, _)] = seen
     assert fast.size > slow.size
 
 
@@ -284,7 +283,7 @@ def test_max_step_bounds_the_node_spacing(monkeypatch, max_step):
     seen = spy_half_period(monkeypatch)
     taus = anchor_grid(3)
     basis = fundamental_solutions(STABLE, taus, IntegratorSettings(max_step=max_step))
-    (_, panels), = seen
+    panels, = seen
     nodes = np.concatenate([nodes for nodes, _, _ in panels])
     assert nodes[0] == 0.0 and nodes[-1] == 0.5 * math.pi
     assert np.max(np.diff(nodes)) <= max_step
@@ -293,19 +292,30 @@ def test_max_step_bounds_the_node_spacing(monkeypatch, max_step):
     assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < 1e-9
 
 
-def test_retry_solves_with_more_nodes(monkeypatch):
-    # at rtol = atol = 1e-5 the 33-node half period of a = 400 breaches the
-    # Wronskian check; the retry's tighter tolerance takes 49 nodes and passes
+def test_loose_tolerances_solve_once_at_the_floor(monkeypatch):
+    # a tail of 1e-5 would take 33 nodes for a = 400 and breach the
+    # Wronskian check; the half period is solved once, at the rounding floor
     seen = spy_half_period(monkeypatch)
     params, taus = MathieuParameters(a=400.0, q=0.0), span_grid(3)
     basis = fundamental_solutions(params, taus, IntegratorSettings(rtol=1e-5, atol=1e-5))
-    (tol, [(nodes, _, _)]), (retry_tol, [(retry_nodes, _, _)]) = seen
-    assert retry_tol < tol
-    assert retry_nodes.size > nodes.size
+    [(nodes, _, _)], = seen
+    assert nodes.size >= 49
     assert np.max(np.abs(basis.wronskian() - 1.0)) < 1e-9
     want = long_integration(params, taus)
     got = np.array([basis.yc, basis.dyc, basis.ys, basis.dys])
     assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < 1e-9
+
+
+@pytest.mark.parametrize("params", [PRESET_PARAMS, STABLE, FAST,
+                                    MathieuParameters(a=225.0, q=0.0),
+                                    MathieuParameters(a=400.0, q=0.0)],
+                         ids=["preset", "stable", "fast", "a-225", "a-400"])
+def test_basis_does_not_depend_on_rtol_or_atol(params):
+    taus = span_grid(3)
+    want = fundamental_solutions(params, taus, SETTINGS)
+    got = fundamental_solutions(params, taus, IntegratorSettings(rtol=1e-5, atol=1e-5))
+    for name in ("yc", "dyc", "ys", "dys"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_panels_carry_a_fast_oscillation(monkeypatch):
@@ -315,7 +325,7 @@ def test_panels_carry_a_fast_oscillation(monkeypatch):
     a, w = 4e6, 2000.0
     taus = span_grid(2)
     basis = fundamental_solutions(MathieuParameters(a=a, q=0.0), taus, SETTINGS)
-    (_, panels), = seen
+    panels, = seen
     assert len(panels) > 1
     cos, sin = np.cos(w * taus), np.sin(w * taus)
     err = max(np.max(np.abs(basis.yc - cos)), np.max(np.abs(w * basis.ys - sin)),
@@ -357,7 +367,7 @@ def test_slow_modulation_on_a_short_grid(monkeypatch):
     times = np.linspace(0.0, 10.0, 21)
     taus = 0.5 * cfg.omega0 * times
     osc = frames(cfg, taus, SETTINGS)
-    (_, panels), = seen
+    panels, = seen
     assert panels[-1][0][-1] == taus[-1]
     generic = evolve(cfg.schedule(), cfg.init, times, SETTINGS)
     scale = max(abs(b.f) for b in generic)
@@ -384,27 +394,11 @@ def test_non_finite_tau_grid_is_refused():
         transition_snapshot(PRESET, math.inf)
 
 
-def test_overflowing_monodromy_power_raises():
+def test_overflowing_monodromy_power_raises(monkeypatch):
+    # a refused grid is solved once: the check runs once, with no retry
+    seen = spy_half_period(monkeypatch)
     with pytest.raises(NumericalError) as err:
         fundamental_solutions(PRESET_PARAMS, np.array([0.0, 3000.0]), SETTINGS)
     assert err.value.t == 3000.0
-    assert "Wronskian drift" in str(err.value)
-
-
-def test_basis_with_a_nan_never_returns():
-    taus = np.array([0.0, 1.0, 2.0])
-    calls = []
-
-    def run(rtol, atol):
-        calls.append((rtol, atol))
-        ones = np.ones(3)
-        return FundamentalBasis(tau=taus, yc=np.array([1.0, math.nan, 1.0]),
-                                dyc=0.0 * ones, ys=0.0 * ones, dys=ones)
-
-    with pytest.raises(NumericalError) as err:
-        run_monitored(run, lambda b: np.abs(b.wronskian() - 1.0), 1e-9, taus,
-                      SETTINGS, "Wronskian drift {worst:.3e} exceeds {limit:g}")
-    assert err.value.t == 1.0
-    assert str(err.value) == "Wronskian drift nan exceeds 1e-09 after refinement"
-    assert calls == [(SETTINGS.rtol, SETTINGS.atol),
-                     (max(SETTINGS.rtol / 100.0, 3e-14), SETTINGS.atol / 100.0)]
+    assert str(err.value) == "Wronskian drift nan exceeds 1e-09"
+    assert len(seen) == 1

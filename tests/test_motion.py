@@ -85,6 +85,25 @@ def test_overflowing_frame_raises_numerical_error():
         evolve(constant_schedule(alpha=461j), InitialConditions(), np.linspace(0.0, 1.0, 11))
 
 
+def test_drift_breach_retries_once_at_tighter_tolerances(monkeypatch):
+    # the overflowing frame's nan is a breach; the retry runs at 100x
+    # tighter tolerances, rtol floored at 3e-14, and breaches again
+    tolerances = []
+    integrate = cssdyn._dop853.integrate
+
+    def recording(rhs, t0, t1, y, times, rtol, atol, max_step):
+        tolerances.append((rtol, atol))
+        return integrate(rhs, t0, t1, y, times, rtol, atol, max_step)
+
+    monkeypatch.setattr(cssdyn._dop853, "integrate", recording)
+    grid = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(NumericalError) as err:
+        evolve(constant_schedule(alpha=461j), InitialConditions(), grid, TIGHT)
+    assert str(err.value) == "unitarity drift nan exceeds threshold 1e-08 after refinement"
+    assert err.value.t in grid
+    assert tolerances == [(1e-12, 1e-14), (3e-14, 1e-16)]
+
+
 def test_closed_form_with_huge_alpha_gives_a_refused_frame():
     # |alpha| ** 2 of a finite alpha past 1.3e154 raises OverflowError; squared
     # from its parts it overflows to inf and the frame fails the drift check

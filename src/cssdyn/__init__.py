@@ -14,7 +14,7 @@ from .hamiltonian import (AlgebraicCoefficients, CoefficientSchedule,
                           as_profile, to_algebraic, to_physical, validate)
 from .mathieu import (DrivenOscillatorConfig, FundamentalBasis,
                       MathieuParameters, frames, fundamental_solutions,
-                      mathieu_parameters, phase_trajectory, transition_snapshot)
+                      mathieu_parameters, transition_snapshot)
 from .motion import (InitialConditions, IntegratorSettings, MotionFrame,
                      closed_form, evolve, from_initial_width, u_of)
 from .observables import (ObservableRecord, deviations, fock_wavefunction,
@@ -37,8 +37,7 @@ __all__ = [
     "deviations", "evolve", "fock_coefficients", "fock_wavefunction",
     "frames", "from_initial_width", "fundamental_solutions",
     "hamilton_residual", "mathieu_parameters", "mean_energy", "means",
-    "normalization", "observe", "overlap", "parameters", "phase_trajectory",
-    "to_algebraic", "to_physical", "transition_probabilities",
-    "transition_snapshot", "u_of", "uncertainty", "validate",
-    "varphi_from_means", "wavefunction", "__version__",
+    "normalization", "observe", "overlap", "parameters", "to_algebraic",
+    "to_physical", "transition_probabilities", "transition_snapshot", "u_of",
+    "uncertainty", "validate", "varphi_from_means", "wavefunction", "__version__",
 ]

@@ -87,9 +87,10 @@ def integrate(rhs, t0: float, t1: float, y: tuple, times: list, rtol: float,
     step's state, any other the dense output of the step across it.
 
     Raises NumericalError, with the time where the step failed, once the
-    step size falls below 10 ulps of t.  A non-finite error norm rejects
-    the step, so a NaN state is never accepted.  Exceptions raised by rhs
-    propagate unchanged.
+    step size falls below 10 ulps of t, and at t0 when the derivative there
+    is too large for its scaled norm to size a first step.  A non-finite
+    error norm rejects the step, so a NaN state is never accepted.
+    Exceptions raised by rhs propagate unchanged.
     """
     f, g, v, p = y
     kf1, kg1, kv1, kp1 = rhs(t0, f, g, v)
@@ -344,6 +345,8 @@ def _initial_step(rhs, t0, t1, y, k, rtol, atol, max_step):
     d0, d1 = rms(y), rms(k)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
+    if not h0 > 0.0:  # d1 overflowed: the derivative sizes no first step
+        raise NumericalError(f"no first step: the derivative's norm at t = {t0!r} overflows", t=t0)
     k0 = rhs(t0 + h0, y[0] + h0 * k[0], y[1] + h0 * k[1], y[2] + h0 * k[2])
     d2 = rms([b - a for a, b in zip(k, k0)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, load_config
+from .config import RunConfig, checked, load_config
 from .errors import ConfigError, DomainError, NumericalError
 from .mathieu import frames as oscillator_frames
 from .motion import evolve
@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="position wavefunction at one time")
     _common(p)
-    p.add_argument("--time", type=float, required=True)
+    p.add_argument("--time", required=True)
     p.add_argument("--x-points", type=int, default=None,
                    help="override [output] x_points")
     p.add_argument("--x-span-sigmas", type=float, default=None,
@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _common(p)
     p.add_argument("--config2", required=True,
                    help="run configuration of the second state")
-    p.add_argument("--time", type=float, required=True)
+    p.add_argument("--time", required=True)
     p.set_defaults(run=cmd_overlap)
 
     p = sub.add_parser("validate", help="run numerical consistency checks")
@@ -86,15 +86,14 @@ def _common(p: argparse.ArgumentParser) -> None:
                    help="output CSV path (default: [output] out, else <command>.csv)")
 
 
-def _out_path(args, rc: RunConfig) -> str:
-    return args.out or rc.out or f"{args.command}.csv"
-
-
-def _write_csv(path: str, header: str, lines) -> None:
-    """Write the header and the already formatted lines, LF-terminated."""
+def _write_csv(args, rc: RunConfig, header: str, lines) -> str:
+    """Write the header and the already formatted lines, LF-terminated, to
+    --out, else [output] out, else <command>.csv; returns that path."""
+    path = args.out or rc.out or f"{args.command}.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
         fh.writelines(lines)
+    return path
 
 
 def _observed(rc: RunConfig, frame):
@@ -111,20 +110,21 @@ def _frames_on(rc: RunConfig, grid):
     return evolve(rc.schedule, rc.init, grid, rc.settings)
 
 
-def _parse_times(raw: str):
-    tokens = [tok.strip() for tok in raw.split(",") if tok.strip()]
-    if not tokens:
-        raise ConfigError("--times must list at least one time")
-    values = []
-    for tok in tokens:
-        try:
-            value = float(tok)
-        except ValueError:
-            raise ConfigError(f"--times entry {tok!r} is not a number") from None
-        if not math.isfinite(value) or value < 0:
-            raise ConfigError(f"--times entry {tok!r} must be finite and >= 0")
-        values.append(value)
-    return tokens, values
+def _time(raw: str, option: str) -> float:
+    """A time given on the command line: a finite number >= 0."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigError(f"{option}: {raw!r} is not a number") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"{option}: {raw!r} must be finite and >= 0")
+    return value
+
+
+def _option(args, rc: RunConfig, key: str):
+    """[output] key, or its command-line override held to the same bound."""
+    value = getattr(args, key)
+    return getattr(rc, key) if value is None else checked(key, value, "--" + key.replace("_", "-"))
 
 
 def _frames_at(rc: RunConfig, times):
@@ -140,8 +140,6 @@ def _single_frame(rc: RunConfig, t: float):
     The winding needs the whole path, so the grid is dense even though only
     the endpoint is reported.
     """
-    if t < 0 or not math.isfinite(t):
-        raise ConfigError(f"--time must be finite and >= 0, got {t!r}")
     grid = np.array([0.0]) if t == 0 else np.linspace(0.0, t, rc.num_points)
     frames = _frames_on(rc, grid)
     return frames[-1], branch_windings(frames)[-1]
@@ -158,15 +156,17 @@ def cmd_evolve(args) -> int:
             fr.varphi.real, fr.varphi.imag, sd.xi.real, sd.xi.imag,
             sd.zeta.real, sd.zeta.imag, rec.xbar, rec.pbar, rec.sigma_x,
             rec.sigma_p, rec.sigma_xp, rec.heisenberg, rec.sr, rec.energy))
-    path = _out_path(args, rc)
-    _write_csv(path, _EVOLVE_COLUMNS, rows)
+    path = _write_csv(args, rc, _EVOLVE_COLUMNS, rows)
     print(f"wrote {len(rows)} frames to {path}")
     return 0
 
 
 def cmd_fock(args) -> int:
     rc = load_config(args.config)
-    tokens, values = _parse_times(args.times)
+    tokens = [tok.strip() for tok in args.times.split(",") if tok.strip()]
+    if not tokens:
+        raise ConfigError("--times must list at least one time")
+    values = [_time(tok, "--times") for tok in tokens]
     by_time = _frames_at(rc, values)
     columns = {}
     for tok, value in zip(tokens, values):
@@ -177,29 +177,23 @@ def cmd_fock(args) -> int:
     row = "%d" + ",%.17g" * len(columns) + "\n"
     rows = [row % (n, *(col[n] if n < col.size else 0.0 for col in columns.values()))
             for n in range(depth)]
-    path = _out_path(args, rc)
-    _write_csv(path, ",".join(["n"] + [f"P_{tok}" for tok in columns]), rows)
+    path = _write_csv(args, rc, ",".join(["n"] + [f"P_{tok}" for tok in columns]), rows)
     print(f"wrote {depth} levels x {len(columns)} times to {path}")
     return 0
 
 
 def cmd_density(args) -> int:
     rc = load_config(args.config)
-    frame, winding = _single_frame(rc, args.time)
+    t = _time(args.time, "--time")
+    points, span = _option(args, rc, "x_points"), _option(args, rc, "x_span_sigmas")
+    frame, winding = _single_frame(rc, t)
     rec = _observed(rc, frame)
-    points = args.x_points if args.x_points is not None else rc.x_points
-    span = args.x_span_sigmas if args.x_span_sigmas is not None else rc.x_span_sigmas
-    if points < 2:
-        raise ConfigError(f"x points must be at least 2, got {points}")
-    if span <= 0:
-        raise ConfigError(f"x span must be positive, got {span}")
     xs = np.linspace(rec.xbar - span * rec.sigma_x,
                      rec.xbar + span * rec.sigma_x, points)
     psi = wavefunction(frame, xs, rc.schedule.units, winding=winding)
     rows = ["%.17g,%.17g,%.17g,%.17g\n" % (x, p.real, p.imag, abs(p) ** 2)
             for x, p in zip(xs, psi)]
-    path = _out_path(args, rc)
-    _write_csv(path, "x,re_psi,im_psi,rho", rows)
+    path = _write_csv(args, rc, "x,re_psi,im_psi,rho", rows)
     print(f"wrote {points} points at t={frame.t:.17g} to {path}")
     return 0
 
@@ -209,13 +203,13 @@ def cmd_overlap(args) -> int:
     rc2 = load_config(args.config2)
     if rc1.schedule.units != rc2.schedule.units:
         raise ConfigError("both configurations must share hbar and l")
-    frame1, winding1 = _single_frame(rc1, args.time)
-    frame2, winding2 = _single_frame(rc2, args.time)
+    t = _time(args.time, "--time")
+    frame1, winding1 = _single_frame(rc1, t)
+    frame2, winding2 = _single_frame(rc2, t)
     value = overlap(frame1, frame2, winding1=winding1, winding2=winding2)
-    path = _out_path(args, rc1)
-    _write_csv(path, "re_overlap,im_overlap,abs_overlap",
-               ["%.17g,%.17g,%.17g\n" % (value.real, value.imag, abs(value))])
-    print(f"overlap at t={args.time:.17g}: {abs(value):.12f} -> {path}")
+    path = _write_csv(args, rc1, "re_overlap,im_overlap,abs_overlap",
+                      ["%.17g,%.17g,%.17g\n" % (value.real, value.imag, abs(value))])
+    print(f"overlap at t={t:.17g}: {abs(value):.12f} -> {path}")
     return 0
 
 
@@ -277,8 +271,7 @@ def cmd_validate(args) -> int:
         failed += 0 if ok else 1
         print(f"{status} {name}: measured={measured:.6e} threshold={threshold:.6e}")
         rows.append("%s,%.17g,%.17g,%s\n" % (name, measured, threshold, status))
-    path = _out_path(args, rc)
-    _write_csv(path, "check,measured,threshold,status", rows)
+    path = _write_csv(args, rc, "check,measured,threshold,status", rows)
     print(f"{len(checks) - failed}/{len(checks)} checks passed -> {path}")
     return 1 if failed else 0
 

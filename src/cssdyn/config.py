@@ -23,12 +23,15 @@ Sections and keys (INI syntax, keys are case-sensitive, # starts a comment):
 
     [integration]
       t_max, num_points           evolution grid linspace(0, t_max, num_points)
-      rtol, atol, max_step, drift_threshold
+      rtol, atol, max_step, drift_threshold     IntegratorSettings' fields
 
     [output]
       out                         default output path (CLI --out overrides)
       tail_tolerance, n_max       number-basis truncation control
       x_points, x_span_sigmas     density grid: points across xbar +/- span*sigma_x
+
+The numbers of [integration] and [output] other than the integrator's have
+their section, type, default and bound in the _NUMBERS table below.
 
 A <name>_re / <name>_im pair with one part left out keeps that part of its
 default: 0 for f0, g0 and an explicit run's varphi0, and the preset's
@@ -42,7 +45,11 @@ A profile value is one of
     poly <c0> <c1> ...                    polynomial, ascending powers
     table <t0>:<v0> <t1>:<v1> ...         piecewise linear, no extrapolation
 
-Every parse problem raises ConfigError.
+load_config raises ConfigError for a problem of the file itself: a
+missing or unknown section or key, a malformed number or profile, a value
+outside its bound.  A value the library refuses (hbar <= 0, rtol <= 0,
+f0/g0 off the hyperboloid, ...) raises the library's DomainError, whose
+message names the field.  The command line exits 2 on either.
 """
 
 from __future__ import annotations
@@ -54,20 +61,22 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, CssdynError, DomainError
+from .errors import ConfigError, DomainError
 from .hamiltonian import (_COMPLEX_KEYS, _KEYS, CoefficientSchedule, ComplexParts,
                           Constant, Harmonic, Polynomial, Table, UnitContext, validate)
 from .mathieu import DrivenOscillatorConfig
 from .motion import InitialConditions, IntegratorSettings, from_initial_width
+from .states import N_MAX, TAIL_TOLERANCE
 
 # the preset's numbers are DrivenOscillatorConfig's fields, its start aside
 _PRESET_NUMBERS = tuple(f.name for f in fields(DrivenOscillatorConfig) if f.name != "init")
+# the integrator's keys and the units' are IntegratorSettings' and UnitContext's fields
+_SETTINGS = tuple(f.name for f in fields(IntegratorSettings))
+_UNITS = tuple(f.name for f in fields(UnitContext))
+# [initial] takes f0/g0 components or a width pair, and varphi0 with either
+_FRAME_KEYS = {"f0_re", "f0_im", "g0_re", "g0_im"}
+_WIDTH_KEYS = {"sigma_x0", "theta"}
 _VARPHI0_KEYS = {"varphi0_re", "varphi0_im"}
-_INITIAL_KEYS = {"f0_re", "f0_im", "g0_re", "g0_im", "sigma_x0", "theta",
-                 "varphi0_re", "varphi0_im"}
-_INTEGRATION_KEYS = {"t_max", "num_points", "rtol", "atol", "max_step",
-                     "drift_threshold"}
-_OUTPUT_KEYS = {"out", "tail_tolerance", "n_max", "x_points", "x_span_sigmas"}
 
 
 @dataclass(frozen=True)
@@ -116,6 +125,30 @@ def _integer(raw: str, where: str) -> int:
     return int(v)
 
 
+# The other numbers of [integration] and [output], in the order they are
+# checked: key -> (section, reader, default, bound, test of the bound).
+# A key left out takes the default; t_max has none, and only the commands
+# that need its grid ask for it.
+_NUMBERS = {
+    "t_max": ("integration", _number, None, "positive and finite", lambda v: 0 < v < math.inf),
+    "num_points": ("integration", _integer, 1001, "at least 2", lambda v: v >= 2),
+    "tail_tolerance": ("output", _number, TAIL_TOLERANCE, "in (0, 1)", lambda v: 0 < v < 1),
+    "n_max": ("output", _integer, N_MAX, "at least 2", lambda v: v >= 2),
+    "x_points": ("output", _integer, 1025, "at least 2", lambda v: v >= 2),
+    "x_span_sigmas": ("output", _number, 8.0, "positive and finite",
+                      lambda v: 0 < v < math.inf),
+}
+
+
+def checked(key: str, value, where: str):
+    """value, if it lies within the bound _NUMBERS gives key; else ConfigError
+    naming where.  The CLI's overrides of [output] numbers pass here too."""
+    _, _, _, bound, test = _NUMBERS[key]
+    if not test(value):
+        raise ConfigError(f"{where} must be {bound}, got {value!r}")
+    return value
+
+
 def _profile(raw: str, where: str):
     tokens = _unquote(raw).split()
     if not tokens:
@@ -159,6 +192,12 @@ def _complex(section: str, values, name: str, default: complex) -> complex:
     return complex(real, imag)
 
 
+def _numbers(section: str, values, keys) -> dict:
+    """The numbers a section gives for keys, by key; a key left out is absent,
+    so the class they are passed to keeps its own default."""
+    return {key: _number(values[key], f"[{section}] {key}") for key in keys if key in values}
+
+
 def _check_keys(section: str, present, allowed) -> None:
     unknown = set(present) - set(allowed)
     if unknown:
@@ -184,66 +223,36 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("missing required section [hamiltonian]")
 
     ham = cp["hamiltonian"]
-    ini = cp["initial"] if "initial" in cp else {}
-    intg = cp["integration"] if "integration" in cp else {}
-    outp = cp["output"] if "output" in cp else {}
-    _check_keys("initial", ini.keys(), _INITIAL_KEYS)
-    _check_keys("integration", intg.keys(), _INTEGRATION_KEYS)
-    _check_keys("output", outp.keys(), _OUTPUT_KEYS)
+    sections = {name: cp[name] if name in cp else {}
+                for name in ("initial", "integration", "output")}
+    for name, keys in (("initial", _FRAME_KEYS | _WIDTH_KEYS | _VARPHI0_KEYS),
+                       ("integration", _SETTINGS),
+                       ("output", ("out",))):
+        _check_keys(name, sections[name].keys(),
+                    {*keys, *(key for key, entry in _NUMBERS.items() if entry[0] == name)})
 
-    try:
-        if "preset" in ham:
-            preset, schedule, init = _load_preset(ham, ini)
-        else:
-            preset = None
-            schedule, init = _load_explicit(ham, ini)
-    except CssdynError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from None
+    if "preset" in ham:
+        preset, schedule, init = _load_preset(ham, sections["initial"])
+    else:
+        preset = None
+        schedule, init = _load_explicit(ham, sections["initial"])
 
-    settings_kwargs = {}
-    for key in ("rtol", "atol", "max_step", "drift_threshold"):
-        if key in intg:
-            settings_kwargs[key] = _number(intg[key], f"[integration] {key}")
-    try:
-        settings = IntegratorSettings(**settings_kwargs)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
-
-    t_max = _number(intg["t_max"], "[integration] t_max") if "t_max" in intg else None
-    if t_max is not None and t_max <= 0:
-        raise ConfigError(f"[integration] t_max must be positive, got {t_max}")
-    num_points = _integer(intg["num_points"], "[integration] num_points") \
-        if "num_points" in intg else 1001
-    if num_points < 2:
-        raise ConfigError("[integration] num_points must be at least 2")
-
-    tail_tolerance = _number(outp["tail_tolerance"], "[output] tail_tolerance") \
-        if "tail_tolerance" in outp else 1e-10
-    if not 0.0 < tail_tolerance < 1.0:
-        raise ConfigError("[output] tail_tolerance must lie in (0, 1)")
-    n_max = _integer(outp["n_max"], "[output] n_max") if "n_max" in outp else 4096
-    if n_max < 2:
-        raise ConfigError("[output] n_max must be at least 2")
-    x_points = _integer(outp["x_points"], "[output] x_points") if "x_points" in outp else 1025
-    if x_points < 2:
-        raise ConfigError("[output] x_points must be at least 2")
-    x_span = _number(outp["x_span_sigmas"], "[output] x_span_sigmas") \
-        if "x_span_sigmas" in outp else 8.0
-    if x_span <= 0:
-        raise ConfigError("[output] x_span_sigmas must be positive")
+    settings = IntegratorSettings(**_numbers("integration", sections["integration"], _SETTINGS))
+    numbers = {}
+    for key, (section, read, default, _, _) in _NUMBERS.items():
+        where = f"[{section}] {key}"
+        values = sections[section]
+        numbers[key] = checked(key, read(values[key], where), where) if key in values else default
+    outp = sections["output"]
     out = _unquote(outp["out"]) if "out" in outp else None
 
-    if t_max is not None:
-        problems = validate(schedule, t_max)
+    if numbers["t_max"] is not None:
+        problems = validate(schedule, numbers["t_max"])
         if problems:
             raise ConfigError("schedule invalid over [0, t_max]: " + "; ".join(problems))
 
     return RunConfig(schedule=schedule, init=init, settings=settings, preset=preset,
-                     t_max=t_max, num_points=num_points, out=out,
-                     tail_tolerance=tail_tolerance, n_max=n_max,
-                     x_points=x_points, x_span_sigmas=x_span)
+                     out=out, **numbers)
 
 
 def _load_preset(ham, ini):
@@ -254,9 +263,7 @@ def _load_preset(ham, ini):
         raise ConfigError(f"unknown preset {name!r} (available: mathieu)")
     if _VARPHI0_KEYS & set(ham.keys()) and _VARPHI0_KEYS & set(ini.keys()):
         raise ConfigError("preset: give varphi0 in [hamiltonian] or in [initial], not both")
-    numbers = {key: _number(ham[key], f"[hamiltonian] {key}")
-               for key in _PRESET_NUMBERS if key in ham}
-    base = DrivenOscillatorConfig(**numbers)  # validates positivity
+    base = DrivenOscillatorConfig(**_numbers("hamiltonian", ham, _PRESET_NUMBERS))
     varphi0 = _complex("hamiltonian", ham, "varphi0", base.init.varphi0)
     preset = replace(base, init=_load_initial(ini, base.units, varphi0))
     return preset, preset.schedule(), preset.init
@@ -266,9 +273,7 @@ def _load_explicit(ham, ini):
     if "parameterization" not in ham:
         raise ConfigError("[hamiltonian] needs either preset or parameterization")
     kind = _unquote(ham["parameterization"])
-    hbar = _number(ham["hbar"], "[hamiltonian] hbar") if "hbar" in ham else 1.0
-    l = _number(ham["l"], "[hamiltonian] l") if "l" in ham else 1.0
-    units = UnitContext(hbar=hbar, l=l)
+    units = UnitContext(**_numbers("hamiltonian", ham, _UNITS))
 
     def real_profile(key):
         return _profile(ham[key], f"[hamiltonian] {key}") if key in ham else Constant(0.0)
@@ -279,7 +284,7 @@ def _load_explicit(ham, ini):
     names = {key: (key + "_re", key + "_im") if key in _COMPLEX_KEYS else (key,)
              for key in _KEYS[kind]}
     _check_keys("hamiltonian", ham.keys(),
-                {"parameterization", "hbar", "l", *(n for pair in names.values() for n in pair)})
+                {"parameterization", *_UNITS, *(n for pair in names.values() for n in pair)})
     if kind == "physical" and "m" not in ham:
         raise ConfigError("[hamiltonian] physical parameterization needs m")
     profiles = {key: ComplexParts(*map(real_profile, pair)) if key in _COMPLEX_KEYS
@@ -289,8 +294,8 @@ def _load_explicit(ham, ini):
 
 
 def _load_initial(ini, units, default_varphi):
-    explicit = {"f0_re", "f0_im", "g0_re", "g0_im"} & set(ini.keys())
-    width = {"sigma_x0", "theta"} & set(ini.keys())
+    explicit = _FRAME_KEYS & set(ini.keys())
+    width = _WIDTH_KEYS & set(ini.keys())
     if explicit and width:
         raise ConfigError("[initial]: give either f0/g0 components or sigma_x0/theta, not both")
 
@@ -299,8 +304,8 @@ def _load_initial(ini, units, default_varphi):
     if width:
         if "sigma_x0" not in ini:
             raise ConfigError("[initial]: width style needs sigma_x0")
-        theta = _number(ini["theta"], "theta") if "theta" in ini else 0.0
-        base = from_initial_width(_number(ini["sigma_x0"], "sigma_x0"), theta, units)
+        given = _numbers("initial", ini, sorted(_WIDTH_KEYS))
+        base = from_initial_width(given["sigma_x0"], given.get("theta", 0.0), units)
         return InitialConditions(base.f0, base.g0, varphi0)
     if explicit:
         return InitialConditions(_complex("initial", ini, "f0", 0j),

@@ -75,8 +75,7 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .hamiltonian import CoefficientSchedule, Harmonic, UnitContext
 from .motion import InitialConditions, IntegratorSettings, MotionFrame, _check_grid
-from .observables import means
-from .states import transition_probabilities
+from .states import N_MAX, TAIL_TOLERANCE, transition_probabilities
 
 # Wronskian of the fundamental pair must stay this close to 1.
 _WRONSKIAN_TOL = 1e-9
@@ -125,6 +124,14 @@ class DrivenOscillatorConfig:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise DomainError(f"{name} must be finite, got {v!r}")
+        # a and q divide by m0 omega0^2, computed as mathieu_parameters does
+        try:
+            scale = self.m0 * self.omega0 ** 2
+        except OverflowError:
+            scale = math.inf
+        if not 0.0 < scale < math.inf:
+            raise DomainError(f"omega0 = {self.omega0!r} with m0 = {self.m0!r}: m0 omega0^2 "
+                              f"= {scale!r} is not a finite positive float")
 
     @property
     def length(self) -> float:
@@ -443,15 +450,8 @@ def frames(cfg: DrivenOscillatorConfig, tau_grid,
     return out
 
 
-def phase_trajectory(cfg: DrivenOscillatorConfig, tau_grid,
-                     settings: IntegratorSettings = IntegratorSettings()) -> list:
-    """Mean trajectory [(t, xbar, pbar), ...] over a tau grid."""
-    units = cfg.units
-    return [(fr.t, *means(fr, units)) for fr in frames(cfg, tau_grid, settings)]
-
-
 def transition_snapshot(cfg: DrivenOscillatorConfig, tau: float,
-                        tail_tolerance: float = 1e-10, n_max: int = 4096,
+                        tail_tolerance: float = TAIL_TOLERANCE, n_max: int = N_MAX,
                         settings: IntegratorSettings = IntegratorSettings()):
     """Number-basis probabilities P_n of the state at one tau."""
     if tau < 0:

@@ -197,7 +197,8 @@ def evolve(schedule: CoefficientSchedule, init: InitialConditions, grid,
     no step straddles a table's kink.  Between edges, and for a knot-free
     schedule over the whole horizon, it is one integration that yields the
     grid times on the way.  A step that falls below 10 ulps of t raises
-    NumericalError at that t; errors the coefficients raise (DomainError)
+    NumericalError at that t, and so does a derivative whose scaled norm
+    overflows at a step edge; errors the coefficients raise (DomainError)
     pass through unchanged.
 
     Parameters

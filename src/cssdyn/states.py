@@ -31,6 +31,10 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .motion import MotionFrame
 
+# Default truncation control of every number-basis expansion: the certified
+# tail bound and the deepest level tried.
+TAIL_TOLERANCE = 1e-10
+N_MAX = 4096
 # Geometric tail certification window: this many consecutive pair-sum ratios
 # must sit below 1 before a truncation is accepted.
 _WINDOW = 16
@@ -120,8 +124,8 @@ def normalization(frame: MotionFrame, winding: int = 0) -> complex:
     return complex(root * np.exp(exponent))
 
 
-def fock_coefficients(frame: MotionFrame, tail_tolerance: float = 1e-10,
-                      n_max: int = 4096, winding: int = 0) -> FockDistribution:
+def fock_coefficients(frame: MotionFrame, tail_tolerance: float = TAIL_TOLERANCE,
+                      n_max: int = N_MAX, winding: int = 0) -> FockDistribution:
     """Number-basis coefficients c_0..c_N with a certified geometric tail.
 
     The reduced coefficients d_n = (-1)^n (g/2f)^(n/2) H_n(varphi/sqrt(2gf)) / sqrt(n!)
@@ -149,8 +153,8 @@ def fock_coefficients(frame: MotionFrame, tail_tolerance: float = 1e-10,
                             truncation=top, tail_bound=bound)
 
 
-def transition_probabilities(frame: MotionFrame, tail_tolerance: float = 1e-10,
-                             n_max: int = 4096) -> np.ndarray:
+def transition_probabilities(frame: MotionFrame, tail_tolerance: float = TAIL_TOLERANCE,
+                             n_max: int = N_MAX) -> np.ndarray:
     """P_n = |c_n|^2 for n up to the certified truncation; branch-independent.
 
     The same expansion and truncation rule as fock_coefficients, whose

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from cssdyn import CoefficientSchedule, MotionFrame, Table, UnitContext
+from cssdyn import (CoefficientSchedule, IntegratorSettings, MotionFrame, Table,
+                    UnitContext, frames, means)
 
 
 def hyperboloid_frame(rng, zeta_max=0.9, displacement=1.0, t=0.0):
@@ -45,3 +46,8 @@ def kinked_schedule(wrap=lambda profile: profile):
     V = Table((0.0, 0.7, 1.3, 3.0), (0.1, -0.2, 0.3, 0.0))
     return CoefficientSchedule.physical(UnitContext(), m=1.0, k=wrap(k), F=wrap(F),
                                         V=wrap(V), Omega=0.1)
+
+
+def mean_path(cfg, taus, settings=IntegratorSettings()):
+    """(t, xbar, pbar) at each tau, from the Mathieu route's frames."""
+    return [(fr.t, *means(fr, cfg.units)) for fr in frames(cfg, taus, settings)]

@@ -18,10 +18,10 @@ from cssdyn import (AlgebraicCoefficients, CoefficientSchedule,
                     IntegratorSettings, MotionFrame, UnitContext, closed_form,
                     evolve, fock_coefficients, fock_wavefunction, frames,
                     fundamental_solutions, hamilton_residual,
-                    mathieu_parameters, observe, overlap, phase_trajectory,
+                    mathieu_parameters, observe, overlap,
                     transition_probabilities, uncertainty, wavefunction)
 
-from helpers import hyperboloid_frame, poisson_reference
+from helpers import hyperboloid_frame, mean_path, poisson_reference
 
 REPORT = []
 
@@ -110,11 +110,11 @@ def test_mathieu_route_against_generic_route():
 
 @criterion(5, "phase-space anchors and the closed orbit")
 def test_trajectory_anchors_and_period():
-    pts = phase_trajectory(PRESET, np.linspace(0.0, 2.0, 21))
+    pts = mean_path(PRESET, np.linspace(0.0, 2.0, 21))
     _, x0, p0 = pts[0]
     p_gap = abs(p0 - math.sqrt(20.0))
     quiet = DrivenOscillatorConfig(eta0=0.0)
-    orbit = phase_trajectory(quiet, np.linspace(0.0, 10.0 * math.pi, 401))
+    orbit = mean_path(quiet, np.linspace(0.0, 10.0 * math.pi, 401))
     closure = math.hypot(orbit[-1][1] - orbit[0][1], orbit[-1][2] - orbit[0][2])
     ok = x0 == 0.0 and p_gap < 1e-12 and closure < 1e-6
     return ok, (f"xbar(0) = {x0!r}, |pbar(0) - sqrt(20)| = {p_gap:.1e}, "

@@ -1,6 +1,7 @@
 """End-to-end command runs: CSV shape, determinism, exit codes."""
 
 import math
+import re
 import subprocess
 import sys
 
@@ -385,3 +386,80 @@ num_points = 11
                    "--out", str(tmp_path / "f.csv"))
     assert proc.returncode == 3
     assert "tail" in proc.stderr
+
+
+def test_numbers_take_their_defaults(tmp_path):
+    rc = load_config(write(tmp_path, "run.ini", "[hamiltonian]\npreset = mathieu\n"))
+    assert (rc.t_max, rc.num_points, rc.tail_tolerance, rc.n_max, rc.x_points,
+            rc.x_span_sigmas, rc.out) == (None, 1001, 1e-10, 4096, 1025, 8.0, None)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("integration", "t_max", "0"),
+    ("integration", "num_points", "1"),
+    ("output", "tail_tolerance", "0"),
+    ("output", "tail_tolerance", "1"),
+    ("output", "n_max", "1"),
+    ("output", "x_points", "1"),
+    ("output", "x_span_sigmas", "0"),
+])
+def test_number_just_outside_its_bound_exits_two(tmp_path, capsys, section, key, value):
+    if section == "integration":
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", OSCILLATOR_CONFIG, flags=re.M)
+    else:
+        text = OSCILLATOR_CONFIG + f"\n[output]\n{key} = {value}\n"
+    cfg = write(tmp_path, "run.ini", text)
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "e.csv")]) == 2
+    assert f"[{section}] {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--x-points", "1"), ("--x-span-sigmas", "0"), ("--x-span-sigmas", "inf"),
+])
+def test_density_override_outside_its_bound_exits_two(tmp_path, capsys, option, value):
+    # the overrides are held to the bounds of [output] x_points / x_span_sigmas
+    cfg = write(tmp_path, "run.ini", OSCILLATOR_CONFIG)
+    assert main(["density", "--config", cfg, "--time", "0.5", option, value,
+                 "--out", str(tmp_path / "d.csv")]) == 2
+    assert option in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("density", "--time", "-1"),
+    ("density", "--time", "abc"),
+    ("overlap", "--time", "inf"),
+    ("fock", "--times", "0,-1"),
+    ("fock", "--times", "0,nan"),
+])
+def test_time_outside_its_bound_exits_two(tmp_path, capsys, command, option, value):
+    cfg = write(tmp_path, "run.ini", OSCILLATOR_CONFIG)
+    second = ["--config2", cfg] if command == "overlap" else []
+    assert main([command, "--config", cfg, *second, option, value,
+                 "--out", str(tmp_path / "o.csv")]) == 2
+    assert option in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    (OSCILLATOR_CONFIG.replace("m = 1.0", "m = 1.0\nhbar = -1"), "hbar must be"),
+    (OSCILLATOR_CONFIG + "rtol = 0\n", "rtol must be positive"),
+    (OSCILLATOR_CONFIG.replace("varphi0_re = -1.0", "f0_re = 1.0\ng0_re = 0.5"),
+     "|f0|^2 - |g0|^2 must equal 1"),
+], ids=["hbar", "rtol", "hyperboloid"])
+def test_library_refusal_at_load_exits_two(tmp_path, capsys, text, message):
+    cfg = write(tmp_path, "run.ini", text)
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "e.csv")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_preset_scale_off_the_floats_exits_two(tmp_path, capsys):
+    # omega0 ** 2 overflows: refused at load, not a traceback from the route
+    cfg = write(tmp_path, "run.ini", PRESET_CONFIG.replace(
+        "preset = mathieu\n", "preset = mathieu\nomega0 = 1e200\n"))
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "e.csv")]) == 2
+    assert "omega0" in capsys.readouterr().err
+
+
+def test_overflowing_first_derivative_exits_three(tmp_path, capsys):
+    cfg = write(tmp_path, "run.ini", OSCILLATOR_CONFIG.replace("k = 1.0", "k = 1e300"))
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "e.csv")]) == 3
+    assert "first step" in capsys.readouterr().err

@@ -417,6 +417,16 @@ def test_step_below_ten_ulps_raises_where_it_failed():
     assert 1.0 - 1e-12 < err.value.t <= 1.0
 
 
+@pytest.mark.parametrize("k", [1e290, 1e300])
+def test_overflowing_first_derivative_raises_at_the_start(k):
+    # the scaled norm of the derivative at t = 0 overflows, which leaves no
+    # first step to size: a numerical failure there, not a ZeroDivisionError
+    sched = CoefficientSchedule.physical(UNITS, m=1.0, k=k)
+    with pytest.raises(NumericalError, match="first step") as err:
+        evolve(sched, InitialConditions(), np.linspace(0.0, 1.0, 11))
+    assert err.value.t == 0.0
+
+
 def test_coefficient_errors_propagate_unchanged():
     # beta turns complex past t = 1: the compiled evaluator's hermiticity check
     sched = CoefficientSchedule.algebraic(

@@ -251,19 +251,21 @@ def test_unmodulated_route_matches_closed_form(a):
     assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < 1e-13
 
 
-def test_half_period_error_stays_below_tolerance():
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+def test_half_period_error_stays_below_tolerance(tol):
     # a = 225, q = 0: at 33 nodes the Chebyshev tail is about 5e-10 and the
     # error about 3e-12, so the floor solve must take more nodes; the route
-    # reads neither rtol nor atol, so one bound at 1e-12 covers it
-    tol = 1e-12
+    # reads neither rtol nor atol, so a loose tolerance still gets the floor
+    # and both cases are held to the 1e-12 bound
     taus = np.linspace(0.0, 0.5 * math.pi, 201)
-    basis = fundamental_solutions(MathieuParameters(a=225.0, q=0.0), taus, SETTINGS)
+    basis = fundamental_solutions(MathieuParameters(a=225.0, q=0.0), taus,
+                                  IntegratorSettings(rtol=tol, atol=tol))
     w = 15.0
     cos, sin = np.cos(w * taus), np.sin(w * taus)
     # each column against the closed form, in units of its own scale
     err = max(np.max(np.abs(basis.yc - cos)), np.max(np.abs(w * basis.ys - sin)),
               np.max(np.abs(basis.dyc / w + sin)), np.max(np.abs(basis.dys - cos)))
-    assert err < tol
+    assert err < 1e-12
 
 
 def spy_half_period(monkeypatch):

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, checked, load_config
+from .config import RunConfig, load_config, read_number
 from .errors import ConfigError, DomainError, NumericalError
 from .mathieu import frames as oscillator_frames
 from .motion import evolve
@@ -61,10 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="position wavefunction at one time")
     _common(p)
     p.add_argument("--time", required=True)
-    p.add_argument("--x-points", type=int, default=None,
-                   help="override [output] x_points")
-    p.add_argument("--x-span-sigmas", type=float, default=None,
-                   help="override [output] x_span_sigmas")
+    p.add_argument("--x-points", help="override [output] x_points")
+    p.add_argument("--x-span-sigmas", help="override [output] x_span_sigmas")
     p.set_defaults(run=cmd_density)
 
     p = sub.add_parser("overlap", help="inner product of two evolved states")
@@ -110,21 +108,10 @@ def _frames_on(rc: RunConfig, grid):
     return evolve(rc.schedule, rc.init, grid, rc.settings)
 
 
-def _time(raw: str, option: str) -> float:
-    """A time given on the command line: a finite number >= 0."""
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"{option}: {raw!r} is not a number") from None
-    if not (math.isfinite(value) and value >= 0):
-        raise ConfigError(f"{option}: {raw!r} must be finite and >= 0")
-    return value
-
-
 def _option(args, rc: RunConfig, key: str):
-    """[output] key, or its command-line override held to the same bound."""
-    value = getattr(args, key)
-    return getattr(rc, key) if value is None else checked(key, value, "--" + key.replace("_", "-"))
+    """[output] key, or its command-line override read as the file reads it."""
+    raw = getattr(args, key)
+    return getattr(rc, key) if raw is None else read_number(key, raw, "--" + key.replace("_", "-"))
 
 
 def _frames_at(rc: RunConfig, times):
@@ -166,7 +153,7 @@ def cmd_fock(args) -> int:
     tokens = [tok.strip() for tok in args.times.split(",") if tok.strip()]
     if not tokens:
         raise ConfigError("--times must list at least one time")
-    values = [_time(tok, "--times") for tok in tokens]
+    values = [read_number("time", tok, "--times") for tok in tokens]
     by_time = _frames_at(rc, values)
     columns = {}
     for tok, value in zip(tokens, values):
@@ -184,7 +171,7 @@ def cmd_fock(args) -> int:
 
 def cmd_density(args) -> int:
     rc = load_config(args.config)
-    t = _time(args.time, "--time")
+    t = read_number("time", args.time, "--time")
     points, span = _option(args, rc, "x_points"), _option(args, rc, "x_span_sigmas")
     frame, winding = _single_frame(rc, t)
     rec = _observed(rc, frame)
@@ -203,7 +190,7 @@ def cmd_overlap(args) -> int:
     rc2 = load_config(args.config2)
     if rc1.schedule.units != rc2.schedule.units:
         raise ConfigError("both configurations must share hbar and l")
-    t = _time(args.time, "--time")
+    t = read_number("time", args.time, "--time")
     frame1, winding1 = _single_frame(rc1, t)
     frame2, winding2 = _single_frame(rc2, t)
     value = overlap(frame1, frame2, winding1=winding1, winding2=winding2)
@@ -274,7 +261,3 @@ def cmd_validate(args) -> int:
     path = _write_csv(args, rc, "check,measured,threshold,status", rows)
     print(f"{len(checks) - failed}/{len(checks)} checks passed -> {path}")
     return 1 if failed else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

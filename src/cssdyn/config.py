@@ -31,7 +31,13 @@ Sections and keys (INI syntax, keys are case-sensitive, # starts a comment):
       x_points, x_span_sigmas     density grid: points across xbar +/- span*sigma_x
 
 The numbers of [integration] and [output] other than the integrator's have
-their section, type, default and bound in the _NUMBERS table below.
+their section, type, default and bound in the _NUMBERS table below.  The
+table also reads the command line's numbers with the same grammar: density's
+--x-points and --x-span-sigmas by their keys' entries, and --time and each
+--times entry by a time entry (finite, >= 0) that no file can set.
+
+No other section exists: [DEFAULT] is not special here, so it is refused as
+an unknown section rather than merged into the others.
 
 A <name>_re / <name>_im pair with one part left out keeps that part of its
 default: 0 for f0, g0 and an explicit run's varphi0, and the preset's
@@ -126,9 +132,10 @@ def _integer(raw: str, where: str) -> int:
 
 
 # The other numbers of [integration] and [output], in the order they are
-# checked: key -> (section, reader, default, bound, test of the bound).
-# A key left out takes the default; t_max has none, and only the commands
-# that need its grid ask for it.
+# checked, and the command line's times: key -> (section, reader, default,
+# bound, test of the bound).  A key left out takes the default; t_max has
+# none, and only the commands that need its grid ask for it.  No file sets
+# time, which has no section.
 _NUMBERS = {
     "t_max": ("integration", _number, None, "positive and finite", lambda v: 0 < v < math.inf),
     "num_points": ("integration", _integer, 1001, "at least 2", lambda v: v >= 2),
@@ -137,13 +144,16 @@ _NUMBERS = {
     "x_points": ("output", _integer, 1025, "at least 2", lambda v: v >= 2),
     "x_span_sigmas": ("output", _number, 8.0, "positive and finite",
                       lambda v: 0 < v < math.inf),
+    "time": (None, _number, None, "at least 0", lambda v: v >= 0),
 }
 
 
-def checked(key: str, value, where: str):
-    """value, if it lies within the bound _NUMBERS gives key; else ConfigError
-    naming where.  The CLI's overrides of [output] numbers pass here too."""
-    _, _, _, bound, test = _NUMBERS[key]
+def read_number(key: str, raw: str, where: str):
+    """raw read by key's reader in _NUMBERS and held to its bound; else
+    ConfigError naming where.  The file's numbers, the command line's
+    overrides of [output] numbers and its times all pass here."""
+    _, read, _, bound, test = _NUMBERS[key]
+    value = read(raw, where)
     if not test(value):
         raise ConfigError(f"{where} must be {bound}, got {value!r}")
     return value
@@ -205,7 +215,9 @@ def _check_keys(section: str, present, allowed) -> None:
 
 
 def load_config(path: str) -> RunConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    # no section name is empty, so [DEFAULT] is an ordinary, unknown section
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None,
+                                   default_section="")
     cp.optionxform = str  # keys are case-sensitive (Omega vs omega0)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -238,11 +250,9 @@ def load_config(path: str) -> RunConfig:
         schedule, init = _load_explicit(ham, sections["initial"])
 
     settings = IntegratorSettings(**_numbers("integration", sections["integration"], _SETTINGS))
-    numbers = {}
-    for key, (section, read, default, _, _) in _NUMBERS.items():
-        where = f"[{section}] {key}"
-        values = sections[section]
-        numbers[key] = checked(key, read(values[key], where), where) if key in values else default
+    numbers = {key: read_number(key, sections[section][key], f"[{section}] {key}")
+               if key in sections[section] else default
+               for key, (section, _, default, _, _) in _NUMBERS.items() if section}
     outp = sections["output"]
     out = _unquote(outp["out"]) if "out" in outp else None
 

@@ -440,14 +440,10 @@ def frames(cfg: DrivenOscillatorConfig, tau_grid,
     yy = y_start * basis.yc + dy_start * basis.ys
     dyy = y_start * basis.dyc + dy_start * basis.dys
     xx = -0.5j * dyy
-    out = []
-    for i, tau in enumerate(basis.tau):
-        f = 0.5 * (xx[i] + yy[i])
-        g = 0.5 * (xx[i] - yy[i])
-        out.append(MotionFrame(t=2.0 * float(tau) / cfg.omega0, f=complex(f),
-                               g=complex(g), varphi=cfg.init.varphi0,
-                               phase_phi=0.0, phase_vartheta=0.0))
-    return out
+    t, f, g = 2.0 * basis.tau / cfg.omega0, 0.5 * (xx + yy), 0.5 * (xx - yy)
+    return [MotionFrame(t=ti, f=fi, g=gi, varphi=cfg.init.varphi0,
+                        phase_phi=0.0, phase_vartheta=0.0)
+            for ti, fi, gi in zip(t.tolist(), f.tolist(), g.tolist())]
 
 
 def transition_snapshot(cfg: DrivenOscillatorConfig, tau: float,

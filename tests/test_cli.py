@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from cssdyn import evolve, hamilton_residual, observe, overlap, transition_probabilities
+from cssdyn import (evolve, from_initial_width, hamilton_residual, observe, overlap,
+                    transition_probabilities)
 from cssdyn.cli import main
 from cssdyn.config import load_config
 
@@ -463,3 +464,72 @@ def test_overflowing_first_derivative_exits_three(tmp_path, capsys):
     cfg = write(tmp_path, "run.ini", OSCILLATOR_CONFIG.replace("k = 1.0", "k = 1e300"))
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "e.csv")]) == 3
     assert "first step" in capsys.readouterr().err
+
+
+def test_default_section_is_an_unknown_section(tmp_path, capsys):
+    # configparser would copy [DEFAULT] into every section; the grammar has
+    # exactly its four sections, so the header is refused under its own name
+    cfg = write(tmp_path, "run.ini", "[DEFAULT]\nt_max = 1.0\n\n" + PRESET_CONFIG)
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "e.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "DEFAULT" in err and "[hamiltonian]" not in err
+
+
+@pytest.mark.parametrize("text, section", [
+    (OSCILLATOR_CONFIG + "time = 1.0\n", "integration"),
+    (OSCILLATOR_CONFIG + "\n[output]\ntime = 1.0\n", "output"),
+], ids=["integration", "output"])
+def test_no_file_sets_the_command_line_time(tmp_path, capsys, text, section):
+    cfg = write(tmp_path, "run.ini", text)
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "e.csv")]) == 2
+    assert f"[{section}]: unknown keys ['time']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, rows", [("801.0", 801), ("8e2", 800)])
+def test_x_points_flag_reads_numbers_as_the_file_does(tmp_path, value, rows):
+    by_flag, by_key = tmp_path / "flag.csv", tmp_path / "key.csv"
+    cfg = write(tmp_path, "run.ini", OSCILLATOR_CONFIG)
+    assert main(["density", "--config", cfg, "--time", "0.5", "--x-points", value,
+                 "--out", str(by_flag)]) == 0
+    assert len(by_flag.read_text().splitlines()) == rows + 1
+    keyed = write(tmp_path, "keyed.ini", OSCILLATOR_CONFIG + f"\n[output]\nx_points = {value}\n")
+    assert main(["density", "--config", keyed, "--time", "0.5", "--out", str(by_key)]) == 0
+    assert by_flag.read_bytes() == by_key.read_bytes()
+
+
+@pytest.mark.parametrize("key, accepted", [
+    ("x_points", {"801.0", "8e2"}), ("x_span_sigmas", {"801.0", "8e2", "1"}),
+], ids=["x_points", "x_span_sigmas"])
+@pytest.mark.parametrize("value", ["801.0", "8e2", "1", "0", "inf", "abc"])
+def test_flag_and_key_accept_and_refuse_alike(tmp_path, capsys, key, accepted, value):
+    option = "--" + key.replace("_", "-")
+    cfg = write(tmp_path, "run.ini", OSCILLATOR_CONFIG)
+    keyed = write(tmp_path, "keyed.ini", OSCILLATOR_CONFIG + f"\n[output]\n{key} = {value}\n")
+    density = ["density", "--time", "0.5", "--out", str(tmp_path / "d.csv")]
+    flag_code = main([*density, "--config", cfg, option, value])
+    flag_err = capsys.readouterr().err
+    key_code = main([*density, "--config", keyed])
+    key_err = capsys.readouterr().err
+    assert flag_code == key_code == (0 if value in accepted else 2)
+    if value not in accepted:
+        assert option in flag_err and f"[output] {key}" in key_err
+
+
+WIDTH_CONFIG = OSCILLATOR_CONFIG.replace(
+    "varphi0_re = -1.0", "sigma_x0 = 0.4\ntheta = 0.3\nvarphi0_re = -1.0\nvarphi0_im = 0.25")
+
+
+def test_width_style_start(tmp_path):
+    rc = load_config(write(tmp_path, "run.ini", WIDTH_CONFIG))
+    base = from_initial_width(0.4, 0.3, rc.schedule.units)
+    assert (rc.init.f0, rc.init.g0, rc.init.varphi0) == (base.f0, base.g0, -1.0 + 0.25j)
+
+
+@pytest.mark.parametrize("text, message", [
+    (WIDTH_CONFIG.replace("sigma_x0 = 0.4\n", ""), "sigma_x0"),
+    (WIDTH_CONFIG.replace("theta = 0.3\n", "f0_re = 1.0\n"), "not both"),
+], ids=["theta-alone", "width-and-f0"])
+def test_width_style_misuse_exits_two(tmp_path, capsys, text, message):
+    cfg = write(tmp_path, "run.ini", text)
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "e.csv")]) == 2
+    assert message in capsys.readouterr().err

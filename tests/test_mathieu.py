@@ -75,6 +75,23 @@ def test_frames_start_from_initial_data():
     assert fr.varphi == PRESET.init.varphi0
 
 
+def test_frames_are_the_per_sample_arithmetic():
+    # frames maps the basis to (t, f, g) on whole arrays; the loop over
+    # samples it replaced is the reference, bit for bit
+    cfg = DrivenOscillatorConfig(init=InitialConditions(
+        math.cosh(0.4), math.sinh(0.4) * complex(math.cos(0.7), math.sin(0.7)), 0.5 - 1j))
+    taus = np.linspace(0.0, 20.0, 257)
+    basis = fundamental_solutions(mathieu_parameters(cfg), taus, SETTINGS)
+    y0, dy0 = cfg.init.f0 - cfg.init.g0, 2j * (cfg.init.f0 + cfg.init.g0)
+    yy = y0 * basis.yc + dy0 * basis.ys
+    xx = -0.5j * (y0 * basis.dyc + dy0 * basis.dys)
+    got = frames(cfg, taus, SETTINGS)
+    for i, tau in enumerate(basis.tau):
+        assert got[i].t == 2.0 * float(tau) / cfg.omega0
+        assert got[i].f == complex(0.5 * (xx[i] + yy[i]))
+        assert got[i].g == complex(0.5 * (xx[i] - yy[i]))
+
+
 def test_unmodulated_frames_match_constant_coefficients():
     cfg = DrivenOscillatorConfig(eta0=0.0)
     taus = np.linspace(0.0, 8.0, 33)

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, load_config, read_number
+from .config import RunConfig, _unquote, load_config, read_number
 from .errors import ConfigError, DomainError, NumericalError
 from .mathieu import frames as oscillator_frames
 from .motion import evolve
@@ -114,13 +114,6 @@ def _option(args, rc: RunConfig, key: str):
     return getattr(rc, key) if raw is None else read_number(key, raw, "--" + key.replace("_", "-"))
 
 
-def _frames_at(rc: RunConfig, times):
-    """Map {time: frame} for arbitrary nonnegative times (0 is always run)."""
-    grid = sorted(set(times) | {0.0})
-    frames = _frames_on(rc, np.array(grid))
-    return dict(zip(grid, frames))
-
-
 def _single_frame(rc: RunConfig, t: float):
     """Frame at one time plus the f-branch winding accumulated since t=0.
 
@@ -153,18 +146,18 @@ def cmd_fock(args) -> int:
     tokens = [tok.strip() for tok in args.times.split(",") if tok.strip()]
     if not tokens:
         raise ConfigError("--times must list at least one time")
-    values = [read_number("time", tok, "--times") for tok in tokens]
-    by_time = _frames_at(rc, values)
-    columns = {}
-    for tok, value in zip(tokens, values):
-        if tok not in columns:
-            columns[tok] = transition_probabilities(
-                by_time[value], rc.tail_tolerance, rc.n_max)
-    depth = max(col.size for col in columns.values())
+    # one column per distinct time, named by its first token without quotes
+    names = {}
+    for tok in tokens:
+        names.setdefault(read_number("time", tok, "--times"), _unquote(tok))
+    grid = sorted(set(names) | {0.0})  # a run starts at t = 0
+    by_time = dict(zip(grid, _frames_on(rc, np.array(grid))))
+    columns = [transition_probabilities(by_time[t], rc.tail_tolerance, rc.n_max) for t in names]
+    depth = max(col.size for col in columns)
     row = "%d" + ",%.17g" * len(columns) + "\n"
-    rows = [row % (n, *(col[n] if n < col.size else 0.0 for col in columns.values()))
+    rows = [row % (n, *(col[n] if n < col.size else 0.0 for col in columns))
             for n in range(depth)]
-    path = _write_csv(args, rc, ",".join(["n"] + [f"P_{tok}" for tok in columns]), rows)
+    path = _write_csv(args, rc, "n," + ",".join("P_" + name for name in names.values()), rows)
     print(f"wrote {depth} levels x {len(columns)} times to {path}")
     return 0
 

@@ -477,15 +477,18 @@ def validate(schedule: CoefficientSchedule, horizon: float) -> list:
     Returns a list of strings, empty when the schedule is usable: every
     coefficient evaluates through the checked reading the compiled
     evaluator uses (so it respects hermiticity, and the mass is finite and
-    nonzero) and is finite.  Each coefficient gets at most one diagnostic,
-    naming it and the first time it fails.  No exception escapes; problems
-    become diagnostics.
+    nonzero) and is finite, and the mass keeps one sign from sample to
+    sample, since a mass that crosses zero between two samples makes 1/m
+    singular there.  Each coefficient gets at most one diagnostic, naming
+    it and the first time it fails.  No exception escapes; problems become
+    diagnostics.
     """
     if not (math.isfinite(horizon) and horizon >= 0):
         return [f"horizon must be finite and nonnegative, got {horizon!r}"]
     diagnostics = []
     grid = np.linspace(0.0, horizon, _VALIDATE_SAMPLES).tolist()
     for key, read, profile in _readings(schedule):
+        last = None  # the time and sign of the mass's previous sample
         for t in grid:
             try:
                 value = read(profile(t))
@@ -495,4 +498,9 @@ def validate(schedule: CoefficientSchedule, horizon: float) -> list:
             if not cmath.isfinite(value):
                 diagnostics.append(f"{key}: non-finite value {value!r} at t={t:.6g}")
                 break
+            if key == "m":
+                if last and (value > 0) != last[1]:
+                    diagnostics.append(f"m: changes sign between t={last[0]:.6g} and t={t:.6g}")
+                    break
+                last = t, value > 0
     return diagnostics

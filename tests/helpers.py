@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 
-from cssdyn import (CoefficientSchedule, IntegratorSettings, MotionFrame, Table,
-                    UnitContext, frames, means)
+from cssdyn import (CoefficientSchedule, DomainError, IntegratorSettings, MotionFrame,
+                    Table, UnitContext, frames, means)
 
 
 def hyperboloid_frame(rng, zeta_max=0.9, displacement=1.0, t=0.0):
@@ -51,3 +51,40 @@ def kinked_schedule(wrap=lambda profile: profile):
 def mean_path(cfg, taus, settings=IntegratorSettings()):
     """(t, xbar, pbar) at each tau, from the Mathieu route's frames."""
     return [(fr.t, *means(fr, cfg.units)) for fr in frames(cfg, taus, settings)]
+
+
+def physical_residual(records, schedule):
+    """hamilton_residual's (res_x, res_p) computed in the (x, p) form, point by
+    point through physical_at: the worst interior violations of
+
+        dxbar/dt = pbar/m + Omega xbar + V
+        dpbar/dt = -k xbar - Omega pbar - F
+
+    with the same grid and knot-stencil rules.  An oracle for the library's
+    (a, a†) form; it needs a finite mass at every interior point.
+    """
+    recs = list(records)
+    if len(recs) < 3:
+        raise DomainError("hamilton_residual needs at least 3 records")
+    ts = np.array([r.t for r in recs], dtype=float)
+    steps = np.diff(ts)
+    h = steps[0]
+    if h <= 0 or np.max(np.abs(steps - h)) > 1e-8 * max(abs(h), 1.0):
+        raise DomainError("records must sit on a uniformly spaced, increasing grid")
+    xb = np.array([r.xbar for r in recs])
+    pb = np.array([r.pbar for r in recs])
+    knots = np.asarray(schedule.knots(), dtype=float)
+    kinked = (np.searchsorted(knots, ts[2:], side="left")
+              > np.searchsorted(knots, ts[:-2], side="right"))
+    interior = np.flatnonzero(~kinked) + 1
+    if interior.size == 0:
+        interior = range(1, len(recs) - 1)
+    res_x = 0.0
+    res_p = 0.0
+    for i in interior:
+        phys = schedule.physical_at(float(ts[i]))
+        dx = (xb[i + 1] - xb[i - 1]) / (2.0 * h)
+        dp = (pb[i + 1] - pb[i - 1]) / (2.0 * h)
+        res_x = max(res_x, abs(dx - (pb[i] / phys.m + phys.Omega * xb[i] + phys.V)))
+        res_p = max(res_p, abs(dp + phys.k * xb[i] + phys.Omega * pb[i] + phys.F))
+    return res_x, res_p

@@ -1,9 +1,10 @@
 """End-to-end command runs: CSV shape, determinism, exit codes."""
 
+import contextlib
+import io
 import math
 import re
-import subprocess
-import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,9 +43,16 @@ num_points = 101
 """
 
 
-def run_cli(*args, cwd=None):
-    return subprocess.run([sys.executable, "-m", "cssdyn", *args],
-                          capture_output=True, text=True, cwd=cwd)
+def run_cli(*args):
+    """cli.main run in this process: its exit code (argparse's SystemExit
+    included) and what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return SimpleNamespace(returncode=code, stdout=out.getvalue(), stderr=err.getvalue())
 
 
 def write(tmp_path, name, text):
@@ -114,6 +122,18 @@ def test_fock_table(tmp_path):
         assert abs(np.sum(p) - 1.0) < 2e-10
 
 
+def test_fock_columns_are_distinct_times(tmp_path):
+    # 5e-1 is the time 0.5 again; a quoted time is named without its quotes
+    cfg = write(tmp_path, "run.ini", PRESET_CONFIG)
+    out, plain = tmp_path / "fock.csv", tmp_path / "plain.csv"
+    proc = run_cli("fock", "--config", cfg, "--times", "0.5,5e-1,'0.25'", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text().splitlines()[0] == "n,P_0.5,P_0.25"
+    assert run_cli("fock", "--config", cfg, "--times", "0.5,0.25",
+                   "--out", str(plain)).returncode == 0
+    assert out.read_bytes() == plain.read_bytes()
+
+
 def test_density_profile(tmp_path):
     cfg = write(tmp_path, "run.ini", PRESET_CONFIG)
     out = tmp_path / "density.csv"
@@ -159,6 +179,44 @@ def test_validate_passes_on_sound_configuration(tmp_path):
     assert len(lines) == 5
     assert all(line.endswith("PASS") for line in lines[1:])
     assert proc.stdout.count("PASS") >= 4
+
+
+INFINITE_MASS_CONFIG = """\
+[hamiltonian]
+parameterization = algebraic
+alpha_re = harmonic 1.0 0.5 2.0
+alpha_im = 0.3
+beta = harmonic 1.0 0.5 2.0
+gamma_re = 0.3
+gamma_im = -0.2
+
+[initial]
+varphi0_re = 0.5
+
+[integration]
+t_max = 3.0
+num_points = 201
+"""
+
+
+def test_validate_passes_at_infinite_mass(tmp_path):
+    # Re(beta - alpha) = 0 at every time: evolve runs, and so must its checks
+    cfg = write(tmp_path, "run.ini", INFINITE_MASS_CONFIG)
+    out = tmp_path / "report.csv"
+    proc = run_cli("validate", "--config", cfg, "--out", str(out))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count("PASS") == 4
+    rows = {line.split(",")[0]: line.split(",") for line in out.read_text().splitlines()}
+    assert 3.5 <= float(rows["hamilton_convergence"][1]) <= 4.5
+
+
+@pytest.mark.parametrize("mass, t_max", [("poly 1 -1", "2.1"), ("harmonic 0.2 1 1", "5")])
+def test_mass_crossing_zero_between_samples_exits_two(tmp_path, mass, t_max):
+    cfg = write(tmp_path, "run.ini", OSCILLATOR_CONFIG.replace(
+        "m = 1.0", f"m = {mass}").replace("t_max = 2.0", f"t_max = {t_max}"))
+    proc = run_cli("evolve", "--config", cfg, "--out", str(tmp_path / "e.csv"))
+    assert proc.returncode == 2, proc.stderr
+    assert "m: changes sign between t=" in proc.stderr
 
 
 def test_validate_flags_crude_tolerances(tmp_path):

@@ -349,6 +349,21 @@ def test_validate_names_each_bad_coefficient_and_its_time():
     assert problems[1].startswith("delta:") and "t=1.00781" in problems[1]
 
 
+@pytest.mark.parametrize("mass, horizon, message", [
+    (Polynomial((1.0, -1.0)), 2.1, "m: changes sign between t=0.992578 and t=1.00078"),
+    (Harmonic(0.2, 1.0, 1.0), 5.0, "m: changes sign between t=1.75781 and t=1.77734"),
+    # a mass that jumps from one sign to the other never passes zero
+    (lambda t: 1.0 if t < 0.3 else -1.0, 1.0, "m: changes sign between t=0.296875 and t=0.300781"),
+    # a sample sits on the zero at t = 1, before the sign can change
+    (Polynomial((1.0, -1.0)), 2.0, "m: evaluation failed at t=1: mass must be finite and nonzero"),
+])
+def test_validate_flags_mass_that_reaches_or_crosses_zero(mass, horizon, message):
+    sched = CoefficientSchedule.physical(UNITS, m=mass, k=1.0)
+    problems = validate(sched, horizon=horizon)
+    assert len(problems) == 1
+    assert problems[0].startswith(message)
+
+
 def test_validate_flags_non_finite_values():
     sched = CoefficientSchedule.physical(UNITS, m=1.0, k=lambda t: math.nan if t > 0.5 else 1.0)
     problems = validate(sched, horizon=1.0)

@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from cssdyn import (AlgebraicCoefficients, CoefficientSchedule, DomainError,
-                    Harmonic, InitialConditions, IntegratorSettings,
-                    MotionFrame, UnitContext, deviations, evolve,
+from cssdyn import (AlgebraicCoefficients, CoefficientSchedule, ComplexParts,
+                    DomainError, DrivenOscillatorConfig, Harmonic,
+                    InitialConditions, IntegratorSettings, MotionFrame,
+                    Polynomial, Table, UnitContext, deviations, evolve,
                     fock_coefficients, fock_wavefunction, from_initial_width,
                     hamilton_residual, mean_energy, means, observe,
                     uncertainty, varphi_from_means, wavefunction)
 
-from helpers import hidden, hyperboloid_frame, kinked_schedule
+from helpers import hidden, hyperboloid_frame, kinked_schedule, physical_residual
 
 UNITS = UnitContext()
 VACUUM = MotionFrame(t=0.0, f=1.0, g=0.0, varphi=0.0)
@@ -304,6 +305,85 @@ def test_residual_falls_back_to_all_stencils():
     assert len(records) == 3  # the one stencil (0, 1) holds the knot at 0.5
     assert hamilton_residual(records, tables) == hamilton_residual(records, bare)
     assert min(hamilton_residual(records, tables)) > 0.0
+
+
+def _family(kind, rng, units, t_max):
+    """A seeded schedule of one of six families: harmonic, polynomial and
+    table physical ones, a harmonic/table algebraic one, constant ones."""
+    def harmonic(lo, hi, w):
+        return Harmonic(rng.uniform(lo, hi), rng.uniform(0.1, 0.5), rng.uniform(*w))
+
+    def table(lo, hi):
+        return Table(tuple(np.linspace(0.0, t_max, 6)), tuple(rng.uniform(lo, hi, 6)))
+
+    if kind == "harmonic_physical":
+        return CoefficientSchedule.physical(
+            units, m=rng.uniform(0.8, 1.2), k=harmonic(0.8, 1.5, (1.0, 3.0)),
+            Omega=rng.uniform(-0.2, 0.2), F=harmonic(-0.2, 0.2, (0.5, 2.0)))
+    if kind == "polynomial_physical":
+        return CoefficientSchedule.physical(
+            units, m=Polynomial((rng.uniform(0.8, 1.2), rng.uniform(0.0, 0.05))),
+            k=Polynomial((rng.uniform(0.8, 1.5), rng.uniform(-0.05, 0.05))),
+            V=harmonic(-0.2, 0.2, (0.5, 2.0)), F=rng.uniform(-0.3, 0.3))
+    if kind == "table_physical":
+        return CoefficientSchedule.physical(
+            units, m=rng.uniform(0.8, 1.2), k=table(0.5, 2.0), F=table(-0.4, 0.4),
+            Omega=rng.uniform(-0.1, 0.1))
+    if kind == "harmonic_algebraic":
+        return CoefficientSchedule.algebraic(
+            units, beta=harmonic(1.4, 1.8, (1.0, 3.0)),
+            alpha=ComplexParts(harmonic(-0.1, 0.1, (1.5, 3.5)), rng.uniform(-0.2, 0.2)),
+            gamma=ComplexParts(table(-0.3, 0.3), harmonic(-0.1, 0.1, (0.5, 2.0))),
+            delta=Polynomial((rng.uniform(-0.5, 0.5), rng.uniform(-0.1, 0.1))))
+    if kind == "constant_algebraic":
+        return CoefficientSchedule.algebraic(
+            units, alpha=complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)),
+            beta=rng.uniform(1.0, 1.6), gamma=complex(rng.uniform(-0.3, 0.3),
+                                                      rng.uniform(-0.3, 0.3)))
+    return CoefficientSchedule.physical(
+        units, m=rng.uniform(0.7, 1.3), k=rng.uniform(-0.3, 1.5),
+        Omega=rng.uniform(-0.3, 0.3), F=rng.uniform(-0.3, 0.3), V=rng.uniform(-0.3, 0.3))
+
+
+FAMILIES = ("harmonic_physical", "polynomial_physical", "table_physical",
+            "harmonic_algebraic", "constant_algebraic", "constant_physical")
+
+
+def assert_matches_physical_form(records, sched):
+    got, want = hamilton_residual(records, sched), physical_residual(records, sched)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-9 * w
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_residual_matches_the_physical_form(kind):
+    rng = np.random.default_rng(FAMILIES.index(kind) + 7)
+    for _ in range(4):
+        units = UnitContext(hbar=rng.uniform(0.8, 1.2), l=rng.uniform(0.8, 1.2))
+        t_max = rng.uniform(3.0, 5.0)
+        sched = _family(kind, rng, units, t_max)
+        init = InitialConditions(varphi0=complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
+        assert_matches_physical_form(run_records(sched, init, t_max, t_max / 120), sched)
+
+
+def test_residual_matches_the_physical_form_on_the_mathieu_preset():
+    cfg = DrivenOscillatorConfig()
+    sched = cfg.schedule()
+    assert_matches_physical_form(run_records(sched, cfg.init, 2.0, 0.01), sched)
+
+
+def test_residual_converges_at_infinite_mass():
+    # beta = Re(alpha) at every time: no (x, p) form, but the means still move
+    drive = Harmonic(1.0, 0.5, 2.0)
+    sched = CoefficientSchedule.algebraic(
+        UNITS, alpha=ComplexParts(drive, 0.3), beta=drive, gamma=0.3 - 0.2j)
+    with pytest.raises(DomainError):
+        sched.physical_at(0.0)
+    init = InitialConditions(varphi0=0.5)
+    rx, rp = hamilton_residual(run_records(sched, init, 3.0, 0.015), sched)
+    rx2, rp2 = hamilton_residual(run_records(sched, init, 3.0, 0.0075), sched)
+    assert 3.5 <= rx / rx2 <= 4.5
+    assert 3.5 <= rp / rp2 <= 4.5
 
 
 def test_residual_needs_enough_uniform_samples():

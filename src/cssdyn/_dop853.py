@@ -18,11 +18,11 @@ meaning there:
 - the dense output at the requested times.
 
 What differs is the state and the arithmetic.  The state is four complex
-scalars (f, g, varphi, p) with p = phase_phi + 1j * phase_vartheta, and
-rhs(t, f, g, varphi) returns their four derivatives.  The phases never feed
-back, so stage states are built for f, g and varphi only.  Every stage sum
-is written out on named scalars, as dop853.f writes it, with no numpy call
-inside a step.
+scalars (f, g, varphi, p), p the phase (motion.evolve keeps it real, so
+its imaginary part stays 0), and rhs(t, f, g, varphi) returns their four
+derivatives.  The phase never feeds back, so stage states are built for f,
+g and varphi only.  Every stage sum is written out on named scalars, as
+dop853.f writes it, with no numpy call inside a step.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ import numpy as np
 
 from .config import RunConfig, _unquote, load_config, read_number
 from .errors import ConfigError, DomainError, NumericalError
+from .hamiltonian import validate
 from .mathieu import frames as oscillator_frames
 from .motion import evolve
 from .observables import hamilton_residual, observe, wavefunction
@@ -99,9 +100,19 @@ def _observed(rc: RunConfig, frame):
     return observe(frame, rc.schedule.algebraic_at(frame.t), rc.schedule.units)
 
 
+def _check_schedule(rc: RunConfig, horizon: float) -> None:
+    """Refuse with ConfigError a schedule that validate finds unusable over
+    [0, horizon], the interval the command integrates."""
+    problems = validate(rc.schedule, horizon)
+    if problems:
+        raise ConfigError(f"schedule invalid over [0, {horizon:.6g}]: " + "; ".join(problems))
+
+
 def _frames_on(rc: RunConfig, grid):
     """Evolution frames on a time grid, routed through the preset's
-    fundamental-solution path when one is configured."""
+    fundamental-solution path when one is configured, once the schedule
+    passes its check over [0, grid[-1]]."""
+    _check_schedule(rc, float(grid[-1]))
     if rc.preset is not None:
         tau = rc.preset.omega0 * np.asarray(grid, dtype=float) / 2.0
         return oscillator_frames(rc.preset, tau, rc.settings)
@@ -212,6 +223,7 @@ def cmd_validate(args) -> int:
     # a normal float's step is exact), and the stepper's steps do not depend
     # on the times it reports
     fine = np.linspace(0.0, rc.t_max, 2 * rc.time_grid().size - 1)
+    _check_schedule(rc, rc.t_max)
     fine_frames = evolve(rc.schedule, rc.init, fine, rc.settings, enforce_drift=False)
     fine_records = [_observed(rc, fr) for fr in fine_frames]
     frames, records = fine_frames[::2], fine_records[::2]

@@ -69,7 +69,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .hamiltonian import (_COMPLEX_KEYS, _KEYS, CoefficientSchedule, ComplexParts,
-                          Constant, Harmonic, Polynomial, Table, UnitContext, validate)
+                          Constant, Harmonic, Polynomial, Table, UnitContext)
 from .mathieu import DrivenOscillatorConfig
 from .motion import InitialConditions, IntegratorSettings, from_initial_width
 from .states import N_MAX, TAIL_TOLERANCE
@@ -87,7 +87,8 @@ _VARPHI0_KEYS = {"varphi0_re", "varphi0_im"}
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a CLI command needs, already validated."""
+    """Everything a CLI command needs, already read and checked, except the
+    schedule over time: a command checks that over the interval it integrates."""
 
     schedule: CoefficientSchedule
     init: InitialConditions
@@ -215,6 +216,12 @@ def _check_keys(section: str, present, allowed) -> None:
 
 
 def load_config(path: str) -> RunConfig:
+    """The run configuration of the file at path (see the module docstring).
+
+    The schedule is read but not sampled over time: no interval is known
+    here, so each command runs hamiltonian.validate over the interval it
+    integrates.
+    """
     # no section name is empty, so [DEFAULT] is an ordinary, unknown section
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None,
                                    default_section="")
@@ -255,11 +262,6 @@ def load_config(path: str) -> RunConfig:
                for key, (section, _, default, _, _) in _NUMBERS.items() if section}
     outp = sections["output"]
     out = _unquote(outp["out"]) if "out" in outp else None
-
-    if numbers["t_max"] is not None:
-        problems = validate(schedule, numbers["t_max"])
-        if problems:
-            raise ConfigError("schedule invalid over [0, t_max]: " + "; ".join(problems))
 
     return RunConfig(schedule=schedule, init=init, settings=settings, preset=preset,
                      out=out, **numbers)

@@ -357,8 +357,10 @@ class CoefficientSchedule:
     """One profile per coefficient, plus the units the profiles live in.
 
     Exactly one parameterization ("algebraic" or "physical") is authoritative;
-    the other is obtained through the exact maps on demand.  Construct via
-    the algebraic()/physical() classmethods rather than directly.
+    the other is obtained through the exact maps on demand, and profiles
+    must name each of its coefficients and no other (DomainError otherwise).
+    Construct via the algebraic()/physical() classmethods rather than
+    directly.
 
     Every evaluation goes through one evaluator, compiled on first use (so
     the profiles are read then): t -> (alpha, beta, gamma, delta), with the
@@ -387,6 +389,9 @@ class CoefficientSchedule:
         unknown = set(self.profiles) - set(_KEYS[self.parameterization])
         if unknown:
             raise DomainError(f"unknown coefficient keys {sorted(unknown)} for {self.parameterization}")
+        missing = set(_KEYS[self.parameterization]) - set(self.profiles)
+        if missing:
+            raise DomainError(f"missing coefficient keys {sorted(missing)} for {self.parameterization}")
 
     @classmethod
     def algebraic(cls, units: UnitContext = UnitContext(), *, alpha=0.0, beta=0.0,

@@ -431,7 +431,7 @@ def frames(cfg: DrivenOscillatorConfig, tau_grid,
     This is the specialized route; it must agree with the generic evolution
     of cfg.schedule() in physical time, which is the cross-check the test
     suite runs.  Frames come back in physical time t = 2 tau / omega0 with
-    both phase integrals identically zero (beta = 2 delta, gamma = 0).
+    the phase identically zero (beta = 2 delta, gamma = 0).
     """
     basis = fundamental_solutions(mathieu_parameters(cfg), tau_grid, settings)
     f0, g0 = cfg.init.f0, cfg.init.g0

@@ -10,17 +10,18 @@ The operator A(t) = f(t) a + g(t) a† + varphi(t) stays an integral of motion,
 with f(0), g(0) on the hyperboloid |f|^2 - |g|^2 = 1.  That constraint is
 then conserved exactly; numerically it is monitored, never projected.
 
-Alongside (f, g, varphi) two real phase integrals are accumulated:
+Alongside (f, g, varphi) one real phase is accumulated, the one that makes
+the state attached to the frame solve the Schrodinger equation, drive
+included:
 
-    phase_phi      = (1/2) int_0^t (beta - 2 delta) dtau
-    phase_vartheta = int_0^t [E + (V pbar + F xbar)/2] dtau
-                   = int_0^t [hbar (delta - beta/2) + hbar Re(conj(gamma) u)] dtau
+    phase_phi = int_0^t [(beta - 2 delta)/2 - Re(conj(gamma) u)] dtau
 
-where u = g conj(varphi) - conj(f) varphi.  The second identity is what the
-code integrates; it never needs the (x, p) form, so schedules with
-Re(beta - alpha) = 0 (infinite mass) evolve fine.
+where u = g conj(varphi) - conj(f) varphi.  It never needs the (x, p)
+form, so schedules with Re(beta - alpha) = 0 (infinite mass) evolve fine.
+Its action-valued form, -hbar phase_phi = int_0^t [E + (V pbar + F xbar)/2]
+dtau, is stored beside it as phase_vartheta.
 
-evolve integrates the three complex coefficients and the phase pair with
+evolve integrates the three complex coefficients and the phase with
 DOP853 on Python complex scalars (_dop853): Hairer's method with
 scipy.integrate.solve_ivp's step control and dense output, so rtol and
 atol mean what they mean there, without numpy work inside a step.
@@ -83,8 +84,8 @@ class InitialConditions:
 class MotionFrame:
     """State of the integral of motion at one time.
 
-    phase_phi and phase_vartheta are the two accumulated phase integrals
-    (dimensionless and action-valued respectively); both start at zero.
+    phase_phi is the accumulated phase of the state, zero at t = 0, and
+    phase_vartheta = -hbar phase_phi its action-valued form.
     """
 
     t: float
@@ -187,7 +188,7 @@ def _check_grid(grid) -> np.ndarray:
 def evolve(schedule: CoefficientSchedule, init: InitialConditions, grid,
            settings: IntegratorSettings = IntegratorSettings(), *,
            enforce_drift: bool = True) -> list:
-    """Integrate (f, g, varphi) and both phase integrals over a time grid.
+    """Integrate (f, g, varphi) and the phase over a time grid.
 
     The stepper is DOP853 on complex scalars (see _dop853), with
     solve_ivp's initial step, error norm, step control and 7th-order dense
@@ -227,7 +228,7 @@ def evolve(schedule: CoefficientSchedule, init: InitialConditions, grid,
     hbar = schedule.units.hbar
     coefficients = schedule.compiled()
 
-    # derivatives of (f, g, varphi, phase_phi + 1j * phase_vartheta)
+    # derivatives of (f, g, varphi, phase_phi); the phase is real
     def rhs(t, f, g, varphi):
         alpha, beta, gamma, delta = coefficients(t)
         gc = gamma.conjugate()
@@ -235,8 +236,7 @@ def evolve(schedule: CoefficientSchedule, init: InitialConditions, grid,
         return (-1j * (alpha.conjugate() * g - beta * f),
                 -1j * (beta * g - alpha * f),
                 -1j * (gc * g - gamma * f),
-                complex(0.5 * (beta - 2.0 * delta),
-                        hbar * (delta - 0.5 * beta) + hbar * (gc * u).real))
+                0.5 * (beta - 2.0 * delta) - (gc * u).real)
 
     # spans between step edges: the knots strictly inside the horizon, where
     # a table kinks; the single-point grid has none
@@ -255,7 +255,7 @@ def evolve(schedule: CoefficientSchedule, init: InitialConditions, grid,
                                        settings.max_step)
             states += got
             lo = hi
-        return [MotionFrame(t, f, g, varphi, p.real, p.imag)
+        return [MotionFrame(t, f, g, varphi, p.real, -hbar * p.real)
                 for t, (f, g, varphi, p) in zip(times, states)]
 
     frames = run(settings.rtol, settings.atol)
@@ -315,15 +315,13 @@ def closed_form(alg: AlgebraicCoefficients, init: InitialConditions, t: float,
                 units: UnitContext = UnitContext()) -> MotionFrame:
     """Exact frame at time t for constant coefficients.
 
-    phase_phi is (beta - 2 delta) t / 2 exactly; phase_vartheta is the
-    closed-form integrand integrated by adaptive quadrature (its x/p mean
-    factors mix incommensurate frequencies), which keeps this route fully
-    independent of the step-by-step evolution.
+    phase_phi is (beta - 2 delta) t / 2 less the drive's part, the
+    closed-form Re(conj(gamma) u) integrated by adaptive quadrature (its
+    mean factors mix incommensurate frequencies), which keeps this route
+    fully independent of the step-by-step evolution.
     """
     f, g, varphi = _closed_fgp(alg, init, t)
     phase_phi = 0.5 * (alg.beta - 2.0 * alg.delta) * float(t)
-    hbar = units.hbar
-    vartheta = hbar * (alg.delta - 0.5 * alg.beta) * float(t)
     if alg.gamma != 0:
         gc = alg.gamma.conjugate()
 
@@ -333,9 +331,9 @@ def closed_form(alg: AlgebraicCoefficients, init: InitialConditions, t: float,
             return (gc * u).real
 
         integral, _ = quad(work_rate, 0.0, float(t), epsabs=1e-13, epsrel=1e-12, limit=200)
-        vartheta += hbar * integral
+        phase_phi -= integral
     return MotionFrame(t=float(t), f=f, g=g, varphi=varphi,
-                       phase_phi=phase_phi, phase_vartheta=vartheta)
+                       phase_phi=phase_phi, phase_vartheta=-units.hbar * phase_phi)
 
 
 def _closed_fgp(alg: AlgebraicCoefficients, init: InitialConditions, t: float):

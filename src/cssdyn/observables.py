@@ -130,13 +130,13 @@ def wavefunction(frame: MotionFrame, x, units: UnitContext,
 
         Psi(x) = (l sqrt(pi))^(-1/2) f^(-1/2) (1 - g/f)^(-1/2)
                  exp[ -((f+g)/(f-g)) (x - xbar)^2 / (2 l^2)
-                      + i (pbar/(2 hbar)) (2x - xbar) - i phase_vartheta/hbar ].
+                      + i (pbar/(2 hbar)) (2x - xbar) + i phase_phi ].
 
     The prefactor is kept factored: f^(-1/2) carries the winding (same
     convention as normalization()) and (1 - g/f)^(-1/2) has Re(1 - g/f) > 0
     on the hyperboloid, so its principal root is unambiguous.  This makes
-    Psi equal to the number-basis series sum c_n psi_n pointwise whenever
-    phase_vartheta = -hbar * phase_phi (always true when gamma = 0).
+    Psi equal to the number-basis series sum c_n psi_n pointwise, since
+    both read the frame's one phase.
     """
     l, hbar = units.l, units.hbar
     f, g = frame.f, frame.g
@@ -145,7 +145,7 @@ def wavefunction(frame: MotionFrame, x, units: UnitContext,
     pref = _inverse_root(f, winding) / (np.sqrt(l * math.sqrt(math.pi)) * np.sqrt(1.0 - g / f))
     width = (f + g) / (f - g)
     dx = xs - xbar
-    phase = (pbar / (2.0 * hbar)) * (2.0 * xs - xbar) - frame.phase_vartheta / hbar
+    phase = (pbar / (2.0 * hbar)) * (2.0 * xs - xbar) + frame.phase_phi
     return pref * np.exp(-width * dx * dx / (2.0 * l * l) + 1j * phase)
 
 

@@ -9,7 +9,10 @@ factorization as
 
 with normalization
 
-    Phi = f^(-1/2) exp( (conj(g)/f) varphi^2 / 2 - |varphi|^2 / 2 + i phase_phi ).
+    Phi = f^(-1/2) exp( (conj(g)/f) varphi^2 / 2 - |varphi|^2 / 2 + i phase_phi ),
+
+where phase_phi is the frame's one phase (see motion), the one that makes
+the state solve the Schrodinger equation.
 
 The number-basis coefficients come from a branch-free three-term recurrence
 equivalent to the Hermite-polynomial form

@@ -1,11 +1,13 @@
 """Shared builders for the test suite."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from cssdyn import (CoefficientSchedule, DomainError, IntegratorSettings, MotionFrame,
-                    Table, UnitContext, frames, means)
+from cssdyn import (CoefficientSchedule, ComplexParts, DomainError, Harmonic,
+                    IntegratorSettings, MotionFrame, Polynomial, Table, UnitContext,
+                    evolve, frames, from_initial_width, means)
 
 
 def hyperboloid_frame(rng, zeta_max=0.9, displacement=1.0, t=0.0):
@@ -46,6 +48,24 @@ def kinked_schedule(wrap=lambda profile: profile):
     V = Table((0.0, 0.7, 1.3, 3.0), (0.1, -0.2, 0.3, 0.0))
     return CoefficientSchedule.physical(UnitContext(), m=1.0, k=wrap(k), F=wrap(F),
                                         V=wrap(V), Omega=0.1)
+
+
+# a driven schedule (gamma != 0) in non-unit units, where the state's phase
+# depends on the drive
+DRIVEN_UNITS = UnitContext(hbar=0.8, l=1.1)
+DRIVEN_SCHEDULE = CoefficientSchedule.algebraic(
+    DRIVEN_UNITS, alpha=ComplexParts(Harmonic(0.1, 0.3, 2.0), 0.2),
+    beta=Harmonic(1.5, 0.2, 1.3),
+    gamma=ComplexParts(Harmonic(0.2, 0.3, 1.1), Polynomial((0.1, -0.2))),
+    delta=Polynomial((0.3, 0.1)))
+
+
+def driven_frames(times):
+    """Frames of DRIVEN_SCHEDULE at the given times (after t = 0), from a
+    squeezed, displaced start at rtol 1e-13 and atol 1e-15."""
+    init = replace(from_initial_width(0.5, 0.3, DRIVEN_UNITS), varphi0=0.4 - 0.3j)
+    grid = [0.0, *times]
+    return evolve(DRIVEN_SCHEDULE, init, grid, IntegratorSettings(rtol=1e-13, atol=1e-15))[1:]
 
 
 def mean_path(cfg, taus, settings=IntegratorSettings()):

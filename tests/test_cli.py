@@ -219,6 +219,46 @@ def test_mass_crossing_zero_between_samples_exits_two(tmp_path, mass, t_max):
     assert "m: changes sign between t=" in proc.stderr
 
 
+# the mass crosses zero at t = 1, and no t_max bounds the run
+CROSSING_MASS_CONFIG = """\
+[hamiltonian]
+parameterization = physical
+m = poly 1 -1
+k = 1
+"""
+
+
+@pytest.mark.parametrize("command, option", [
+    ("fock", "--times"), ("density", "--time"), ("overlap", "--time")])
+def test_commands_check_the_schedule_over_the_interval_they_integrate(
+        tmp_path, command, option):
+    cfg = write(tmp_path, "run.ini", CROSSING_MASS_CONFIG)
+    second = ["--config2", cfg] if command == "overlap" else []
+    proc = run_cli(command, "--config", cfg, *second, option, "2.1",
+                   "--out", str(tmp_path / "o.csv"))
+    assert proc.returncode == 2, proc.stderr
+    assert "schedule invalid over [0, 2.1]: m: changes sign between t=" in proc.stderr
+
+
+def test_validate_checks_the_schedule_over_t_max(tmp_path):
+    cfg = write(tmp_path, "run.ini", CROSSING_MASS_CONFIG + "\n[integration]\nt_max = 2.1\n")
+    proc = run_cli("validate", "--config", cfg, "--out", str(tmp_path / "v.csv"))
+    assert proc.returncode == 2, proc.stderr
+    assert "m: changes sign between t=" in proc.stderr
+
+
+def test_unused_part_of_t_max_is_not_checked(tmp_path):
+    # k is tabulated on [0, 2] only: fock at t = 1 never reads past 2, evolve
+    # integrates to t_max = 5 and does
+    cfg = write(tmp_path, "run.ini", OSCILLATOR_CONFIG.replace(
+        "k = 1.0", "k = table 0:1 2:1.5").replace("t_max = 2.0", "t_max = 5"))
+    proc = run_cli("fock", "--config", cfg, "--times", "1", "--out", str(tmp_path / "f.csv"))
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli("evolve", "--config", cfg, "--out", str(tmp_path / "e.csv"))
+    assert proc.returncode == 2
+    assert "schedule invalid over [0, 5]: k: evaluation failed" in proc.stderr
+
+
 def test_validate_flags_crude_tolerances(tmp_path):
     rigged = OSCILLATOR_CONFIG + "rtol = 1e-2\natol = 1e-2\n"
     cfg = write(tmp_path, "run.ini", rigged)
@@ -591,3 +631,27 @@ def test_width_style_misuse_exits_two(tmp_path, capsys, text, message):
     cfg = write(tmp_path, "run.ini", text)
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "e.csv")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, named", [
+    (OSCILLATOR_CONFIG.replace("num_points = 101", "num_points = 10.5"),
+     "[integration] num_points"),
+    (OSCILLATOR_CONFIG.replace("k = 1.0", "k ="), "[hamiltonian] k"),
+    (OSCILLATOR_CONFIG.replace("k = 1.0", "k = harmonic 1 2"), "[hamiltonian] k"),
+    (OSCILLATOR_CONFIG.replace("k = 1.0", "k = poly"), "[hamiltonian] k"),
+    (OSCILLATOR_CONFIG.replace("k = 1.0", "k = table 0:1"), "[hamiltonian] k"),
+    (OSCILLATOR_CONFIG.replace("k = 1.0", "k = table 0:1 2"), "[hamiltonian] k"),
+    (OSCILLATOR_CONFIG.replace("k = 1.0", "k = table 0:1 0:2"), "[hamiltonian] k"),
+    (OSCILLATOR_CONFIG.replace("k = 1.0", "k = sine 1 2"), "[hamiltonian] k"),
+    ("k = 1.0\n" + OSCILLATOR_CONFIG, "run.ini"),
+    ("[integration]\nt_max = 1.0\n", "[hamiltonian]"),
+    ("[hamiltonian]\npreset = duffing\n", "preset"),
+    ("[hamiltonian]\nhbar = 1.0\n", "[hamiltonian]"),
+    (OSCILLATOR_CONFIG.replace("= physical", "= quantum"), "parameterization"),
+], ids=["integer", "empty_profile", "harmonic_arguments", "poly_arguments",
+        "table_arguments", "table_sample", "table_times", "profile_kind", "malformed",
+        "no_hamiltonian", "preset_name", "no_parameterization", "parameterization"])
+def test_grammar_refusals_exit_two_naming_the_source(tmp_path, capsys, text, named):
+    cfg = write(tmp_path, "run.ini", text)
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "e.csv")]) == 2
+    assert named in capsys.readouterr().err

@@ -306,6 +306,9 @@ def test_schedule_rejects_unknown_keys_and_kinds():
     with pytest.raises(DomainError):
         CoefficientSchedule(units=UNITS, parameterization="algebraic",
                             profiles={"mass": Constant(1.0)})
+    with pytest.raises(DomainError, match=re.escape("missing coefficient keys ['E', 'F', "
+                                                    "'Omega', 'V', 'k'] for physical")):
+        CoefficientSchedule(UnitContext(), "physical", {"m": Constant(1.0)})
 
 
 def test_schedule_cross_parameterization_sampling():

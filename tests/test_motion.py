@@ -15,7 +15,7 @@ from cssdyn import (AlgebraicCoefficients, CoefficientSchedule, ComplexParts,
                     UnitContext, closed_form, deviations, evolve,
                     from_initial_width, u_of)
 
-from helpers import hidden, kinked_schedule
+from helpers import DRIVEN_SCHEDULE, DRIVEN_UNITS, driven_frames, hidden, kinked_schedule
 
 UNITS = UnitContext()
 TIGHT = IntegratorSettings(rtol=1e-12, atol=1e-14)
@@ -348,8 +348,7 @@ def solve_ivp_frames(schedule, init, grid, rtol, atol):
         dvarphi = -1j * (gamma.conjugate() * g - gamma * f)
         u = g * varphi.conjugate() - f.conjugate() * varphi
         return (df.real, df.imag, dg.real, dg.imag, dvarphi.real, dvarphi.imag,
-                0.5 * (beta - 2.0 * delta),
-                hbar * (delta - 0.5 * beta) + hbar * (gamma.conjugate() * u).real)
+                0.5 * (beta - 2.0 * delta) - (gamma.conjugate() * u).real, 0.0)
 
     t_end = grid[-1]
     edges = [0.0, *[k for k in schedule.knots() if 0.0 < k < t_end], t_end]
@@ -364,7 +363,7 @@ def solve_ivp_frames(schedule, init, grid, rtol, atol):
         assert sol.success
         ys[:, lo:hi] = sol.y[:, :hi - lo]
         y, lo = sol.y[:, -1], hi
-    return (ys[0:6:2] + 1j * ys[1:6:2]).T, ys[6:].T
+    return (ys[0:6:2] + 1j * ys[1:6:2]).T, np.array([ys[6], -hbar * ys[6]]).T
 
 
 @pytest.fixture
@@ -633,3 +632,16 @@ def test_phase_integrals_on_constant_schedule():
     evolved = evolve(sched, InitialConditions(), [0.0, 2.0], TIGHT)[-1]
     assert evolved.phase_phi == pytest.approx(frame.phase_phi, abs=1e-10)
     assert evolved.phase_vartheta == pytest.approx(frame.phase_vartheta, abs=1e-10)
+
+
+def test_action_phase_is_minus_hbar_times_the_phase():
+    # one phase is integrated; phase_vartheta is -hbar phase_phi on every route,
+    # a drive (gamma != 0) included
+    hbar = DRIVEN_UNITS.hbar
+    evolved = driven_frames([0.5, 1.7])
+    init = InitialConditions(f0=1.2, g0=math.sqrt(0.44) * 1j, varphi0=0.4 - 0.3j)
+    exact = [closed_form(DRIVEN_SCHEDULE.algebraic_at(t), init, t, DRIVEN_UNITS)
+             for t in (0.5, 1.7)]
+    for frame in evolved + exact:
+        assert frame.phase_phi != 0.0
+        assert frame.phase_vartheta == -hbar * frame.phase_phi

@@ -13,7 +13,8 @@ from cssdyn import (AlgebraicCoefficients, CoefficientSchedule, ComplexParts,
                     hamilton_residual, mean_energy, means, observe,
                     uncertainty, varphi_from_means, wavefunction)
 
-from helpers import hidden, hyperboloid_frame, kinked_schedule, physical_residual
+from helpers import (DRIVEN_UNITS, driven_frames, hidden, hyperboloid_frame, kinked_schedule,
+                     physical_residual)
 
 UNITS = UnitContext()
 VACUUM = MotionFrame(t=0.0, f=1.0, g=0.0, varphi=0.0)
@@ -219,6 +220,19 @@ def test_gaussian_equals_number_basis_series():
         for n, cn in enumerate(c):
             series += cn * fock_wavefunction(n, xs, UNITS)
         assert np.max(np.abs(direct - series)) < 1e-8
+
+
+def test_driven_gaussian_equals_number_basis_series():
+    # an evolved driven frame carries a nonzero phase, which the Gaussian and
+    # the series must read alike
+    frame, = driven_frames([1.7])
+    xbar, _ = means(frame, DRIVEN_UNITS)
+    sx, _, _ = deviations(frame, DRIVEN_UNITS)
+    xs = np.linspace(xbar - 5.0 * sx, xbar + 5.0 * sx, 161)
+    direct = wavefunction(frame, xs, DRIVEN_UNITS)
+    c = fock_coefficients(frame, tail_tolerance=1e-20, n_max=4096).coefficients
+    series = sum(cn * fock_wavefunction(n, xs, DRIVEN_UNITS) for n, cn in enumerate(c))
+    assert np.max(np.abs(direct - series)) < 1e-8
 
 
 def test_eigenfunction_anchors():

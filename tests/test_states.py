@@ -13,7 +13,7 @@ from cssdyn import (CoefficientSchedule, ConvergenceError, DomainError,
                     evolve, fock_coefficients, normalization, overlap,
                     parameters, transition_probabilities)
 
-from helpers import hyperboloid_frame, poisson_reference
+from helpers import DRIVEN_SCHEDULE, driven_frames, hyperboloid_frame, poisson_reference
 
 UNITS = UnitContext()
 
@@ -484,3 +484,29 @@ def test_overlap_against_series_inner_product():
         n = min(c1.size, c2.size)
         series = np.sum(np.conj(c1[:n]) * c2[:n])
         assert closed == pytest.approx(series, abs=1e-10)
+
+
+def ladder_hamiltonian(c, alg):
+    """(H/hbar) c in the number basis for
+    H/hbar = (conj(alpha) a^2 + alpha a†^2)/2 + beta a†a + conj(gamma) a + gamma a† + delta;
+    c is taken as zero past its last entry."""
+    n = np.arange(c.size, dtype=float)
+    out = (alg.beta * n + alg.delta) * c
+    out[:-1] += alg.gamma.conjugate() * np.sqrt(n[1:]) * c[1:]
+    out[1:] += alg.gamma * np.sqrt(n[1:]) * c[:-1]
+    out[:-2] += 0.5 * alg.alpha.conjugate() * np.sqrt(n[2:] * (n[2:] - 1.0)) * c[2:]
+    out[2:] += 0.5 * alg.alpha * np.sqrt(n[2:] * (n[2:] - 1.0)) * c[:-2]
+    return out
+
+
+def test_driven_coefficients_obey_the_schroedinger_equation():
+    # a drive (gamma != 0) enters the state's phase; with it the coefficients
+    # of an evolved driven frame solve i dc/dt = (H/hbar) c
+    t, h = 1.7, 1e-4
+    columns = [fock_coefficients(fr, tail_tolerance=1e-14, n_max=90).coefficients
+               for fr in driven_frames([t - h, t, t + h])]
+    size = max(col.size for col in columns)
+    before, now, after = (np.pad(col, (0, size - col.size)) for col in columns)
+    residual = (1j * (after - before) / (2.0 * h)
+                - ladder_hamiltonian(now, DRIVEN_SCHEDULE.algebraic_at(t)))
+    assert np.max(np.abs(residual[:50])) < 1e-6

@@ -109,13 +109,13 @@ def _check_schedule(rc: RunConfig, horizon: float) -> None:
 
 
 def _frames_on(rc: RunConfig, grid):
-    """Evolution frames on a time grid, routed through the preset's
-    fundamental-solution path when one is configured, once the schedule
-    passes its check over [0, grid[-1]]."""
-    _check_schedule(rc, float(grid[-1]))
+    """Evolution frames on a time grid: a preset's through its
+    fundamental-solution path, which takes the same grid and whose
+    parameters the preset checked when it was built; any other schedule's
+    through evolve, once it passes its check over [0, grid[-1]]."""
     if rc.preset is not None:
-        tau = rc.preset.omega0 * np.asarray(grid, dtype=float) / 2.0
-        return oscillator_frames(rc.preset, tau, rc.settings)
+        return oscillator_frames(rc.preset, grid, rc.settings)
+    _check_schedule(rc, float(grid[-1]))
     return evolve(rc.schedule, rc.init, grid, rc.settings)
 
 

@@ -219,8 +219,9 @@ def load_config(path: str) -> RunConfig:
     """The run configuration of the file at path (see the module docstring).
 
     The schedule is read but not sampled over time: no interval is known
-    here, so each command runs hamiltonian.validate over the interval it
-    integrates.
+    here, so each command on an explicit schedule runs hamiltonian.validate
+    over the interval it integrates.  A preset checks its own parameters
+    when it is built.
     """
     # no section name is empty, so [DEFAULT] is an ordinary, unknown section
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None,

@@ -60,8 +60,9 @@ beta = 2 delta), and the mean trajectory is
     xbar = sqrt(2 hbar/(m0 omega0)) Re(g conj(varphi0) - conj(f) varphi0)
     pbar = sqrt(2 hbar m0 omega0)   Im(g conj(varphi0) - conj(f) varphi0).
 
-All public output is in physical time t = 2 tau / omega0; tau only
-parameterizes the input grids.
+`frames` takes and returns physical time t = 2 tau / omega0, on the grid
+that the generic `evolve` takes; `fundamental_solutions` and
+`transition_snapshot` take tau.
 """
 
 from __future__ import annotations
@@ -104,6 +105,12 @@ class DrivenOscillatorConfig:
     That preset has hbar = m0 = epsilon0 = 1, omega0 = 10, eta0 = 50 and
     starts from the coherent state f0 = 1, g0 = 0, varphi0 = -i, which puts
     the mean at xbar(0) = 0, pbar(0) = sqrt(20).
+
+    The parameters are checked here, exactly, so that the schedule needs no
+    sampled check: m0, omega0, hbar and m0 omega0^2 are finite positive
+    floats, and |epsilon0| + |eta0| is finite, which keeps
+    k = epsilon0 - eta0 cos(omega0 t) finite wherever omega0 t is.  A
+    violation raises DomainError.
     """
 
     m0: float = 1.0
@@ -124,6 +131,10 @@ class DrivenOscillatorConfig:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise DomainError(f"{name} must be finite, got {v!r}")
+        # bounds |k| for every finite omega0 t, so the preset needs no sampled scan
+        if not math.isfinite(abs(self.epsilon0) + abs(self.eta0)):
+            raise DomainError(f"epsilon0 = {self.epsilon0!r} and eta0 = {self.eta0!r}: "
+                              f"|epsilon0| + |eta0| is not a finite float")
         # a and q divide by m0 omega0^2, computed as mathieu_parameters does
         try:
             scale = self.m0 * self.omega0 ** 2
@@ -210,6 +221,9 @@ def fundamental_solutions(params: MathieuParameters, tau_grid,
     left to ask for.  More than 4096 panels, sqrt(|a| + 2|q|) above about
     1.7e5 or max_step below about 1e-5 over the whole half period, raise
     NumericalError.  At tau = 0 the sample is exactly the identity.
+    A grid reaching 2^63 periods (tau about 2.9e19), past what the int64
+    period count holds, raises NumericalError at its last tau before any
+    solve.
 
     The Wronskian is checked once, at every sample, against 1 to within
     1e-9.  A breach, or a non-finite sample once the panels or M^k
@@ -224,10 +238,12 @@ def fundamental_solutions(params: MathieuParameters, tau_grid,
     folded = np.minimum(r, math.pi - r)
     # pi/2 once the grid passes it; below, k = 0 and nothing is reflected
     end = min(float(taus[-1]), _HALF_PERIOD)
-    # k never decreases along the increasing grid
+    # k never decreases along the increasing grid, so the last is the largest
+    if not k[-1] < 2.0 ** 63:
+        raise NumericalError(f"tau = {taus[-1]:g} is {k[-1]:.3g} periods of the "
+                             f"Mathieu coefficient, past the 2^63 that M^k can count",
+                             t=float(taus[-1]))
     k = k.astype(np.int64)
-    first = np.diff(k, prepend=-1) > 0
-    periods, period_of = k[first], np.cumsum(first) - 1
 
     # a state too unstable for float64 overflows across the panels or in M^k;
     # the Wronskian check then sees a non-finite sample and refuses it
@@ -239,7 +255,7 @@ def fundamental_solutions(params: MathieuParameters, tau_grid,
                               [2.0 * yc * dyc, yc * dys + ys * dyc]])
         phi = _interpolate(panels, folded)
         phi[reflect] = (phi[reflect] * _REFLECT) @ monodromy
-        phi = phi @ _powers(monodromy, periods)[period_of]
+        phi = phi @ _powers(monodromy, k)
         basis = FundamentalBasis(tau=taus.copy(), yc=phi[:, 0, 0].copy(),
                                  dyc=phi[:, 1, 0].copy(), ys=phi[:, 0, 1].copy(),
                                  dys=phi[:, 1, 1].copy())
@@ -402,11 +418,11 @@ def _barycentric(nodes, weights, values, s):
 
 
 def _powers(m: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """m^k for each of the increasing nonnegative ks, stacked.
+    """m^k for each of the nondecreasing nonnegative ks, stacked.
 
     Steps from one k to the next by the binary digits of the gap, so a
-    dense run of periods costs one product each and a sparse one about
-    log2 of its gap.
+    repeated k costs no product, a dense run of periods one product each
+    and a sparse one about log2 of its gap.
     """
     out = np.empty((ks.size, 2, 2))
     acc, done, squares = np.eye(2), 0, [m]
@@ -424,34 +440,47 @@ def _powers(m: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return out
 
 
-def frames(cfg: DrivenOscillatorConfig, tau_grid,
+def frames(cfg: DrivenOscillatorConfig, grid,
            settings: IntegratorSettings = IntegratorSettings()) -> list:
-    """Motion frames on a tau grid via the fundamental-solution reduction.
+    """Motion frames on a physical-time grid via the fundamental-solution
+    reduction.
 
-    This is the specialized route; it must agree with the generic evolution
-    of cfg.schedule() in physical time, which is the cross-check the test
-    suite runs.  Frames come back in physical time t = 2 tau / omega0 with
-    the phase identically zero (beta = 2 delta, gamma = 0).
+    This is the specialized route; it takes the grid that evolve takes and
+    must agree with the generic evolution of cfg.schedule() on it, which is
+    the cross-check the test suite runs.  The basis is solved at
+    tau = omega0 t / 2; frame i carries grid[i] as its time, exactly, and
+    the phase identically zero (beta = 2 delta, gamma = 0).  A grid whose
+    omega0 t overflows is refused as non-finite (DomainError); a
+    NumericalError from the basis carries the tau at which it was found.
     """
-    basis = fundamental_solutions(mathieu_parameters(cfg), tau_grid, settings)
+    ts = _check_grid(grid)
+    with np.errstate(over="ignore"):  # an overflowing omega0 t is refused below
+        taus = cfg.omega0 * ts / 2.0
+    basis = fundamental_solutions(mathieu_parameters(cfg), taus, settings)
     f0, g0 = cfg.init.f0, cfg.init.g0
     y_start = f0 - g0
     dy_start = 2j * (f0 + g0)
     yy = y_start * basis.yc + dy_start * basis.ys
     dyy = y_start * basis.dyc + dy_start * basis.dys
     xx = -0.5j * dyy
-    t, f, g = 2.0 * basis.tau / cfg.omega0, 0.5 * (xx + yy), 0.5 * (xx - yy)
+    f, g = 0.5 * (xx + yy), 0.5 * (xx - yy)
     return [MotionFrame(t=ti, f=fi, g=gi, varphi=cfg.init.varphi0,
                         phase_phi=0.0, phase_vartheta=0.0)
-            for ti, fi, gi in zip(t.tolist(), f.tolist(), g.tolist())]
+            for ti, fi, gi in zip(ts.tolist(), f.tolist(), g.tolist())]
 
 
 def transition_snapshot(cfg: DrivenOscillatorConfig, tau: float,
                         tail_tolerance: float = TAIL_TOLERANCE, n_max: int = N_MAX,
                         settings: IntegratorSettings = IntegratorSettings()):
-    """Number-basis probabilities P_n of the state at one tau."""
+    """Number-basis probabilities P_n of the state at one tau.
+
+    The state is that of frames at t = 2 tau / omega0, whose basis is
+    solved at omega0 t / 2: tau to within an ulp.  A tau past 2^63 periods
+    (about 2.9e19) raises NumericalError, as in fundamental_solutions.
+    """
     if tau < 0:
         raise DomainError(f"tau must be nonnegative, got {tau!r}")
-    grid = np.array([0.0]) if tau == 0 else np.array([0.0, float(tau)])
+    # just [0.0] when tau is 0, or when t underflows to 0
+    grid = np.unique([0.0, 2.0 * float(tau) / cfg.omega0])
     frame = frames(cfg, grid, settings)[-1]
     return transition_probabilities(frame, tail_tolerance=tail_tolerance, n_max=n_max)

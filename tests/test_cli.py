@@ -11,6 +11,7 @@ import pytest
 
 from cssdyn import (evolve, from_initial_width, hamilton_residual, observe, overlap,
                     transition_probabilities)
+from cssdyn import cli
 from cssdyn.cli import main
 from cssdyn.config import load_config
 
@@ -487,6 +488,57 @@ num_points = 11
     assert "tail" in proc.stderr
 
 
+def test_preset_evolve_writes_the_grid_times(tmp_path):
+    # the Mathieu route takes the physical grid itself: no t -> tau -> t trip
+    cfg = write(tmp_path, "run.ini",
+                "[hamiltonian]\npreset = mathieu\n\n[integration]\nt_max = 1.0\nnum_points = 101\n")
+    out = tmp_path / "e.csv"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+    column = [line.split(",", 1)[0] for line in out.read_text().splitlines()[1:]]
+    assert column == ["%.17g" % t for t in np.linspace(0.0, 1.0, 101)]
+
+
+def test_preset_past_int64_periods_exits_three(tmp_path, capsys):
+    cfg = write(tmp_path, "run.ini", "[hamiltonian]\npreset = mathieu\n")
+    assert main(["fock", "--config", cfg, "--times", "1e20",
+                 "--out", str(tmp_path / "f.csv")]) == 3
+    assert "2^63" in capsys.readouterr().err
+
+
+# each command's sampled schedule scans: overlap checks both configurations
+SCANS = {"evolve": 1, "fock": 1, "density": 1, "overlap": 2, "validate": 1}
+
+
+@pytest.mark.parametrize("command", list(SCANS))
+@pytest.mark.parametrize("preset", [True, False], ids=["preset", "explicit"])
+def test_only_explicit_schedules_are_scanned(tmp_path, monkeypatch, command, preset):
+    # a preset checks its own parameters when it is built; only validate,
+    # which integrates the generic schedule, still scans it
+    scanned = []
+    scan = cli.validate
+    monkeypatch.setattr(cli, "validate", lambda *args: scanned.append(args) or scan(*args))
+    text = ("[hamiltonian]\npreset = mathieu\n\n[integration]\nt_max = 0.5\nnum_points = 11\n"
+            if preset else OSCILLATOR_CONFIG)
+    cfg = write(tmp_path, "run.ini", text)
+    extra = {"fock": ["--times", "0.5"], "density": ["--time", "0.5"],
+             "overlap": ["--config2", cfg, "--time", "0.5"]}.get(command, [])
+    assert main([command, "--config", cfg, *extra, "--out", str(tmp_path / "o.csv")]) == 0
+    assert len(scanned) == (0 if preset and command != "validate" else SCANS[command])
+
+
+@pytest.mark.parametrize("text, named", [
+    ("preset = mathieu\nepsilon0 = 1e308\neta0 = -1e308\n", "epsilon0 = 1e+308 and eta0 = -1e+308"),
+    ("preset = mathieu\nomega0 = 1e154\n", "grid must be finite"),
+], ids=["stiffness", "omega0_t"])
+def test_preset_refusals_exit_two(tmp_path, capsys, text, named):
+    # without a sampled scan: |k| is bounded by the preset's parameters, and an
+    # overflowing omega0 t is refused by the route
+    cfg = write(tmp_path, "run.ini", PRESET_CONFIG.replace("preset = mathieu\n", text))
+    assert main(["fock", "--config", cfg, "--times", "1e300",
+                 "--out", str(tmp_path / "f.csv")]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_numbers_take_their_defaults(tmp_path):
     rc = load_config(write(tmp_path, "run.ini", "[hamiltonian]\npreset = mathieu\n"))
     assert (rc.t_max, rc.num_points, rc.tail_tolerance, rc.n_max, rc.x_points,
@@ -529,6 +581,7 @@ def test_density_override_outside_its_bound_exits_two(tmp_path, capsys, option, 
     ("overlap", "--time", "inf"),
     ("fock", "--times", "0,-1"),
     ("fock", "--times", "0,nan"),
+    ("fock", "--times", ","),
 ])
 def test_time_outside_its_bound_exits_two(tmp_path, capsys, command, option, value):
     cfg = write(tmp_path, "run.ini", OSCILLATOR_CONFIG)

@@ -147,6 +147,11 @@ def test_table_refuses_extrapolation_and_disorder():
         Table(times=(0.0, 0.0), values=(1.0, 2.0))
 
 
+def test_table_refuses_unpaired_values():
+    with pytest.raises(DomainError, match="equally many times and values"):
+        Table((0.0, 1.0), (1.0,))
+
+
 @pytest.mark.parametrize("times", [(0.0, 1.0, 4.0), (2.0,)])
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
 def test_table_refuses_non_finite_times(times, t):
@@ -319,6 +324,13 @@ def test_schedule_cross_parameterization_sampling():
     back = sched.physical_at(0.3)
     assert back.m == pytest.approx(1.0)
     assert back.k == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("horizon", [-1.0, math.nan])
+def test_validate_refuses_a_horizon_off_the_nonnegative_floats(horizon):
+    sched = CoefficientSchedule.physical(UNITS, m=1.0, k=1.0)
+    assert validate(sched, horizon) == [
+        f"horizon must be finite and nonnegative, got {horizon!r}"]
 
 
 def test_validate_accepts_real_constant():

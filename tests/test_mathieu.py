@@ -1,6 +1,7 @@
 """Cosine-modulated oscillator: standard-form reduction and both pipelines."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,17 @@ def test_preset_refuses_a_scale_off_the_positive_floats(m0, omega0):
     assert PRESET.units.l == PRESET.length
 
 
+@pytest.mark.parametrize("fields, named", [
+    ({"eta0": math.inf}, "eta0 must be finite"),
+    ({"epsilon0": 1e308, "eta0": -1e308}, "epsilon0 = 1e+308 and eta0 = -1e+308"),
+], ids=["eta0", "both"])
+def test_preset_refuses_an_unbounded_stiffness(fields, named):
+    # |k| <= |epsilon0| + |eta0| must be a finite float: checked here, exactly,
+    # in place of a sampled scan of the schedule
+    with pytest.raises(DomainError, match=re.escape(named)):
+        DrivenOscillatorConfig(**fields)
+
+
 def test_unmodulated_basis_is_trigonometric():
     p = mathieu_parameters(DrivenOscillatorConfig(eta0=0.0))
     taus = np.linspace(0.0, 12.0, 49)
@@ -80,22 +92,21 @@ def test_frames_are_the_per_sample_arithmetic():
     # samples it replaced is the reference, bit for bit
     cfg = DrivenOscillatorConfig(init=InitialConditions(
         math.cosh(0.4), math.sinh(0.4) * complex(math.cos(0.7), math.sin(0.7)), 0.5 - 1j))
-    taus = np.linspace(0.0, 20.0, 257)
-    basis = fundamental_solutions(mathieu_parameters(cfg), taus, SETTINGS)
+    grid = np.linspace(0.0, 4.0, 257)
+    basis = fundamental_solutions(mathieu_parameters(cfg), cfg.omega0 * grid / 2.0, SETTINGS)
     y0, dy0 = cfg.init.f0 - cfg.init.g0, 2j * (cfg.init.f0 + cfg.init.g0)
     yy = y0 * basis.yc + dy0 * basis.ys
     xx = -0.5j * (y0 * basis.dyc + dy0 * basis.dys)
-    got = frames(cfg, taus, SETTINGS)
-    for i, tau in enumerate(basis.tau):
-        assert got[i].t == 2.0 * float(tau) / cfg.omega0
+    got = frames(cfg, grid, SETTINGS)
+    for i, t in enumerate(grid):
+        assert got[i].t == t
         assert got[i].f == complex(0.5 * (xx[i] + yy[i]))
         assert got[i].g == complex(0.5 * (xx[i] - yy[i]))
 
 
 def test_unmodulated_frames_match_constant_coefficients():
     cfg = DrivenOscillatorConfig(eta0=0.0)
-    taus = np.linspace(0.0, 8.0, 33)
-    got = frames(cfg, taus, SETTINGS)
+    got = frames(cfg, np.linspace(0.0, 1.6, 33), SETTINGS)
     alg = cfg.schedule().algebraic_at(0.0)
     const = AlgebraicCoefficients(alpha=alg.alpha, beta=alg.beta,
                                   gamma=alg.gamma, delta=alg.delta)
@@ -107,34 +118,31 @@ def test_unmodulated_frames_match_constant_coefficients():
 
 
 def test_both_pipelines_agree():
-    taus = np.linspace(0.0, 6.0, 61)
-    osc = frames(PRESET, taus, SETTINGS)
-    generic = evolve(PRESET.schedule(), PRESET.init, 2.0 * taus / PRESET.omega0,
-                     SETTINGS)
+    grid = np.linspace(0.0, 1.2, 61)
+    osc = frames(PRESET, grid, SETTINGS)
+    generic = evolve(PRESET.schedule(), PRESET.init, grid, SETTINGS)
     worst = max(max(abs(a.f - b.f), abs(a.g - b.g), abs(a.varphi - b.varphi))
                 for a, b in zip(osc, generic))
     assert worst < 1e-7
 
 
 def test_trajectory_anchors():
-    taus = np.linspace(0.0, 2.0, 21)
-    pts = mean_path(PRESET, taus, SETTINGS)
+    grid = np.linspace(0.0, 0.4, 21)
+    pts = mean_path(PRESET, grid, SETTINGS)
     t0, x0, p0 = pts[0]
     assert t0 == 0.0
     assert x0 == 0.0
     assert p0 == pytest.approx(math.sqrt(20.0), abs=1e-12)
 
     quiet = DrivenOscillatorConfig(init=InitialConditions(varphi0=0.0))
-    for _, x, p in mean_path(quiet, taus, SETTINGS):
+    for _, x, p in mean_path(quiet, grid, SETTINGS):
         assert x == 0.0 and p == 0.0
 
 
 def test_unmodulated_orbit_closes():
     cfg = DrivenOscillatorConfig(eta0=0.0)
-    # classical angular frequency sqrt(epsilon0/m0) = 1, period 2 pi,
-    # tau = omega0 t / 2
-    taus = np.linspace(0.0, 10.0 * math.pi, 401)
-    pts = mean_path(cfg, taus, SETTINGS)
+    # classical angular frequency sqrt(epsilon0/m0) = 1, period 2 pi
+    pts = mean_path(cfg, np.linspace(0.0, 2.0 * math.pi, 401), SETTINGS)
     _, x0, p0 = pts[0]
     t1, x1, p1 = pts[-1]
     assert t1 == pytest.approx(2.0 * math.pi, abs=1e-12)
@@ -153,10 +161,11 @@ def test_snapshot_distribution():
 
 
 def test_drift_and_wronskian_defects_track_each_other():
-    taus = np.linspace(0.0, 20.0, 201)
-    basis = fundamental_solutions(mathieu_parameters(PRESET), taus, SETTINGS)
+    basis = fundamental_solutions(mathieu_parameters(PRESET), np.linspace(0.0, 20.0, 201),
+                                  SETTINGS)
     w_defect = float(np.max(np.abs(basis.wronskian() - 1.0)))
-    f_defect = max(fr.unitarity_defect for fr in frames(PRESET, taus, SETTINGS))
+    f_defect = max(fr.unitarity_defect
+                   for fr in frames(PRESET, np.linspace(0.0, 4.0, 201), SETTINGS))
     assert w_defect < 1e-8
     assert f_defect < 1e-8
     # same invariant seen through two runs; keep them the same order
@@ -394,10 +403,9 @@ def test_slow_modulation_on_a_short_grid(monkeypatch):
     seen = spy_half_period(monkeypatch)
     cfg = DrivenOscillatorConfig(epsilon0=100.0, eta0=1.0, omega0=0.01)
     times = np.linspace(0.0, 10.0, 21)
-    taus = 0.5 * cfg.omega0 * times
-    osc = frames(cfg, taus, SETTINGS)
+    osc = frames(cfg, times, SETTINGS)
     panels, = seen
-    assert panels[-1][0][-1] == taus[-1]
+    assert panels[-1][0][-1] == cfg.omega0 * times[-1] / 2.0
     generic = evolve(cfg.schedule(), cfg.init, times, SETTINGS)
     scale = max(abs(b.f) for b in generic)
     worst = max(max(abs(a.f - b.f), abs(a.g - b.g)) for a, b in zip(osc, generic))
@@ -421,6 +429,22 @@ def test_non_finite_tau_grid_is_refused():
             fundamental_solutions(PRESET_PARAMS, np.array(grid), SETTINGS)
     with pytest.raises(DomainError, match="finite"):
         transition_snapshot(PRESET, math.inf)
+
+
+def test_period_count_past_int64_is_refused_before_any_solve(monkeypatch):
+    # k = tau // pi is an int64: from 2^63 periods on it cannot be counted
+    seen = spy_half_period(monkeypatch)
+    with pytest.raises(NumericalError, match=re.escape("2^63")) as err:
+        fundamental_solutions(PRESET_PARAMS, np.array([0.0, 1.0, 1e20]), SETTINGS)
+    assert err.value.t == 1e20
+    assert seen == []
+    with pytest.raises(NumericalError, match=re.escape("2^63")):
+        transition_snapshot(PRESET, 1e20)
+    # 2^62 periods are still counted: the free monodromy is a shear, and
+    # its powers double exactly
+    far = 2.0 ** 62 * math.pi
+    basis = fundamental_solutions(MathieuParameters(a=0.0, q=0.0), np.array([0.0, far]), SETTINGS)
+    assert basis.ys[-1] == pytest.approx(far, rel=1e-12)
 
 
 def test_overflowing_monodromy_power_raises(monkeypatch):

@@ -71,6 +71,20 @@ def test_grid_must_start_at_zero_and_increase():
         evolve(sched, InitialConditions(), [0.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("grid", [[], [[0.0, 1.0]]], ids=["empty", "2-D"])
+def test_grid_must_be_one_dimensional_and_nonempty(grid):
+    with pytest.raises(DomainError, match="one-dimensional, nonempty"):
+        evolve(constant_schedule(beta=1.0), InitialConditions(), grid)
+
+
+def test_zero_schedule_keeps_the_initial_frame():
+    # every derivative is exactly 0: the first step comes from the tiny-
+    # derivative rule and every step's error estimate is exactly 0
+    init = InitialConditions(f0=math.cosh(0.3), g0=math.sinh(0.3) * 1j, varphi0=0.5 - 1j)
+    for fr in evolve(constant_schedule(), init, np.linspace(0.0, 2.0, 5)):
+        assert (fr.f, fr.g, fr.varphi, fr.phase_phi) == (init.f0, init.g0, init.varphi0, 0.0)
+
+
 def test_non_finite_grid_is_refused():
     sched = constant_schedule(beta=1.0)
     for grid in ([0.0, math.inf], [0.0, 1.0, math.inf]):

@@ -400,6 +400,19 @@ def test_residual_converges_at_infinite_mass():
     assert 3.5 <= rp / rp2 <= 4.5
 
 
+def test_fock_wavefunction_refuses_a_negative_quantum_number():
+    with pytest.raises(DomainError, match="nonnegative"):
+        fock_wavefunction(-1, 0.0, UNITS)
+
+
+def test_residual_refuses_a_non_uniform_grid():
+    sched = CoefficientSchedule.physical(UNITS, m=1.0, k=1.0)
+    frames = evolve(sched, InitialConditions(varphi0=-1j), [0.0, 0.5, 1.5])
+    records = [observe(fr, sched.algebraic_at(fr.t), sched.units) for fr in frames]
+    with pytest.raises(DomainError, match="uniformly spaced"):
+        hamilton_residual(records, sched)
+
+
 def test_residual_needs_enough_uniform_samples():
     sched = CoefficientSchedule.physical(UNITS, m=1.0, k=1.0)
     records = run_records(sched, InitialConditions(varphi0=-1j), 1.0, 0.5)

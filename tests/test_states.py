@@ -88,6 +88,10 @@ def test_norm_factor_continuity_through_the_branch_cut():
     assert values[-1] == pytest.approx(-values[0], abs=1e-12)
 
 
+def test_windings_of_no_frames_are_empty():
+    assert branch_windings([]) == []
+
+
 # ---------------------------------------------------------------------------
 # number-basis coefficients
 

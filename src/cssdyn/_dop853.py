@@ -7,8 +7,9 @@ and II.6; the Fortran code dop853.f).  Everything that decides a step is
 scipy.integrate.solve_ivp(method="DOP853")'s, so rtol and atol keep their
 meaning there:
 
-- the tableau, bound below entry by entry from the class attributes of
-  scipy.integrate.DOP853 (A, B, C, E3, E5, D, A_EXTRA, C_EXTRA);
+- the tableau, written below as dop853.f's constants, each of which is
+  scipy.integrate.DOP853's entry bit for bit (A, B, C, E3, E5, D, A_EXTRA,
+  C_EXTRA; the tests hold them to it);
 - the initial step (select_initial_step, error estimator order 7);
 - the error norm, an RMS over the 8 real components, each scaled by
   atol + rtol * max(|y_old|, |y_new|);
@@ -29,8 +30,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.integrate import DOP853 as _TABLEAU
-
 from .errors import NumericalError
 
 # step-size control, as solve_ivp's DOP853 sets it
@@ -39,43 +38,176 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 EXPONENT = -1.0 / 8.0  # -1 / (error estimator order + 1)
 
-# Hairer's coefficients, bound from scipy's DOP853 tableau and named as in
-# dop853.f with the indices run together (A1110 is a(11, 10)): stage i runs
-# at t + Ci h from y + h sum_j Aij kj, the new state is y + h sum_j Bj kj,
-# and stage 13 is its derivative.  One unpacking per row; _ takes the zeros.
-_, C2, C3, C4, C5, C6, C7, C8, C9, C10, C11, C12 = _TABLEAU.C.tolist()
-_A = _TABLEAU.A.tolist()
-A21, _, _, _, _, _, _, _, _, _, _, _ = _A[1]
-A31, A32, _, _, _, _, _, _, _, _, _, _ = _A[2]
-A41, _, A43, _, _, _, _, _, _, _, _, _ = _A[3]
-A51, _, A53, A54, _, _, _, _, _, _, _, _ = _A[4]
-A61, _, _, A64, A65, _, _, _, _, _, _, _ = _A[5]
-A71, _, _, A74, A75, A76, _, _, _, _, _, _ = _A[6]
-A81, _, _, A84, A85, A86, A87, _, _, _, _, _ = _A[7]
-A91, _, _, A94, A95, A96, A97, A98, _, _, _, _ = _A[8]
-A101, _, _, A104, A105, A106, A107, A108, A109, _, _, _ = _A[9]
-A111, _, _, A114, A115, A116, A117, A118, A119, A1110, _, _ = _A[10]
-A121, _, _, A124, A125, A126, A127, A128, A129, A1210, A1211, _ = _A[11]
-B1, _, _, _, _, B6, B7, B8, B9, B10, B11, B12 = _TABLEAU.B.tolist()
+# Hairer's coefficients with dop853.f's digits, named as there with the
+# indices run together (A1110 is a(11, 10)): stage i runs at t + Ci h from
+# y + h sum_j Aij kj, the new state is y + h sum_j Bj kj, and stage 13 is its
+# derivative.  Each one rounds to scipy.integrate.DOP853's entry bit for bit,
+# which the tests check.
+C2 = 0.526001519587677318785587544488e-01
+C3 = 0.789002279381515978178381316732e-01
+C4 = 0.118350341907227396726757197510
+C5 = 0.281649658092772603273242802490
+C6 = 0.333333333333333333333333333333
+C7 = 0.25
+C8 = 0.307692307692307692307692307692
+C9 = 0.651282051282051282051282051282
+C10 = 0.6
+C11 = 0.857142857142857142857142857142
+C12 = 1.0
+C14 = 0.1
+C15 = 0.2
+C16 = 0.777777777777777777777777777778
+A21 = 5.26001519587677318785587544488e-2
+A31 = 1.97250569845378994544595329183e-2
+A32 = 5.91751709536136983633785987549e-2
+A41 = 2.95875854768068491816892993775e-2
+A43 = 8.87627564304205475450678981324e-2
+A51 = 2.41365134159266685502369798665e-1
+A53 = -8.84549479328286085344864962717e-1
+A54 = 9.24834003261792003115737966543e-1
+A61 = 3.7037037037037037037037037037e-2
+A64 = 1.70828608729473871279604482173e-1
+A65 = 1.25467687566822425016691814123e-1
+A71 = 3.7109375e-2
+A74 = 1.70252211019544039314978060272e-1
+A75 = 6.02165389804559606850219397283e-2
+A76 = -1.7578125e-2
+A81 = 3.70920001185047927108779319836e-2
+A84 = 1.70383925712239993810214054705e-1
+A85 = 1.07262030446373284651809199168e-1
+A86 = -1.53194377486244017527936158236e-2
+A87 = 8.27378916381402288758473766002e-3
+A91 = 6.24110958716075717114429577812e-1
+A94 = -3.36089262944694129406857109825
+A95 = -8.68219346841726006818189891453e-1
+A96 = 2.75920996994467083049415600797e1
+A97 = 2.01540675504778934086186788979e1
+A98 = -4.34898841810699588477366255144e1
+A101 = 4.77662536438264365890433908527e-1
+A104 = -2.48811461997166764192642586468
+A105 = -5.90290826836842996371446475743e-1
+A106 = 2.12300514481811942347288949897e1
+A107 = 1.52792336328824235832596922938e1
+A108 = -3.32882109689848629194453265587e1
+A109 = -2.03312017085086261358222928593e-2
+A111 = -9.3714243008598732571704021658e-1
+A114 = 5.18637242884406370830023853209
+A115 = 1.09143734899672957818500254654
+A116 = -8.14978701074692612513997267357
+A117 = -1.85200656599969598641566180701e1
+A118 = 2.27394870993505042818970056734e1
+A119 = 2.49360555267965238987089396762
+A1110 = -3.0467644718982195003823669022
+A121 = 2.27331014751653820792359768449
+A124 = -1.05344954667372501984066689879e1
+A125 = -2.00087205822486249909675718444
+A126 = -1.79589318631187989172765950534e1
+A127 = 2.79488845294199600508499808837e1
+A128 = -2.85899827713502369474065508674
+A129 = -8.87285693353062954433549289258
+A1210 = 1.23605671757943030647266201528e1
+A1211 = 6.43392746015763530355970484046e-1
+B1 = 5.42937341165687622380535766363e-2
+B6 = 4.45031289275240888144113950566
+B7 = 1.89151789931450038304281599044
+B8 = -5.8012039600105847814672114227
+B9 = 3.1116436695781989440891606237e-1
+B10 = -1.52160949662516078556178806805e-1
+B11 = 2.01365400804030348374776537501e-1
+B12 = 4.47106157277725905176885569043e-2
 
-# 3rd- and 5th-order error estimators.  E3 differs from B only at stages
-# 1, 9 and 12; at the other stages the sums below use the Bj themselves.
-E3_1, _, _, _, _, _, _, _, E3_9, _, _, E3_12, _ = _TABLEAU.E3.tolist()
-ER1, _, _, _, _, ER6, ER7, ER8, ER9, ER10, ER11, ER12, _ = _TABLEAU.E5.tolist()
+# 3rd- and 5th-order error estimators.  E3 is B less BHH at stages 1, 9 and
+# 12, as scipy builds it; at the other stages the sums below use the Bj
+# themselves.  E5 is ER.
+BHH1 = 0.244094488188976377952755905512
+BHH2 = 0.733846688281611857341361741547
+BHH3 = 0.220588235294117647058823529412e-1
+E3_1 = B1 - BHH1
+E3_9 = B9 - BHH2
+E3_12 = B12 - BHH3
+ER1 = 0.1312004499419488073250102996e-1
+ER6 = -0.1225156446376204440720569753e+1
+ER7 = -0.4957589496572501915214079952
+ER8 = 0.1664377182454986536961530415e+1
+ER9 = -0.3503288487499736816886487290
+ER10 = 0.3341791187130174790297318841
+ER11 = 0.8192320648511571246570742613e-1
+ER12 = -0.2235530786388629525884427845e-1
 
 # dense output: three more stages, and the rows D4..D7 of the 7th-order
 # interpolant
-C14, C15, C16 = _TABLEAU.C_EXTRA.tolist()
-_A = _TABLEAU.A_EXTRA.tolist()
-A141, _, _, _, _, _, A147, A148, A149, A1410, A1411, A1412, A1413, _, _, _ = _A[0]
-A151, _, _, _, _, A156, A157, A158, _, _, A1511, A1512, A1513, A1514, _, _ = _A[1]
-A161, _, _, _, _, A166, A167, A168, A169, _, _, _, A1613, A1614, A1615, _ = _A[2]
-_D = _TABLEAU.D.tolist()
-D41, _, _, _, _, D46, D47, D48, D49, D410, D411, D412, D413, D414, D415, D416 = _D[0]
-D51, _, _, _, _, D56, D57, D58, D59, D510, D511, D512, D513, D514, D515, D516 = _D[1]
-D61, _, _, _, _, D66, D67, D68, D69, D610, D611, D612, D613, D614, D615, D616 = _D[2]
-D71, _, _, _, _, D76, D77, D78, D79, D710, D711, D712, D713, D714, D715, D716 = _D[3]
-del _, _A, _D
+A141 = 5.61675022830479523392909219681e-2
+A147 = 2.53500210216624811088794765333e-1
+A148 = -2.46239037470802489917441475441e-1
+A149 = -1.24191423263816360469010140626e-1
+A1410 = 1.5329179827876569731206322685e-1
+A1411 = 8.20105229563468988491666602057e-3
+A1412 = 7.56789766054569976138603589584e-3
+A1413 = -8.298e-3
+A151 = 3.18346481635021405060768473261e-2
+A156 = 2.83009096723667755288322961402e-2
+A157 = 5.35419883074385676223797384372e-2
+A158 = -5.49237485713909884646569340306e-2
+A1511 = -1.08347328697249322858509316994e-4
+A1512 = 3.82571090835658412954920192323e-4
+A1513 = -3.40465008687404560802977114492e-4
+A1514 = 1.41312443674632500278074618366e-1
+A161 = -4.28896301583791923408573538692e-1
+A166 = -4.69762141536116384314449447206
+A167 = 7.68342119606259904184240953878
+A168 = 4.06898981839711007970213554331
+A169 = 3.56727187455281109270669543021e-1
+A1613 = -1.39902416515901462129418009734e-3
+A1614 = 2.9475147891527723389556272149
+A1615 = -9.15095847217987001081870187138
+D41 = -0.84289382761090128651353491142e+1
+D46 = 0.56671495351937776962531783590
+D47 = -0.30689499459498916912797304727e+1
+D48 = 0.23846676565120698287728149680e+1
+D49 = 0.21170345824450282767155149946e+1
+D410 = -0.87139158377797299206789907490
+D411 = 0.22404374302607882758541771650e+1
+D412 = 0.63157877876946881815570249290
+D413 = -0.88990336451333310820698117400e-1
+D414 = 0.18148505520854727256656404962e+2
+D415 = -0.91946323924783554000451984436e+1
+D416 = -0.44360363875948939664310572000e+1
+D51 = 0.10427508642579134603413151009e+2
+D56 = 0.24228349177525818288430175319e+3
+D57 = 0.16520045171727028198505394887e+3
+D58 = -0.37454675472269020279518312152e+3
+D59 = -0.22113666853125306036270938578e+2
+D510 = 0.77334326684722638389603898808e+1
+D511 = -0.30674084731089398182061213626e+2
+D512 = -0.93321305264302278729567221706e+1
+D513 = 0.15697238121770843886131091075e+2
+D514 = -0.31139403219565177677282850411e+2
+D515 = -0.93529243588444783865713862664e+1
+D516 = 0.35816841486394083752465898540e+2
+D61 = 0.19985053242002433820987653617e+2
+D66 = -0.38703730874935176555105901742e+3
+D67 = -0.18917813819516756882830838328e+3
+D68 = 0.52780815920542364900561016686e+3
+D69 = -0.11573902539959630126141871134e+2
+D610 = 0.68812326946963000169666922661e+1
+D611 = -0.10006050966910838403183860980e+1
+D612 = 0.77771377980534432092869265740
+D613 = -0.27782057523535084065932004339e+1
+D614 = -0.60196695231264120758267380846e+2
+D615 = 0.84320405506677161018159903784e+2
+D616 = 0.11992291136182789328035130030e+2
+D71 = -0.25693933462703749003312586129e+2
+D76 = -0.15418974869023643374053993627e+3
+D77 = -0.23152937917604549567536039109e+3
+D78 = 0.35763911791061412378285349910e+3
+D79 = 0.93405324183624310003907691704e+2
+D710 = -0.37458323136451633156875139351e+2
+D711 = 0.10409964950896230045147246184e+3
+D712 = 0.29840293426660503123344363579e+2
+D713 = -0.43533456590011143754432175058e+2
+D714 = 0.96324553959188282948394950600e+2
+D715 = -0.39177261675615439165231486172e+2
+D716 = -0.14972683625798562581422125276e+3
 
 
 def integrate(rhs, t0: float, t1: float, y: tuple, times: list, rtol: float,

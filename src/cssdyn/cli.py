@@ -12,6 +12,7 @@ certified).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -42,7 +43,10 @@ def main(argv=None) -> int:
         return 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: it holds no
+    per-call state, since each parse_args call fills a new namespace."""
     parser = argparse.ArgumentParser(
         prog="cssdyn",
         description="Evolve coherent squeezed states of time-dependent "

@@ -450,13 +450,19 @@ def frames(cfg: DrivenOscillatorConfig, grid,
     the cross-check the test suite runs.  The basis is solved at
     tau = omega0 t / 2; frame i carries grid[i] as its time, exactly, and
     the phase identically zero (beta = 2 delta, gamma = 0).  A grid whose
-    omega0 t overflows is refused as non-finite (DomainError); a
-    NumericalError from the basis carries the tau at which it was found.
+    omega0 t overflows is refused as non-finite (DomainError).  A
+    NumericalError from the basis is raised again in physical time: its
+    .t is the grid time whose tau failed, and its message begins with it.
     """
     ts = _check_grid(grid)
     with np.errstate(over="ignore"):  # an overflowing omega0 t is refused below
         taus = cfg.omega0 * ts / 2.0
-    basis = fundamental_solutions(mathieu_parameters(cfg), taus, settings)
+    try:
+        basis = fundamental_solutions(mathieu_parameters(cfg), taus, settings)
+    except NumericalError as exc:
+        # the basis refuses one of the grid's own taus, which increase with t
+        t = float(ts[np.searchsorted(taus, exc.t)])
+        raise NumericalError(f"at t = {t:g}: {exc}", t=t) from exc
     f0, g0 = cfg.init.f0, cfg.init.g0
     y_start = f0 - g0
     dy_start = 2j * (f0 + g0)
@@ -476,7 +482,8 @@ def transition_snapshot(cfg: DrivenOscillatorConfig, tau: float,
 
     The state is that of frames at t = 2 tau / omega0, whose basis is
     solved at omega0 t / 2: tau to within an ulp.  A tau past 2^63 periods
-    (about 2.9e19) raises NumericalError, as in fundamental_solutions.
+    (about 2.9e19) raises NumericalError, as in fundamental_solutions; like
+    every NumericalError of frames, it carries that t, not tau.
     """
     if tau < 0:
         raise DomainError(f"tau must be nonnegative, got {tau!r}")

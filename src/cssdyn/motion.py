@@ -24,11 +24,14 @@ dtau, is stored beside it as phase_vartheta.
 evolve integrates the three complex coefficients and the phase with
 DOP853 on Python complex scalars (_dop853): Hairer's method with
 scipy.integrate.solve_ivp's step control and dense output, so rtol and
-atol mean what they mean there, without numpy work inside a step.
+atol mean what they mean there, without numpy work inside a step.  That
+solve_ivp is the reference the stepper is tested against; nothing here
+imports scipy.
 
 For constant coefficients the solution is closed-form through the entire
-functions cos(Theta t) and sin(Theta t)/Theta of Theta^2 = beta^2 - |alpha|^2;
-no complex square root is ever taken.
+functions cos(Theta t) and sin(Theta t)/Theta of Theta^2 = beta^2 - |alpha|^2,
+and so is the phase, whose drive term integrates them exactly; no complex
+square root is ever taken.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import _dop853
 from .errors import DomainError, NumericalError
@@ -130,14 +132,15 @@ def u_of(frame: MotionFrame) -> complex:
 
 
 def from_initial_width(sigma_x0: float, theta: float, units: UnitContext) -> InitialConditions:
-    """Initial (f0, g0) realizing position width sigma_x0 with common phase theta.
+    """Initial (f0, g0) realizing position width sigma_x0 on the phase theta.
 
     Parameters
     ----------
     sigma_x0 : float
-        Target position deviation at t = 0; requires 0 < sigma_x0 <= l/sqrt(2).
+        Target position deviation at t = 0, positive and finite.
     theta : float
-        Common phase of f0 and g0.  Equal phases make the initial state
+        Phase of f0.  g0 is a real multiple of the same phase, negative
+        when sigma_x0 > l/sqrt(2), which makes the initial state
         minimum-uncertainty: sigma_xp(0) = 0 and sigma_p0 = hbar/(2 sigma_x0).
     units : UnitContext
         Supplies l.
@@ -151,15 +154,14 @@ def from_initial_width(sigma_x0: float, theta: float, units: UnitContext) -> Ini
     l = units.l
     if not (isinstance(sigma_x0, (int, float)) and 0 < sigma_x0 < math.inf):
         raise DomainError(f"sigma_x0 must be positive and finite, got {sigma_x0!r}")
-    if l < math.sqrt(2.0) * sigma_x0:
-        raise DomainError(
-            "width map assumes l >= sqrt(2) * sigma_x0; "
-            f"got l = {l:g}, sigma_x0 = {sigma_x0:g}"
-        )
     a = l * l / (2.0 * sigma_x0 * sigma_x0)
     scale = sigma_x0 / (l * math.sqrt(2.0))
     phase = complex(math.cos(theta), math.sin(theta))
-    return InitialConditions(f0=scale * (a + 1.0) * phase, g0=scale * (a - 1.0) * phase)
+    try:
+        return InitialConditions(f0=scale * (a + 1.0) * phase, g0=scale * (a - 1.0) * phase)
+    except DomainError as exc:
+        # |f0|^2 - |g0|^2 cancels to rounding once sigma_x0 / l is far from 1
+        raise DomainError(f"sigma_x0 = {sigma_x0!r} with l = {l!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -311,34 +313,45 @@ def _entire_trig(theta2: float, t: float):
     return math.cosh(w * t), math.sinh(w * t) / w, 2.0 * half * half / theta2
 
 
+def _d_integral(theta2: float, t: float, s: float) -> float:
+    """(s - t)/Theta^2 for s = sin(Theta t)/Theta: the integral over [0, t]
+    of d = (cos(Theta tau) - 1)/Theta^2.
+
+    Entire in theta2 as well.  Below |Theta^2 t^2| = 1, where s - t would
+    cancel, it is summed as -t^3 sum_k (-Theta^2 t^2)^k / (2k + 3)!, whose
+    10 terms reach the rounding floor there; at and above it the
+    difference loses at most a factor 1/(1 - sin 1) < 7.
+    """
+    z = theta2 * t * t
+    if abs(z) >= 1.0:
+        return (s - t) / theta2
+    total, term = 0.0, -t * t * t / 6.0
+    for k in range(10):
+        total += term
+        term *= -z / ((2 * k + 4) * (2 * k + 5))
+    return total
+
+
 def closed_form(alg: AlgebraicCoefficients, init: InitialConditions, t: float,
                 units: UnitContext = UnitContext()) -> MotionFrame:
     """Exact frame at time t for constant coefficients.
 
-    phase_phi is (beta - 2 delta) t / 2 less the drive's part, the
-    closed-form Re(conj(gamma) u) integrated by adaptive quadrature (its
-    mean factors mix incommensurate frequencies), which keeps this route
-    fully independent of the step-by-step evolution.
+    f, g and varphi are combinations of c = cos(Theta t),
+    s = sin(Theta t)/Theta and d = (c - 1)/Theta^2 (see _entire_trig).  So
+    is the mean combination u = g conj(varphi) - conj(f) varphi, which
+    solves i du/dt = beta u + alpha conj(u) + gamma:
+
+        u = c u0 - i s (beta u0 + alpha conj(u0) + gamma)
+              + d (beta gamma - alpha conj(gamma)).
+
+    phase_phi is (beta - 2 delta) t / 2 less the drive's part, the integral
+    of Re(conj(gamma) u), taken exactly: c, s and d integrate over [0, t]
+    to s, -d and (s - t)/Theta^2 (see _d_integral).  No quadrature and no
+    stepping, which keeps this route fully independent of evolve.
     """
-    f, g, varphi = _closed_fgp(alg, init, t)
-    phase_phi = 0.5 * (alg.beta - 2.0 * alg.delta) * float(t)
-    if alg.gamma != 0:
-        gc = alg.gamma.conjugate()
-
-        def work_rate(tau):
-            ff, gg, pp = _closed_fgp(alg, init, tau)
-            u = gg * pp.conjugate() - ff.conjugate() * pp
-            return (gc * u).real
-
-        integral, _ = quad(work_rate, 0.0, float(t), epsabs=1e-13, epsrel=1e-12, limit=200)
-        phase_phi -= integral
-    return MotionFrame(t=float(t), f=f, g=g, varphi=varphi,
-                       phase_phi=phase_phi, phase_vartheta=-units.hbar * phase_phi)
-
-
-def _closed_fgp(alg: AlgebraicCoefficients, init: InitialConditions, t: float):
+    t = float(t)
     theta2 = alg.beta * alg.beta - (alg.alpha * alg.alpha.conjugate()).real
-    c, s, d = _entire_trig(theta2, float(t))
+    c, s, d = _entire_trig(theta2, t)
     f0, g0, p0 = init.f0, init.g0, init.varphi0
     al, be, ga = alg.alpha, alg.beta, alg.gamma
     f = f0 * c + 1j * (be * f0 - al.conjugate() * g0) * s
@@ -347,4 +360,11 @@ def _closed_fgp(alg: AlgebraicCoefficients, init: InitialConditions, t: float):
               + ((ga * be - ga.conjugate() * al) * f0
                  + (ga.conjugate() * be - ga * al.conjugate()) * g0) * d
               + p0)
-    return f, g, varphi
+    phase_phi = 0.5 * (be - 2.0 * alg.delta) * t
+    if ga != 0:
+        u0 = g0 * p0.conjugate() - f0.conjugate() * p0
+        drive = (s * u0 + 1j * d * (be * u0 + al * u0.conjugate() + ga)
+                 + _d_integral(theta2, t, s) * (be * ga - al * ga.conjugate()))
+        phase_phi -= (ga.conjugate() * drive).real
+    return MotionFrame(t=t, f=f, g=g, varphi=varphi,
+                       phase_phi=phase_phi, phase_vartheta=-units.hbar * phase_phi)

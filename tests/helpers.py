@@ -5,9 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from cssdyn import (CoefficientSchedule, ComplexParts, DomainError, Harmonic,
-                    IntegratorSettings, MotionFrame, Polynomial, Table, UnitContext,
-                    evolve, frames, from_initial_width, means)
+from cssdyn import (AlgebraicCoefficients, CoefficientSchedule, ComplexParts, DomainError,
+                    Harmonic, IntegratorSettings, MotionFrame, Polynomial, Table,
+                    UnitContext, evolve, frames, from_initial_width, means)
 
 
 def hyperboloid_frame(rng, zeta_max=0.9, displacement=1.0, t=0.0):
@@ -22,6 +22,24 @@ def hyperboloid_frame(rng, zeta_max=0.9, displacement=1.0, t=0.0):
     g = r * f * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
     varphi = displacement * (rng.normal() + 1j * rng.normal()) / math.sqrt(2.0)
     return MotionFrame(t=t, f=complex(f), g=complex(g), varphi=complex(varphi))
+
+
+def constant_draws():
+    """Acceptance criterion 3's 100 constant Hamiltonians: |alpha| < 2,
+    beta in (-2, 2) (the first five on the resonant edge beta = +-|alpha|),
+    |gamma| < 2 and delta in (-2, 2), every phase uniform."""
+    rng = np.random.default_rng(20240405)
+    for case in range(100):
+        mod_a = rng.uniform(0.0, 2.0)
+        alpha = mod_a * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        if case < 5:
+            beta = rng.choice([-1.0, 1.0]) * abs(alpha)  # resonant edge
+        else:
+            beta = rng.uniform(-2.0, 2.0)
+        gamma = rng.uniform(0.0, 2.0) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        delta = rng.uniform(-2.0, 2.0)
+        yield AlgebraicCoefficients(alpha=complex(alpha), beta=float(beta),
+                                    gamma=complex(gamma), delta=float(delta))
 
 
 def poisson_reference(xi_abs, n_levels):

@@ -21,7 +21,7 @@ from cssdyn import (AlgebraicCoefficients, CoefficientSchedule,
                     mathieu_parameters, observe, overlap,
                     transition_probabilities, uncertainty, wavefunction)
 
-from helpers import hyperboloid_frame, mean_path, poisson_reference
+from helpers import constant_draws, hyperboloid_frame, mean_path, poisson_reference
 
 REPORT = []
 
@@ -66,23 +66,12 @@ def test_schroedinger_robertson_floor():
 
 @criterion(3, "constant coefficients against the closed form")
 def test_random_constant_hamiltonians():
-    rng = np.random.default_rng(20240405)
     # growth reaches e^10, which puts the absolute invariant floor near
     # |f|^2 eps ~ 1e-7; the drift monitor is scaled accordingly
     settings = IntegratorSettings(rtol=3e-14, atol=1e-16, drift_threshold=1e-6)
     grid = np.array([0.0, 0.5, 1.0, 5.0])
     worst = 0.0
-    for case in range(100):
-        mod_a = rng.uniform(0.0, 2.0)
-        alpha = mod_a * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        if case < 5:
-            beta = rng.choice([-1.0, 1.0]) * abs(alpha)  # resonant edge
-        else:
-            beta = rng.uniform(-2.0, 2.0)
-        gamma = rng.uniform(0.0, 2.0) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        delta = rng.uniform(-2.0, 2.0)
-        alg = AlgebraicCoefficients(alpha=complex(alpha), beta=float(beta),
-                                    gamma=complex(gamma), delta=float(delta))
+    for alg in constant_draws():
         sched = CoefficientSchedule.algebraic(
             UNITS, alpha=alg.alpha, beta=alg.beta, gamma=alg.gamma,
             delta=alg.delta)

@@ -4,6 +4,8 @@ import contextlib
 import io
 import math
 import re
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -77,6 +79,43 @@ def test_help_screens():
 def test_missing_arguments_fail_like_argparse():
     proc = run_cli("evolve")
     assert proc.returncode == 2
+
+
+def test_parser_is_built_once_and_serves_every_call(tmp_path):
+    # two calls in a row through the one parser: same exit codes, same output
+    assert cli._build_parser() is cli._build_parser()
+    cfg = write(tmp_path, "run.ini", OSCILLATOR_CONFIG)
+    runs = []
+    for _ in range(2):
+        out = tmp_path / "f.csv"
+        fock = run_cli("fock", "--config", cfg, "--times", "0.5,1", "--out", str(out))
+        refused = run_cli("fock", "--config", cfg, "--times", ",", "--out", str(out))
+        usage = run_cli("density", "--config", cfg)
+        runs.append([(p.returncode, p.stdout, p.stderr) for p in (fock, refused, usage)]
+                    + [out.read_bytes()])
+    assert runs[0] == runs[1]
+    assert [code for code, _, _ in runs[0][:3]] == [0, 2, 2]
+
+
+# every command, on a preset and on an explicit schedule, in a fresh interpreter
+NO_SCIPY = ("import sys\n"
+            "from cssdyn.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+
+
+@pytest.mark.parametrize("command", ["evolve", "validate", "fock", "density", "overlap"])
+@pytest.mark.parametrize("preset", [True, False], ids=["preset", "explicit"])
+def test_commands_import_no_scipy(tmp_path, command, preset):
+    text = ("[hamiltonian]\npreset = mathieu\n\n[integration]\nt_max = 0.5\nnum_points = 11\n"
+            if preset else OSCILLATOR_CONFIG)
+    cfg = write(tmp_path, "run.ini", text)
+    extra = {"fock": ["--times", "0.5"], "density": ["--time", "0.5"],
+             "overlap": ["--config2", cfg, "--time", "0.5"]}.get(command, [])
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, command, "--config", cfg, *extra,
+                           "--out", str(tmp_path / "o.csv")],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_evolve_writes_full_table(tmp_path):
@@ -502,7 +541,10 @@ def test_preset_past_int64_periods_exits_three(tmp_path, capsys):
     cfg = write(tmp_path, "run.ini", "[hamiltonian]\npreset = mathieu\n")
     assert main(["fock", "--config", cfg, "--times", "1e20",
                  "--out", str(tmp_path / "f.csv")]) == 3
-    assert "2^63" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "2^63" in err
+    # the failure names the time as it was given, then its tau
+    assert err.startswith("numerical failure: at t = 1e+20: tau = 5e+20 ")
 
 
 # each command's sampled schedule scans: overlap checks both configurations
@@ -674,6 +716,19 @@ def test_width_style_start(tmp_path):
     rc = load_config(write(tmp_path, "run.ini", WIDTH_CONFIG))
     base = from_initial_width(0.4, 0.3, rc.schedule.units)
     assert (rc.init.f0, rc.init.g0, rc.init.varphi0) == (base.f0, base.g0, -1.0 + 0.25j)
+
+
+def test_width_past_l_over_sqrt2_runs(tmp_path):
+    # sigma_x0 = 1 > l/sqrt(2) with l = 1: a valid minimum-uncertainty start
+    # (exit 0; it was refused with exit 2 before)
+    cfg = write(tmp_path, "run.ini", WIDTH_CONFIG.replace("sigma_x0 = 0.4", "sigma_x0 = 1.0"))
+    out = tmp_path / "e.csv"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+    header, data = read_csv(out)
+    first = dict(zip(header, data[0]))
+    assert first["sigma_x"] == pytest.approx(1.0, rel=1e-15)
+    assert first["sigma_p"] == pytest.approx(0.5, rel=1e-15)
+    assert abs(first["sigma_xp"]) < 1e-16
 
 
 @pytest.mark.parametrize("text, message", [

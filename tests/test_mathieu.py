@@ -447,6 +447,18 @@ def test_period_count_past_int64_is_refused_before_any_solve(monkeypatch):
     assert basis.ys[-1] == pytest.approx(far, rel=1e-12)
 
 
+@pytest.mark.parametrize("grid, t, message", [
+    ([0.0, 1.0, 1e20], 1e20, "2^63"),
+    (np.linspace(0.0, 20.0, 11), 6.0, "Wronskian drift"),
+], ids=["period_count", "wronskian"])
+def test_frames_report_failures_in_physical_time(grid, t, message):
+    # the basis fails at tau = omega0 t / 2; frames names the grid's own t
+    with pytest.raises(NumericalError, match=re.escape(message)) as err:
+        frames(PRESET, grid, SETTINGS)
+    assert err.value.t == t
+    assert str(err.value).startswith(f"at t = {t:g}: ")
+
+
 def test_overflowing_monodromy_power_raises(monkeypatch):
     # a refused grid is solved once: the check runs once, with no retry
     seen = spy_half_period(monkeypatch)

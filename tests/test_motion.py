@@ -2,20 +2,23 @@
 
 import math
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 import cssdyn._dop853
 from cssdyn import (AlgebraicCoefficients, CoefficientSchedule, ComplexParts,
                     Constant, DomainError, Harmonic, InitialConditions,
-                    IntegratorSettings, NumericalError, Polynomial, Table,
+                    IntegratorSettings, MotionFrame, NumericalError, Polynomial, Table,
                     UnitContext, closed_form, deviations, evolve,
                     from_initial_width, u_of)
 
-from helpers import DRIVEN_SCHEDULE, DRIVEN_UNITS, driven_frames, hidden, kinked_schedule
+from helpers import (DRIVEN_SCHEDULE, DRIVEN_UNITS, constant_draws, driven_frames, hidden,
+                     kinked_schedule)
 
 UNITS = UnitContext()
 TIGHT = IntegratorSettings(rtol=1e-12, atol=1e-14)
@@ -469,9 +472,10 @@ def test_max_step_caps_every_step():
 
 
 def test_stepper_reads_scipys_tableau_entry_for_entry():
-    # each coefficient the stepper names is scipy's entry bit for bit, as a
-    # float; every entry it leaves unnamed is zero, except E3's, which equal
-    # the Bj that the 3rd-order sums use in their place
+    # each coefficient the stepper writes as a literal is scipy's entry bit
+    # for bit (== on floats), so scipy stays the owner of record; every entry
+    # it leaves unnamed is zero, except E3's, which equal the Bj that the
+    # 3rd-order sums use in their place
     from scipy.integrate import DOP853
     names = vars(cssdyn._dop853)
     seen = set()
@@ -566,6 +570,69 @@ def test_closed_form_matches_integration_across_regimes():
                                                       abs=1e-8)
 
 
+def quadrature_phase(alg, init, t):
+    """phase_phi with the drive's part by adaptive quadrature of
+    Re(conj(gamma) u) over the closed-form frames: the oracle of the exact
+    integral."""
+    gc = alg.gamma.conjugate()
+    drive, _ = quad(lambda tau: (gc * u_of(closed_form(alg, init, tau))).real, 0.0, t,
+                    epsabs=1e-13, epsrel=1e-12, limit=200)
+    return 0.5 * (alg.beta - 2.0 * alg.delta) * t - drive
+
+
+def test_closed_form_phase_matches_quadrature_on_random_draws():
+    for alg in constant_draws():
+        for t in (0.5, 1.0, 5.0):
+            ref = quadrature_phase(alg, InitialConditions(), t)
+            got = closed_form(alg, InitialConditions(), t).phase_phi
+            assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+SQUEEZED_DISPLACED = InitialConditions(f0=1.2, g0=math.sqrt(0.44) * 1j, varphi0=0.4 - 0.3j)
+
+
+@pytest.mark.parametrize("alg, t", [
+    (AlgebraicCoefficients(alpha=0.6 - 0.3j, beta=30.0, gamma=0.7 - 0.2j, delta=0.4), 40.0),
+    (AlgebraicCoefficients(alpha=1.5 + 0.5j, beta=0.4, gamma=0.3 + 0.8j, delta=-0.2), 5.0),
+    (AlgebraicCoefficients(alpha=1.0, beta=1.0, gamma=0.3 + 0.8j, delta=-0.2), 5.0),
+    (AlgebraicCoefficients(alpha=1.0, beta=1.0 + 1e-9, gamma=-0.5 + 0.1j, delta=0.7), 5.0),
+], ids=["theta_t_1200", "theta2_negative", "resonant", "near_resonant"])
+@pytest.mark.parametrize("init", [InitialConditions(), SQUEEZED_DISPLACED],
+                         ids=["vacuum", "squeezed_displaced"])
+def test_closed_form_phase_matches_quadrature(alg, t, init):
+    # Theta t = 1200 rad; e^(|Theta| t) = 1.2e5; Theta = 0; Theta^2 = 2e-9
+    # puts Theta^2 t^2 below 1, where (s - t)/Theta^2 is summed as a series
+    ref = quadrature_phase(alg, init, t)
+    frame = closed_form(alg, init, t)
+    assert frame.phase_phi == pytest.approx(ref, rel=1e-12, abs=1e-12)
+    assert frame.phase_vartheta == -frame.phase_phi
+
+
+@pytest.mark.parametrize("theta2", [1.0, -1.0])
+@pytest.mark.parametrize("t", [1.0 - 1e-9, 1.0 + 1e-9], ids=["series", "difference"])
+def test_d_integral_on_both_sides_of_its_switch(theta2, t):
+    # (s - t)/Theta^2 is summed as a series below |Theta^2 t^2| = 1 and taken
+    # as the difference above; both meet 25 terms of the series, summed exactly
+    z = theta2 * t * t
+    w = math.sqrt(abs(theta2))
+    s = math.sin(w * t) / w if theta2 > 0 else math.sinh(w * t) / w
+    terms = [-t ** 3 * (-z) ** k / math.factorial(2 * k + 3) for k in range(25)]
+    got = cssdyn.motion._d_integral(theta2, t, s)
+    assert got == pytest.approx(math.fsum(terms), rel=8e-16)
+
+
+def test_closed_form_imports_no_scipy():
+    # the oracle lives in the tests: a fresh interpreter that imports the
+    # package and takes a driven closed form loads no scipy module
+    script = ("import sys, cssdyn\n"
+              "alg = cssdyn.AlgebraicCoefficients(alpha=0.3, beta=1.0, gamma=0.5 - 0.2j)\n"
+              "assert cssdyn.closed_form(alg, cssdyn.InitialConditions(), 2.0).phase_phi != 0.0\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout == "[]\n"
+
+
 def test_quadrature_slope_identity():
     # g = (i/conj(alpha)) df/dt + (beta/conj(alpha)) f for constant coefficients
     alg = AlgebraicCoefficients(alpha=0.8 - 0.6j, beta=1.3, gamma=0.4)
@@ -610,10 +677,22 @@ def test_width_data_sits_on_hyperboloid_and_minimizes():
 
 
 def test_width_out_of_range_rejected():
-    with pytest.raises(DomainError):
-        from_initial_width(0.8, 0.0, UNITS)  # needs sigma <= l / sqrt(2)
-    with pytest.raises(DomainError):
-        from_initial_width(0.0, 0.0, UNITS)
+    # 100 and 1e-3 are squeezed too far for |f0|^2 - |g0|^2 = 1 in float64
+    for sigma in (0.0, -0.5, math.inf, math.nan, 100.0, 1e-3):
+        with pytest.raises(DomainError, match="sigma_x0"):
+            from_initial_width(sigma, 0.0, UNITS)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0], ids=["below_l_over_sqrt2", "above_l_over_sqrt2"])
+def test_width_on_both_sides_of_l_over_sqrt2(sigma):
+    # past l/sqrt(2), a = l^2/(2 sigma^2) < 1 only turns the sign of g0: the
+    # start is still on the hyperboloid and minimum-uncertainty
+    init = from_initial_width(sigma, 0.3, UNITS)
+    assert abs(init.f0) ** 2 - abs(init.g0) ** 2 == pytest.approx(1.0, abs=1e-15)
+    sx, sp, sxp = deviations(MotionFrame(0.0, init.f0, init.g0, init.varphi0), UNITS)
+    assert sx == pytest.approx(sigma, rel=1e-15)
+    assert sp == pytest.approx(0.5 / sigma, rel=1e-15)
+    assert abs(sxp) < 1e-16
 
 
 def test_off_hyperboloid_initial_data_rejected():

@@ -19,7 +19,7 @@ from .motion import (InitialConditions, IntegratorSettings, MotionFrame,
                      closed_form, evolve, from_initial_width, u_of)
 from .observables import (ObservableRecord, deviations, fock_wavefunction,
                           hamilton_residual, mean_energy, means, observe,
-                          uncertainty, varphi_from_means, wavefunction)
+                          uncertainty, wavefunction)
 from .states import (FockDistribution, SqueezeDisplace, branch_windings,
                      fock_coefficients, normalization, overlap, parameters,
                      transition_probabilities)
@@ -39,5 +39,5 @@ __all__ = [
     "hamilton_residual", "mathieu_parameters", "mean_energy", "means",
     "normalization", "observe", "overlap", "parameters", "to_algebraic",
     "to_physical", "transition_probabilities", "transition_snapshot", "u_of",
-    "uncertainty", "validate", "varphi_from_means", "wavefunction", "__version__",
+    "uncertainty", "validate", "wavefunction", "__version__",
 ]

@@ -114,11 +114,12 @@ def _check_schedule(rc: RunConfig, horizon: float) -> None:
 
 def _frames_on(rc: RunConfig, grid):
     """Evolution frames on a time grid: a preset's through its
-    fundamental-solution path, which takes the same grid and whose
-    parameters the preset checked when it was built; any other schedule's
-    through evolve, once it passes its check over [0, grid[-1]]."""
+    fundamental-solution path, which takes the same grid, reads no
+    [integration] setting, and whose parameters the preset checked when it
+    was built; any other schedule's through evolve with rc.settings, once
+    it passes its check over [0, grid[-1]]."""
     if rc.preset is not None:
-        return oscillator_frames(rc.preset, grid, rc.settings)
+        return oscillator_frames(rc.preset, grid)
     _check_schedule(rc, float(grid[-1]))
     return evolve(rc.schedule, rc.init, grid, rc.settings)
 

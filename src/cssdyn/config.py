@@ -23,7 +23,8 @@ Sections and keys (INI syntax, keys are case-sensitive, # starts a comment):
 
     [integration]
       t_max, num_points           evolution grid linspace(0, t_max, num_points)
-      rtol, atol, max_step, drift_threshold     IntegratorSettings' fields
+      rtol, atol, max_step, drift_threshold     IntegratorSettings' fields,
+                                  read by evolve (a preset's frames read none)
 
     [output]
       out                         default output path (CLI --out overrides)

@@ -39,19 +39,20 @@ Spectral Methods in MATLAB, SIAM 2000): the unknowns are Y'' at N + 1
 Chebyshev points, Y and Y' are their first and second integrals plus the
 initial data, and one dense (N + 1)^2 solve gives both fundamental
 solutions at once.  The solution is entire in tau, so its Chebyshev
-coefficients fall faster than geometrically; N is the first size of a
-fixed ladder (33 to 513 points) whose trailing coefficients have fallen
-to the rounding floor, whatever rtol and atol say.  The preset and the
-tongue around it need N = 32, and a = 400, q = 10 needs 48; the solve
-resolves the half period to within a few rounding errors of its floor
-(about 1e-15 relative near the preset), so it runs once and the
-Wronskian is checked once, with no retry.  A fast coefficient,
+coefficients fall faster than geometrically.  One resolution rule
+fixes the discretization, and the route reads no integration setting:
+panels by phase, N by coefficient decay.  A fast coefficient,
 sqrt(|a| + 2|q|) times the interval above 64 radians, cuts the interval
 into equal panels of at most that phase, each solved from unit data and
 carried onto the end of the one before; a = 4e6, q = 0 (epsilon0 = 100,
 omega0 = 0.01) takes 50 panels of 65 nodes over pi/2.  More than 4096
 panels, sqrt(|a| + 2|q|) above about 1.7e5 over the whole half period,
-raise NumericalError.
+raise NumericalError.  In each panel N is the first size of a fixed
+ladder (33 to 513 points) whose trailing coefficients have fallen to the
+rounding floor.  The preset and the tongue around it need N = 32, and
+a = 400, q = 10 needs 48; the solve resolves the half period to within a
+few rounding errors of its floor (about 1e-15 relative near the preset),
+so it runs once and the Wronskian is checked once, with no retry.
 
 The displacement integral varphi is constant here
 (gamma = 0), both phase integrals vanish identically (E = V = F = 0 and
@@ -75,7 +76,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .hamiltonian import CoefficientSchedule, Harmonic, UnitContext
-from .motion import InitialConditions, IntegratorSettings, MotionFrame, _check_grid
+from .motion import InitialConditions, MotionFrame, _check_grid
 from .states import N_MAX, TAIL_TOLERANCE, transition_probabilities
 
 # Wronskian of the fundamental pair must stay this close to 1.
@@ -85,10 +86,8 @@ _HALF_PERIOD = 0.5 * math.pi
 _REFLECT = np.array([[1.0, -1.0], [-1.0, 1.0]])
 # Chebyshev node counts of a panel, tried in turn; the last is the cap
 _SIZES = (32, 48, 64, 96, 128, 192, 256, 384, 512)
-# a panel spans at most this many radians of sqrt(|a| + 2|q|) tau, and is
-# narrow enough for this many nodes to meet max_step
+# a panel spans at most this many radians of sqrt(|a| + 2|q|) tau
 _PANEL_PHASE = 64.0
-_PANEL_NODES = 64
 # a half period that needs more panels is refused; they hold about 3 kB each
 _MAX_PANELS = 4096
 # interpolation handles this many points at a time
@@ -187,9 +186,7 @@ def mathieu_parameters(cfg: DrivenOscillatorConfig) -> MathieuParameters:
     return MathieuParameters(a=a, q=q)
 
 
-def fundamental_solutions(params: MathieuParameters, tau_grid,
-                          settings: IntegratorSettings = IntegratorSettings()
-                          ) -> FundamentalBasis:
+def fundamental_solutions(params: MathieuParameters, tau_grid) -> FundamentalBasis:
     """Both fundamental solutions on the tau grid, from one half period.
 
     Every tau is folded to tau = k pi + r with 0 <= r < pi and
@@ -213,14 +210,12 @@ def fundamental_solutions(params: MathieuParameters, tau_grid,
     [0, end] is one Chebyshev panel unless sqrt(|a| + 2|q|) end passes 64
     radians, and then equal panels carried one onto the next.  N, the
     Chebyshev degree of a panel, is the first of _SIZES (32 to 512) whose
-    coefficients have decayed to the rounding floor (see _panel) and whose
-    widest node gap, under pi w / (2 N) on a panel of width w, is at most
-    settings.max_step; panels are added until N = 64 can meet it.  Of the
-    settings only max_step is read: a solve at the rounding floor is as
-    accurate as the spectral route gets, so rtol and atol have nothing
-    left to ask for.  More than 4096 panels, sqrt(|a| + 2|q|) above about
-    1.7e5 or max_step below about 1e-5 over the whole half period, raise
-    NumericalError.  At tau = 0 the sample is exactly the identity.
+    coefficients have decayed to the rounding floor (see _panel).  No
+    integration setting is read: a solve at the rounding floor is as
+    accurate as the spectral route gets, so there is nothing left to ask
+    for.  More than 4096 panels, sqrt(|a| + 2|q|) above about 1.7e5 over
+    the whole half period, raise NumericalError.  At tau = 0 the sample is
+    exactly the identity.
     A grid reaching 2^63 periods (tau about 2.9e19), past what the int64
     period count holds, raises NumericalError at its last tau before any
     solve.
@@ -248,7 +243,7 @@ def fundamental_solutions(params: MathieuParameters, tau_grid,
     # a state too unstable for float64 overflows across the panels or in M^k;
     # the Wronskian check then sees a non-finite sample and refuses it
     with np.errstate(over="ignore", invalid="ignore"):
-        panels = _half_period(a, q, end, settings.max_step)
+        panels = _half_period(a, q, end)
         (yc, ys), (dyc, dys) = panels[-1][2][:, -1]
         # D Phi(pi/2)^-1 D Phi(pi/2); unused (k = 0, no reflection) below pi/2
         monodromy = np.array([[yc * dys + ys * dyc, 2.0 * ys * dys],
@@ -306,13 +301,12 @@ def _chebyshev(n: int):
     return out
 
 
-def _half_period(a: float, q: float, end: float, max_step: float):
+def _half_period(a: float, q: float, end: float):
     """The fundamental matrix on [0, end], end <= pi/2, as Chebyshev panels.
 
     [0, end] is cut into equal panels, as few as keep sqrt(|a| + 2|q|) times
-    the width of each below _PANEL_PHASE radians and let _PANEL_NODES nodes
-    meet max_step in each; the preset and the tongue around it take one.
-    More than _MAX_PANELS raises NumericalError.  Each
+    the width of each below _PANEL_PHASE radians; the preset and the tongue
+    around it take one.  More than _MAX_PANELS raises NumericalError.  Each
     panel is solved from unit initial data at its start (see _panel), and
     its values are carried onto the previous panel's end value:
     Phi(t) = Phi_p(t - t_p) Phi(t_p).  Returns one (nodes, weights, values)
@@ -320,26 +314,23 @@ def _half_period(a: float, q: float, end: float, max_step: float):
     [[yc, ys], [yc', ys']] at node j, and the first node of the first panel
     holds exactly the identity.
     """
-    reach = math.sqrt(abs(a) + 2.0 * abs(q)) * end
-    # the widest gap between n + 1 Chebyshev nodes on a width w is below pi w / (2 n)
-    need = max(reach / _PANEL_PHASE, 0.5 * math.pi * end / (_PANEL_NODES * max_step))
+    need = math.sqrt(abs(a) + 2.0 * abs(q)) * end / _PANEL_PHASE
     if not need <= _MAX_PANELS:
         raise NumericalError(f"Mathieu half period at a = {a:g}, q = {q:g} on "
                              f"[0, {end:g}] needs {need:.3g} Chebyshev panels, "
                              f"more than {_MAX_PANELS}", t=0.0)
     count = max(1, math.ceil(need))
-    min_nodes = 0.5 * math.pi * (end / count) / max_step
     panels = []
     for i in range(count):
         hi = end if i == count - 1 else end * (i + 1) / count
-        nodes, weights, values = _panel(a, q, end * i / count, hi, min_nodes)
+        nodes, weights, values = _panel(a, q, end * i / count, hi)
         if panels:
             values = values @ panels[-1][2][:, -1]
         panels.append((nodes, weights, values))
     return panels
 
 
-def _panel(a: float, q: float, lo: float, hi: float, min_nodes: float):
+def _panel(a: float, q: float, lo: float, hi: float):
     """Nodes, weights and the unit-data Phi at the nodes of one panel [lo, hi].
 
     With sigma = y'' at the nodes and w = hi - lo, y = y0 + y0' (t - lo) +
@@ -350,17 +341,15 @@ def _panel(a: float, q: float, lo: float, hi: float, min_nodes: float):
     conditioned as n grows, where collocation with differentiation
     matrices loses about n^4 eps.
 
-    n is the first size of _SIZES at or above min_nodes (or the last) whose
-    coefficients have decayed: in every column of (y, y') the last _TAIL are
-    at most the largest times the rounding floor.  The floor,
+    n is the first size of _SIZES whose coefficients have decayed: in every
+    column of (y, y') the last _TAIL are at most the largest times the
+    rounding floor.  The floor,
     (n + max|c| w^2) eps, is what rounding leaves in the tail of a
     resolved solve: n from the coefficient transform, the rest from a
     system whose norm is up to 1 + max|c| w^2 / 2.
     """
     width = hi - lo
     for n in _SIZES:
-        if n < min_nodes and n != _SIZES[-1]:
-            continue
         unit, weights, to_coeffs, lift, base = _chebyshev(n)
         nodes = lo + width * unit
         nodes[-1] = hi
@@ -440,14 +429,14 @@ def _powers(m: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return out
 
 
-def frames(cfg: DrivenOscillatorConfig, grid,
-           settings: IntegratorSettings = IntegratorSettings()) -> list:
+def frames(cfg: DrivenOscillatorConfig, grid) -> list:
     """Motion frames on a physical-time grid via the fundamental-solution
     reduction.
 
-    This is the specialized route; it takes the grid that evolve takes and
-    must agree with the generic evolution of cfg.schedule() on it, which is
-    the cross-check the test suite runs.  The basis is solved at
+    This is the specialized route; it takes the grid that evolve takes, but
+    no integration setting (see fundamental_solutions), and must agree
+    with the generic evolution of cfg.schedule() on it, which is the
+    cross-check the test suite runs.  The basis is solved at
     tau = omega0 t / 2; frame i carries grid[i] as its time, exactly, and
     the phase identically zero (beta = 2 delta, gamma = 0).  A grid whose
     omega0 t overflows is refused as non-finite (DomainError).  A
@@ -458,7 +447,7 @@ def frames(cfg: DrivenOscillatorConfig, grid,
     with np.errstate(over="ignore"):  # an overflowing omega0 t is refused below
         taus = cfg.omega0 * ts / 2.0
     try:
-        basis = fundamental_solutions(mathieu_parameters(cfg), taus, settings)
+        basis = fundamental_solutions(mathieu_parameters(cfg), taus)
     except NumericalError as exc:
         # the basis refuses one of the grid's own taus, which increase with t
         t = float(ts[np.searchsorted(taus, exc.t)])
@@ -477,17 +466,21 @@ def frames(cfg: DrivenOscillatorConfig, grid,
 
 def transition_snapshot(cfg: DrivenOscillatorConfig, tau: float,
                         tail_tolerance: float = TAIL_TOLERANCE, n_max: int = N_MAX,
-                        settings: IntegratorSettings = IntegratorSettings()):
+                        settings=None):
     """Number-basis probabilities P_n of the state at one tau.
 
     The state is that of frames at t = 2 tau / omega0, whose basis is
     solved at omega0 t / 2: tau to within an ulp.  A tau past 2^63 periods
     (about 2.9e19) raises NumericalError, as in fundamental_solutions; like
     every NumericalError of frames, it carries that t, not tau.
+
+    settings is accepted and never read: the Mathieu route takes no
+    integration setting.  The parameter stays only because the fock_deep
+    workload of perfbench (FockDeep.run) passes one positionally.
     """
     if tau < 0:
         raise DomainError(f"tau must be nonnegative, got {tau!r}")
     # just [0.0] when tau is 0, or when t underflows to 0
     grid = np.unique([0.0, 2.0 * float(tau) / cfg.omega0])
-    frame = frames(cfg, grid, settings)[-1]
+    frame = frames(cfg, grid)[-1]
     return transition_probabilities(frame, tail_tolerance=tail_tolerance, n_max=n_max)

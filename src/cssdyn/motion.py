@@ -46,7 +46,8 @@ from . import _dop853
 from .errors import DomainError, NumericalError
 from .hamiltonian import AlgebraicCoefficients, CoefficientSchedule, UnitContext
 
-# |f0|^2 - |g0|^2 = 1 must hold to this absolute tolerance at construction.
+# |f0|^2 - |g0|^2 = 1 must hold to this tolerance relative to |f0|^2 + |g0|^2
+# at construction: rounding in the difference grows with its terms.
 _INIT_TOL = 1e-12
 
 # Below this |Theta^2| the trig pair switches to its 6-term Taylor series.
@@ -65,7 +66,11 @@ def _hyperboloid_defect(f: complex, g: complex) -> float:
 
 @dataclass(frozen=True)
 class InitialConditions:
-    """Starting point (f0, g0, varphi0) on the hyperboloid |f0|^2 - |g0|^2 = 1."""
+    """Starting point (f0, g0, varphi0) on the hyperboloid |f0|^2 - |g0|^2 = 1.
+
+    The hyperboloid must hold to 1e-12 relative to |f0|^2 + |g0|^2, which
+    must be finite; anything else raises DomainError.
+    """
 
     f0: complex = 1.0 + 0j
     g0: complex = 0j
@@ -76,9 +81,11 @@ class InitialConditions:
         object.__setattr__(self, "g0", complex(self.g0))
         object.__setattr__(self, "varphi0", complex(self.varphi0))
         defect = _hyperboloid_defect(self.f0, self.g0)
-        if not defect <= _INIT_TOL:
+        size = (self.f0 * self.f0.conjugate()).real + (self.g0 * self.g0.conjugate()).real
+        if not defect <= _INIT_TOL * size < math.inf:
             raise DomainError(
-                f"|f0|^2 - |g0|^2 must equal 1 within {_INIT_TOL:g}, defect {defect:.3e}"
+                f"|f0|^2 - |g0|^2 must equal 1 within {_INIT_TOL:g} relative to "
+                f"|f0|^2 + |g0|^2 = {size:.3g}, defect {defect:.3e}"
             )
 
 
@@ -105,13 +112,13 @@ class MotionFrame:
 
 @dataclass(frozen=True)
 class IntegratorSettings:
-    """Accuracy settings of the two routes to a motion frame.
+    """Accuracy settings of evolve, the generic route to a motion frame.
 
     evolve reads all four: rtol, atol and max_step steer DOP853, and
     drift_threshold bounds the unitarity defect of every frame.  The
-    Mathieu route (mathieu.fundamental_solutions) reads max_step only; it
-    always solves at the rounding floor and checks the Wronskian against a
-    fixed 1e-9.
+    Mathieu route (mathieu.fundamental_solutions) reads none; it always
+    solves at the rounding floor and checks the Wronskian against a fixed
+    1e-9.
     """
 
     rtol: float = 1e-10
@@ -348,10 +355,17 @@ def closed_form(alg: AlgebraicCoefficients, init: InitialConditions, t: float,
     of Re(conj(gamma) u), taken exactly: c, s and d integrate over [0, t]
     to s, -d and (s - t)/Theta^2 (see _d_integral).  No quadrature and no
     stepping, which keeps this route fully independent of evolve.
+
+    Raises NumericalError carrying t once cosh(|Theta| t) overflows a float
+    (Theta^2 < 0 and |Theta| t past about 710).
     """
     t = float(t)
     theta2 = alg.beta * alg.beta - (alg.alpha * alg.alpha.conjugate()).real
-    c, s, d = _entire_trig(theta2, t)
+    try:
+        c, s, d = _entire_trig(theta2, t)
+    except OverflowError:
+        raise NumericalError(f"closed form at t = {t:g}: cosh(|Theta| t) overflows "
+                             f"for Theta^2 = {theta2:g}", t=t) from None
     f0, g0, p0 = init.f0, init.g0, init.varphi0
     al, be, ga = alg.alpha, alg.beta, alg.gamma
     f = f0 * c + 1j * (be * f0 - al.conjugate() * g0) * s

@@ -55,16 +55,6 @@ def means(frame: MotionFrame, units: UnitContext):
             math.sqrt(2.0) * (units.hbar / units.l) * u.imag)
 
 
-def varphi_from_means(xbar: float, pbar: float, f: complex, g: complex,
-                      units: UnitContext) -> complex:
-    """Displacement integral varphi that realizes given means under (f, g).
-
-    Inverse of means(): varphi = -[(f+g) xbar/l + i l (f-g) pbar/hbar]/sqrt(2).
-    """
-    l, hbar = units.l, units.hbar
-    return -((f + g) * (xbar / l) + 1j * l * (f - g) * (pbar / hbar)) / math.sqrt(2.0)
-
-
 def deviations(frame: MotionFrame, units: UnitContext):
     """(sigma_x, sigma_p, sigma_xp)."""
     l, hbar = units.l, units.hbar
@@ -137,12 +127,16 @@ def wavefunction(frame: MotionFrame, x, units: UnitContext,
     on the hyperboloid, so its principal root is unambiguous.  This makes
     Psi equal to the number-basis series sum c_n psi_n pointwise, since
     both read the frame's one phase.
+
+    Raises DomainError for the frames normalization() refuses: a
+    non-finite f, g or varphi, or |g| >= |f|.
     """
     l, hbar = units.l, units.hbar
     f, g = frame.f, frame.g
     xbar, pbar = means(frame, units)
     xs = np.asarray(x, dtype=float)
-    pref = _inverse_root(f, winding) / (np.sqrt(l * math.sqrt(math.pi)) * np.sqrt(1.0 - g / f))
+    # _inverse_root refuses the frame before g / f is formed
+    pref = _inverse_root(frame, winding) / (np.sqrt(l * math.sqrt(math.pi)) * np.sqrt(1.0 - g / f))
     width = (f + g) / (f - g)
     dx = xs - xbar
     phase = (pbar / (2.0 * hbar)) * (2.0 * xs - xbar) + frame.phase_phi

@@ -95,9 +95,23 @@ def branch_windings(frames) -> list:
     return [int(round(w)) for w in (unwrapped - args) / (2.0 * np.pi)]
 
 
-def _inverse_root(f: complex, winding: int) -> complex:
-    """f^(-1/2) on the sheet that winding selects: (-1)^winding times the
-    principal value."""
+def _inverse_root(frame: MotionFrame, winding: int) -> complex:
+    """f^(-1/2) of a frame on the sheet that winding selects: (-1)^winding
+    times the principal value.
+
+    Raises DomainError for a frame whose f, g or varphi is not finite, and
+    for one with |g| >= |f|, which has no normalizable state (|zeta| >= 1).
+    normalization and observables.wavefunction both take f^(-1/2) from
+    here, before any arithmetic that such a frame would break, so they
+    refuse the same frames.
+    """
+    f, g, varphi = frame.f, frame.g, frame.varphi
+    if not all(math.isfinite(x) for v in (f, g, varphi) for x in (v.real, v.imag)):
+        raise DomainError(f"frame at t = {frame.t!r} is not finite: "
+                          f"f = {f!r}, g = {g!r}, varphi = {varphi!r}")
+    if not math.hypot(g.real, g.imag) < math.hypot(f.real, f.imag):
+        raise DomainError(f"frame at t = {frame.t!r} has |g| >= |f| (f = {f!r}, g = {g!r}): "
+                          "no normalizable state")
     root = 1.0 / np.sqrt(complex(f))
     return -root if winding % 2 else root
 
@@ -114,14 +128,8 @@ def normalization(frame: MotionFrame, winding: int = 0) -> complex:
     Raises DomainError for a frame whose f, g or varphi is not finite, and
     for one with |g| >= |f|, which has no normalizable state (|zeta| >= 1).
     """
+    root = _inverse_root(frame, winding)
     f, g, varphi = frame.f, frame.g, frame.varphi
-    if not all(math.isfinite(x) for v in (f, g, varphi) for x in (v.real, v.imag)):
-        raise DomainError(f"frame at t = {frame.t!r} is not finite: "
-                          f"f = {f!r}, g = {g!r}, varphi = {varphi!r}")
-    if not math.hypot(g.real, g.imag) < math.hypot(f.real, f.imag):
-        raise DomainError(f"frame at t = {frame.t!r} has |g| >= |f| (f = {f!r}, g = {g!r}): "
-                          "no normalizable state")
-    root = _inverse_root(f, winding)
     exponent = (g.conjugate() / f) * varphi * varphi / 2.0 \
         - (varphi * varphi.conjugate()).real / 2.0 + 1j * frame.phase_phi
     return complex(root * np.exp(exponent))

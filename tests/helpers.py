@@ -86,9 +86,9 @@ def driven_frames(times):
     return evolve(DRIVEN_SCHEDULE, init, grid, IntegratorSettings(rtol=1e-13, atol=1e-15))[1:]
 
 
-def mean_path(cfg, grid, settings=IntegratorSettings()):
+def mean_path(cfg, grid):
     """(t, xbar, pbar) at each time of the grid, from the Mathieu route's frames."""
-    return [(fr.t, *means(fr, cfg.units)) for fr in frames(cfg, grid, settings)]
+    return [(fr.t, *means(fr, cfg.units)) for fr in frames(cfg, grid)]
 
 
 def physical_residual(records, schedule):

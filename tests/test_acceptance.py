@@ -45,8 +45,8 @@ def criterion(num, label):
     return wrap
 
 
-def preset_run(t_max=4.0, points=801, settings=IntegratorSettings()):
-    return frames(PRESET, np.linspace(0.0, t_max, points), settings)
+def preset_run(t_max=4.0, points=801):
+    return frames(PRESET, np.linspace(0.0, t_max, points))
 
 
 @criterion(1, "unitarity on the driven preset")
@@ -86,7 +86,7 @@ def test_random_constant_hamiltonians():
 def test_mathieu_route_against_generic_route():
     grid = np.linspace(0.0, 4.0, 801)
     tight = IntegratorSettings(rtol=1e-12, atol=1e-14)
-    via_mathieu = frames(PRESET, grid, tight)
+    via_mathieu = frames(PRESET, grid)
     via_schedule = evolve(PRESET.schedule(), PRESET.init, grid, tight)
     worst = max(max(abs(a.f - b.f), abs(a.g - b.g), abs(a.varphi - b.varphi))
                 for a, b in zip(via_mathieu, via_schedule))
@@ -122,10 +122,9 @@ def test_photon_distributions():
     odd_mass = float(np.max(sq[1::2])) if sq.size > 1 else 0.0
 
     # the t = 4 (tau = 20) frame sits deep in the unstable tongue: |zeta| ~
-    # 1 - 1e-6, ~31M certified terms; tolerances chosen so the end-to-end
-    # mass defect stays under the gate with measured margin
-    snaps = frames(PRESET, np.array([0.0, 2.0, 4.0]),
-                   IntegratorSettings(rtol=1e-13, atol=1e-15))
+    # 1 - 1e-6, ~31M certified terms; the tail tolerance is chosen so the
+    # end-to-end mass defect stays under the gate with measured margin
+    snaps = frames(PRESET, np.array([0.0, 2.0, 4.0]))
     mass_gap, argmax_ok = 0.0, True
     for fr in snaps:
         p = transition_probabilities(fr, tail_tolerance=2e-11, n_max=40_000_000)

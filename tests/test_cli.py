@@ -310,6 +310,38 @@ def test_validate_flags_crude_tolerances(tmp_path):
                for line in out.read_text().splitlines()[1:])
 
 
+def test_validate_passes_a_residual_at_the_noise_floor(tmp_path):
+    # no displacement keeps the mean at 0, so the Hamilton residual sits at
+    # the noise floor on both grids and their ratio is not read
+    text = OSCILLATOR_CONFIG.replace("[initial]\nvarphi0_re = -1.0\n\n", "")
+    cfg = write(tmp_path, "run.ini", text)
+    out = tmp_path / "report.csv"
+    proc = run_cli("validate", "--config", cfg, "--out", str(out))
+    assert proc.returncode == 0, proc.stdout
+    assert "hamilton_convergence,inf,3.5,PASS" in out.read_text().splitlines()
+
+
+def test_preset_reads_no_integration_setting(tmp_path):
+    # the Mathieu route solves at the rounding floor whatever [integration]
+    # asks of the generic integrator, so these keys change no output byte
+    plain = PRESET_CONFIG.replace("rtol = 1e-12\natol = 1e-14\n", "")
+    keyed = plain.replace("num_points = 201\n",
+                          "num_points = 201\nmax_step = 0.01\nrtol = 1e-5\natol = 1e-5\n")
+    assert keyed != plain
+    outputs = []
+    for name, text in (("plain", plain), ("keyed", keyed)):
+        cfg = write(tmp_path, name + ".ini", text)
+        runs = {"evolve": [], "fock": ["--times", "0.5,2"], "density": ["--time", "1.5"],
+                "overlap": ["--config2", cfg, "--time", "1.5"]}
+        written = []
+        for command, extra in runs.items():
+            out = tmp_path / f"{name}-{command}.csv"
+            assert run_cli(command, "--config", cfg, *extra, "--out", str(out)).returncode == 0
+            written.append(out.read_bytes())
+        outputs.append(written)
+    assert outputs[0] == outputs[1]
+
+
 # A generated preset run whose last frame carries a number-basis mass
 # 2.6e-10 away from 1 at the default rtol: more than 2 * tail_tolerance,
 # through integration error alone.

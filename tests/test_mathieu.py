@@ -59,7 +59,7 @@ def test_preset_refuses_an_unbounded_stiffness(fields, named):
 def test_unmodulated_basis_is_trigonometric():
     p = mathieu_parameters(DrivenOscillatorConfig(eta0=0.0))
     taus = np.linspace(0.0, 12.0, 49)
-    basis = fundamental_solutions(p, taus, SETTINGS)
+    basis = fundamental_solutions(p, taus)
     w = math.sqrt(p.a)  # 0.2
     assert np.max(np.abs(basis.yc - np.cos(w * taus))) < 1e-9
     assert np.max(np.abs(basis.ys - np.sin(w * taus) / w)) < 1e-9
@@ -68,19 +68,19 @@ def test_unmodulated_basis_is_trigonometric():
 def test_free_basis_is_affine():
     p = mathieu_parameters(DrivenOscillatorConfig(epsilon0=0.0, eta0=0.0))
     taus = np.linspace(0.0, 5.0, 11)
-    basis = fundamental_solutions(p, taus, SETTINGS)
+    basis = fundamental_solutions(p, taus)
     assert np.max(np.abs(basis.yc - 1.0)) < 1e-10
     assert np.max(np.abs(basis.ys - taus)) < 1e-10
 
 
 def test_wronskian_stays_pinned():
     taus = np.linspace(0.0, 20.0, 201)
-    basis = fundamental_solutions(mathieu_parameters(PRESET), taus, SETTINGS)
+    basis = fundamental_solutions(mathieu_parameters(PRESET), taus)
     assert np.max(np.abs(basis.wronskian() - 1.0)) < 1e-9
 
 
 def test_frames_start_from_initial_data():
-    fr = frames(PRESET, np.array([0.0]), SETTINGS)[0]
+    fr = frames(PRESET, np.array([0.0]))[0]
     assert fr.t == 0.0
     assert fr.f == PRESET.init.f0
     assert fr.g == PRESET.init.g0
@@ -93,11 +93,11 @@ def test_frames_are_the_per_sample_arithmetic():
     cfg = DrivenOscillatorConfig(init=InitialConditions(
         math.cosh(0.4), math.sinh(0.4) * complex(math.cos(0.7), math.sin(0.7)), 0.5 - 1j))
     grid = np.linspace(0.0, 4.0, 257)
-    basis = fundamental_solutions(mathieu_parameters(cfg), cfg.omega0 * grid / 2.0, SETTINGS)
+    basis = fundamental_solutions(mathieu_parameters(cfg), cfg.omega0 * grid / 2.0)
     y0, dy0 = cfg.init.f0 - cfg.init.g0, 2j * (cfg.init.f0 + cfg.init.g0)
     yy = y0 * basis.yc + dy0 * basis.ys
     xx = -0.5j * (y0 * basis.dyc + dy0 * basis.dys)
-    got = frames(cfg, grid, SETTINGS)
+    got = frames(cfg, grid)
     for i, t in enumerate(grid):
         assert got[i].t == t
         assert got[i].f == complex(0.5 * (xx[i] + yy[i]))
@@ -106,7 +106,7 @@ def test_frames_are_the_per_sample_arithmetic():
 
 def test_unmodulated_frames_match_constant_coefficients():
     cfg = DrivenOscillatorConfig(eta0=0.0)
-    got = frames(cfg, np.linspace(0.0, 1.6, 33), SETTINGS)
+    got = frames(cfg, np.linspace(0.0, 1.6, 33))
     alg = cfg.schedule().algebraic_at(0.0)
     const = AlgebraicCoefficients(alpha=alg.alpha, beta=alg.beta,
                                   gamma=alg.gamma, delta=alg.delta)
@@ -119,7 +119,7 @@ def test_unmodulated_frames_match_constant_coefficients():
 
 def test_both_pipelines_agree():
     grid = np.linspace(0.0, 1.2, 61)
-    osc = frames(PRESET, grid, SETTINGS)
+    osc = frames(PRESET, grid)
     generic = evolve(PRESET.schedule(), PRESET.init, grid, SETTINGS)
     worst = max(max(abs(a.f - b.f), abs(a.g - b.g), abs(a.varphi - b.varphi))
                 for a, b in zip(osc, generic))
@@ -128,21 +128,21 @@ def test_both_pipelines_agree():
 
 def test_trajectory_anchors():
     grid = np.linspace(0.0, 0.4, 21)
-    pts = mean_path(PRESET, grid, SETTINGS)
+    pts = mean_path(PRESET, grid)
     t0, x0, p0 = pts[0]
     assert t0 == 0.0
     assert x0 == 0.0
     assert p0 == pytest.approx(math.sqrt(20.0), abs=1e-12)
 
     quiet = DrivenOscillatorConfig(init=InitialConditions(varphi0=0.0))
-    for _, x, p in mean_path(quiet, grid, SETTINGS):
+    for _, x, p in mean_path(quiet, grid):
         assert x == 0.0 and p == 0.0
 
 
 def test_unmodulated_orbit_closes():
     cfg = DrivenOscillatorConfig(eta0=0.0)
     # classical angular frequency sqrt(epsilon0/m0) = 1, period 2 pi
-    pts = mean_path(cfg, np.linspace(0.0, 2.0 * math.pi, 401), SETTINGS)
+    pts = mean_path(cfg, np.linspace(0.0, 2.0 * math.pi, 401))
     _, x0, p0 = pts[0]
     t1, x1, p1 = pts[-1]
     assert t1 == pytest.approx(2.0 * math.pi, abs=1e-12)
@@ -161,11 +161,10 @@ def test_snapshot_distribution():
 
 
 def test_drift_and_wronskian_defects_track_each_other():
-    basis = fundamental_solutions(mathieu_parameters(PRESET), np.linspace(0.0, 20.0, 201),
-                                  SETTINGS)
+    basis = fundamental_solutions(mathieu_parameters(PRESET), np.linspace(0.0, 20.0, 201))
     w_defect = float(np.max(np.abs(basis.wronskian() - 1.0)))
     f_defect = max(fr.unitarity_defect
-                   for fr in frames(PRESET, np.linspace(0.0, 4.0, 201), SETTINGS))
+                   for fr in frames(PRESET, np.linspace(0.0, 4.0, 201)))
     assert w_defect < 1e-8
     assert f_defect < 1e-8
     # same invariant seen through two runs; keep them the same order
@@ -243,7 +242,7 @@ SLOW_MODULATION = MathieuParameters(a=4e6, q=2e4)  # omega0 = 0.01, two panels t
         "fast-residues", "preset-short-grid", "stable-one-step",
         "slow-modulation-short-grid"])
 def test_floquet_route_matches_long_integration(params, taus):
-    basis = fundamental_solutions(params, taus, SETTINGS)
+    basis = fundamental_solutions(params, taus)
     want = long_integration(params, taus)
     got = np.array([basis.yc, basis.dyc, basis.ys, basis.dys])
     assert np.array_equal(basis.tau, taus)
@@ -253,7 +252,7 @@ def test_floquet_route_matches_long_integration(params, taus):
 
 def test_unmodulated_route_is_trigonometric_over_many_periods():
     taus = span_grid(12)
-    basis = fundamental_solutions(MathieuParameters(a=0.04, q=0.0), taus, SETTINGS)
+    basis = fundamental_solutions(MathieuParameters(a=0.04, q=0.0), taus)
     w = 0.2
     assert np.max(np.abs(basis.yc - np.cos(w * taus))) < 1e-9
     assert np.max(np.abs(basis.dyc + w * np.sin(w * taus))) < 1e-9
@@ -266,7 +265,7 @@ def test_unmodulated_route_is_trigonometric_over_many_periods():
 @pytest.mark.parametrize("a", [0.04, 2.25, -0.25])
 def test_unmodulated_route_matches_closed_form(a):
     taus = span_grid(3)
-    basis = fundamental_solutions(MathieuParameters(a=a, q=0.0), taus, SETTINGS)
+    basis = fundamental_solutions(MathieuParameters(a=a, q=0.0), taus)
     w = math.sqrt(abs(a))
     if a > 0:
         cos, sin, slope = np.cos(w * taus), np.sin(w * taus), -w * np.sin(w * taus)
@@ -277,15 +276,11 @@ def test_unmodulated_route_matches_closed_form(a):
     assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < 1e-13
 
 
-@pytest.mark.parametrize("tol", [1e-9, 1e-12])
-def test_half_period_error_stays_below_tolerance(tol):
+def test_half_period_error_stays_below_tolerance():
     # a = 225, q = 0: at 33 nodes the Chebyshev tail is about 5e-10 and the
-    # error about 3e-12, so the floor solve must take more nodes; the route
-    # reads neither rtol nor atol, so a loose tolerance still gets the floor
-    # and both cases are held to the 1e-12 bound
+    # error about 3e-12, so the floor solve must take more nodes
     taus = np.linspace(0.0, 0.5 * math.pi, 201)
-    basis = fundamental_solutions(MathieuParameters(a=225.0, q=0.0), taus,
-                                  IntegratorSettings(rtol=tol, atol=tol))
+    basis = fundamental_solutions(MathieuParameters(a=225.0, q=0.0), taus)
     w = 15.0
     cos, sin = np.cos(w * taus), np.sin(w * taus)
     # each column against the closed form, in units of its own scale
@@ -299,8 +294,8 @@ def spy_half_period(monkeypatch):
     seen = []
     solve = mathieu._half_period
 
-    def spy(a, q, end, max_step):
-        panels = solve(a, q, end, max_step)
+    def spy(a, q, end):
+        panels = solve(a, q, end)
         seen.append(panels)
         return panels
 
@@ -310,24 +305,10 @@ def spy_half_period(monkeypatch):
 
 def test_node_count_follows_the_oscillation(monkeypatch):
     seen = spy_half_period(monkeypatch)
-    fundamental_solutions(PRESET_PARAMS, anchor_grid(2), SETTINGS)
-    fundamental_solutions(FAST, anchor_grid(2), SETTINGS)
+    fundamental_solutions(PRESET_PARAMS, anchor_grid(2))
+    fundamental_solutions(FAST, anchor_grid(2))
     [(slow, _, _)], [(fast, _, _)] = seen
     assert fast.size > slow.size
-
-
-@pytest.mark.parametrize("max_step", [0.01, 0.001])
-def test_max_step_bounds_the_node_spacing(monkeypatch, max_step):
-    seen = spy_half_period(monkeypatch)
-    taus = anchor_grid(3)
-    basis = fundamental_solutions(STABLE, taus, IntegratorSettings(max_step=max_step))
-    panels, = seen
-    nodes = np.concatenate([nodes for nodes, _, _ in panels])
-    assert nodes[0] == 0.0 and nodes[-1] == 0.5 * math.pi
-    assert np.max(np.diff(nodes)) <= max_step
-    want = long_integration(STABLE, taus)
-    got = np.array([basis.yc, basis.dyc, basis.ys, basis.dys])
-    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < 1e-9
 
 
 def test_loose_tolerances_solve_once_at_the_floor(monkeypatch):
@@ -335,7 +316,7 @@ def test_loose_tolerances_solve_once_at_the_floor(monkeypatch):
     # Wronskian check; the half period is solved once, at the rounding floor
     seen = spy_half_period(monkeypatch)
     params, taus = MathieuParameters(a=400.0, q=0.0), span_grid(3)
-    basis = fundamental_solutions(params, taus, IntegratorSettings(rtol=1e-5, atol=1e-5))
+    basis = fundamental_solutions(params, taus)
     [(nodes, _, _)], = seen
     assert nodes.size >= 49
     assert np.max(np.abs(basis.wronskian() - 1.0)) < 1e-9
@@ -344,25 +325,13 @@ def test_loose_tolerances_solve_once_at_the_floor(monkeypatch):
     assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < 1e-9
 
 
-@pytest.mark.parametrize("params", [PRESET_PARAMS, STABLE, FAST,
-                                    MathieuParameters(a=225.0, q=0.0),
-                                    MathieuParameters(a=400.0, q=0.0)],
-                         ids=["preset", "stable", "fast", "a-225", "a-400"])
-def test_basis_does_not_depend_on_rtol_or_atol(params):
-    taus = span_grid(3)
-    want = fundamental_solutions(params, taus, SETTINGS)
-    got = fundamental_solutions(params, taus, IntegratorSettings(rtol=1e-5, atol=1e-5))
-    for name in ("yc", "dyc", "ys", "dys"):
-        assert np.array_equal(getattr(got, name), getattr(want, name))
-
-
 def test_panels_carry_a_fast_oscillation(monkeypatch):
     # a = 4e6 turns sqrt(a) pi/2, about 3100 radians, per half period: far
     # beyond one panel of 513 nodes
     seen = spy_half_period(monkeypatch)
     a, w = 4e6, 2000.0
     taus = span_grid(2)
-    basis = fundamental_solutions(MathieuParameters(a=a, q=0.0), taus, SETTINGS)
+    basis = fundamental_solutions(MathieuParameters(a=a, q=0.0), taus)
     panels, = seen
     assert len(panels) > 1
     cos, sin = np.cos(w * taus), np.sin(w * taus)
@@ -373,9 +342,9 @@ def test_panels_carry_a_fast_oscillation(monkeypatch):
 
 def test_interpolation_in_chunks_matches_one_pass(monkeypatch):
     taus = residue_grid(5, 13)
-    whole = fundamental_solutions(STABLE, taus, SETTINGS)
+    whole = fundamental_solutions(STABLE, taus)
     monkeypatch.setattr(mathieu, "_CHUNK", 7)
-    chunked = fundamental_solutions(STABLE, taus, SETTINGS)
+    chunked = fundamental_solutions(STABLE, taus)
     # the same sums, blocked differently by BLAS: equal to an ulp or two
     for name in ("yc", "dyc", "ys", "dys"):
         want = getattr(whole, name)
@@ -385,16 +354,13 @@ def test_interpolation_in_chunks_matches_one_pass(monkeypatch):
 def test_overflow_across_panels_raises():
     # a = -1e6 grows like exp(1000 tau): the carried panels overflow before pi/2
     with pytest.raises(NumericalError, match="Wronskian drift nan"):
-        fundamental_solutions(MathieuParameters(a=-1e6, q=0.0), anchor_grid(1),
-                              SETTINGS)
+        fundamental_solutions(MathieuParameters(a=-1e6, q=0.0), anchor_grid(1))
 
 
 def test_too_many_panels_raise():
-    # 1e12 would need about 2.5e4 panels, and max_step = 1e-7 about 3.9e5
+    # 1e12 would need about 2.5e4 panels
     with pytest.raises(NumericalError, match="more than 4096"):
-        fundamental_solutions(MathieuParameters(a=1e12, q=0.0), anchor_grid(1), SETTINGS)
-    with pytest.raises(NumericalError, match="more than 4096"):
-        fundamental_solutions(STABLE, anchor_grid(1), IntegratorSettings(max_step=1e-7))
+        fundamental_solutions(MathieuParameters(a=1e12, q=0.0), anchor_grid(1))
 
 
 def test_slow_modulation_on_a_short_grid(monkeypatch):
@@ -403,7 +369,7 @@ def test_slow_modulation_on_a_short_grid(monkeypatch):
     seen = spy_half_period(monkeypatch)
     cfg = DrivenOscillatorConfig(epsilon0=100.0, eta0=1.0, omega0=0.01)
     times = np.linspace(0.0, 10.0, 21)
-    osc = frames(cfg, times, SETTINGS)
+    osc = frames(cfg, times)
     panels, = seen
     assert panels[-1][0][-1] == cfg.omega0 * times[-1] / 2.0
     generic = evolve(cfg.schedule(), cfg.init, times, SETTINGS)
@@ -414,11 +380,11 @@ def test_slow_modulation_on_a_short_grid(monkeypatch):
 
 def test_free_monodromy_is_a_shear():
     free = MathieuParameters(a=0.0, q=0.0)
-    basis = fundamental_solutions(free, np.array([0.0, math.pi]), SETTINGS)
+    basis = fundamental_solutions(free, np.array([0.0, math.pi]))
     monodromy = [[basis.yc[1], basis.ys[1]], [basis.dyc[1], basis.dys[1]]]
     assert np.max(np.abs(np.array(monodromy) - [[1.0, math.pi], [0.0, 1.0]])) < 1e-12
     taus = anchor_grid(12)
-    basis = fundamental_solutions(free, taus, SETTINGS)
+    basis = fundamental_solutions(free, taus)
     assert np.max(np.abs(basis.ys - taus) / np.maximum(1.0, taus)) < 1e-12
     assert np.max(np.abs(basis.yc - 1.0)) < 1e-12
 
@@ -426,7 +392,7 @@ def test_free_monodromy_is_a_shear():
 def test_non_finite_tau_grid_is_refused():
     for grid in ([0.0, math.inf], [0.0, 1.0, math.nan]):
         with pytest.raises(DomainError, match="finite"):
-            fundamental_solutions(PRESET_PARAMS, np.array(grid), SETTINGS)
+            fundamental_solutions(PRESET_PARAMS, np.array(grid))
     with pytest.raises(DomainError, match="finite"):
         transition_snapshot(PRESET, math.inf)
 
@@ -435,7 +401,7 @@ def test_period_count_past_int64_is_refused_before_any_solve(monkeypatch):
     # k = tau // pi is an int64: from 2^63 periods on it cannot be counted
     seen = spy_half_period(monkeypatch)
     with pytest.raises(NumericalError, match=re.escape("2^63")) as err:
-        fundamental_solutions(PRESET_PARAMS, np.array([0.0, 1.0, 1e20]), SETTINGS)
+        fundamental_solutions(PRESET_PARAMS, np.array([0.0, 1.0, 1e20]))
     assert err.value.t == 1e20
     assert seen == []
     with pytest.raises(NumericalError, match=re.escape("2^63")):
@@ -443,7 +409,7 @@ def test_period_count_past_int64_is_refused_before_any_solve(monkeypatch):
     # 2^62 periods are still counted: the free monodromy is a shear, and
     # its powers double exactly
     far = 2.0 ** 62 * math.pi
-    basis = fundamental_solutions(MathieuParameters(a=0.0, q=0.0), np.array([0.0, far]), SETTINGS)
+    basis = fundamental_solutions(MathieuParameters(a=0.0, q=0.0), np.array([0.0, far]))
     assert basis.ys[-1] == pytest.approx(far, rel=1e-12)
 
 
@@ -454,7 +420,7 @@ def test_period_count_past_int64_is_refused_before_any_solve(monkeypatch):
 def test_frames_report_failures_in_physical_time(grid, t, message):
     # the basis fails at tau = omega0 t / 2; frames names the grid's own t
     with pytest.raises(NumericalError, match=re.escape(message)) as err:
-        frames(PRESET, grid, SETTINGS)
+        frames(PRESET, grid)
     assert err.value.t == t
     assert str(err.value).startswith(f"at t = {t:g}: ")
 
@@ -463,7 +429,7 @@ def test_overflowing_monodromy_power_raises(monkeypatch):
     # a refused grid is solved once: the check runs once, with no retry
     seen = spy_half_period(monkeypatch)
     with pytest.raises(NumericalError) as err:
-        fundamental_solutions(PRESET_PARAMS, np.array([0.0, 3000.0]), SETTINGS)
+        fundamental_solutions(PRESET_PARAMS, np.array([0.0, 3000.0]))
     assert err.value.t == 3000.0
     assert str(err.value) == "Wronskian drift nan exceeds 1e-09"
     assert len(seen) == 1

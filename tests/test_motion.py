@@ -129,6 +129,13 @@ def test_closed_form_with_huge_alpha_gives_a_refused_frame():
     assert not frame.unitarity_defect <= 1e-8
 
 
+def test_closed_form_overflow_raises_with_time():
+    # Theta^2 = -4: cosh(2 t) passes the largest float near t = 355
+    with pytest.raises(NumericalError, match="overflows") as err:
+        closed_form(AlgebraicCoefficients(alpha=2.0), InitialConditions(), 1000.0)
+    assert err.value.t == 1000.0
+
+
 def test_drift_breach_raises_with_time():
     # crude tolerances on a stiff-ish stretch, threshold far below reach
     sched = constant_schedule(alpha=2.0)
@@ -677,10 +684,21 @@ def test_width_data_sits_on_hyperboloid_and_minimizes():
 
 
 def test_width_out_of_range_rejected():
-    # 100 and 1e-3 are squeezed too far for |f0|^2 - |g0|^2 = 1 in float64
-    for sigma in (0.0, -0.5, math.inf, math.nan, 100.0, 1e-3):
+    for sigma in (0.0, -0.5, math.inf, math.nan):
         with pytest.raises(DomainError, match="sigma_x0"):
             from_initial_width(sigma, 0.0, UNITS)
+
+
+@pytest.mark.parametrize("sigma", [100.0, 1e-3])
+def test_hyperboloid_tolerance_is_relative(sigma):
+    # |f0|^2 is about 5e3 and 1.25e5 here, so rounding leaves an absolute
+    # defect of 1.8e-12 and 1.5e-11: within 1e-12 of |f0|^2 + |g0|^2
+    init = from_initial_width(sigma, 0.0, UNITS)
+    frame = evolve(constant_schedule(), init, [0.0])[0]
+    assert deviations(frame, UNITS)[0] == pytest.approx(sigma, rel=1e-12)
+    # a defect of 1e-10 at |f0|^2 + |g0|^2 = 1 is still refused
+    with pytest.raises(DomainError, match="relative to"):
+        InitialConditions(f0=1.0, g0=1e-5)
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.0], ids=["below_l_over_sqrt2", "above_l_over_sqrt2"])

@@ -10,8 +10,8 @@ from cssdyn import (AlgebraicCoefficients, CoefficientSchedule, ComplexParts,
                     InitialConditions, IntegratorSettings, MotionFrame,
                     Polynomial, Table, UnitContext, deviations, evolve,
                     fock_coefficients, fock_wavefunction, from_initial_width,
-                    hamilton_residual, mean_energy, means, observe,
-                    uncertainty, varphi_from_means, wavefunction)
+                    hamilton_residual, mean_energy, means, normalization, observe,
+                    uncertainty, wavefunction)
 
 from helpers import (DRIVEN_UNITS, driven_frames, hidden, hyperboloid_frame, kinked_schedule,
                      physical_residual)
@@ -36,25 +36,6 @@ def test_driven_start_means():
     xbar, pbar = means(frame, units)
     assert xbar == 0.0
     assert pbar == pytest.approx(math.sqrt(20.0), abs=1e-12)
-
-
-def test_mean_inversion_round_trip():
-    rng = np.random.default_rng(71)
-    for _ in range(30):
-        units = UnitContext(hbar=rng.uniform(0.5, 2.0), l=rng.uniform(0.5, 2.0))
-        fr = hyperboloid_frame(rng, zeta_max=0.9)
-        x_want, p_want = rng.normal(size=2) * 2.0
-        varphi = varphi_from_means(x_want, p_want, fr.f, fr.g, units)
-        fr2 = MotionFrame(t=0.0, f=fr.f, g=fr.g, varphi=varphi)
-        xbar, pbar = means(fr2, units)
-        assert xbar == pytest.approx(x_want, abs=1e-12)
-        assert pbar == pytest.approx(p_want, abs=1e-12)
-
-
-def test_mean_inversion_anchor():
-    assert varphi_from_means(math.sqrt(2.0), 0.0, 1.0, 0.0, UNITS) \
-        == pytest.approx(-1.0, abs=1e-15)
-    assert varphi_from_means(0.0, 0.0, 1.3, 0.5j, UNITS) == 0.0
 
 
 def test_stationary_frame_recovers_plain_shift():
@@ -205,6 +186,19 @@ def test_density_normalization_mean_and_width():
         assert np.trapezoid(rho * xs, xs) == pytest.approx(xbar, abs=1e-6)
         var = np.trapezoid(rho * (xs - xbar) ** 2, xs)
         assert var == pytest.approx(sx * sx, rel=1e-6, abs=1e-6)
+
+
+@pytest.mark.parametrize("frame", [
+    MotionFrame(t=0.0, f=1.0, g=2.0, varphi=0.0),
+    MotionFrame(t=0.0, f=1.0, g=1.0, varphi=0.0),
+    MotionFrame(t=0.0, f=complex(math.nan, 0.0), g=0.0, varphi=0.0),
+], ids=["g-above-f", "g-equal-f", "nan-f"])
+def test_wavefunction_refuses_the_frames_normalization_refuses(frame):
+    # no normalizable state, so no wavefunction either: one DomainError,
+    # not values or a numpy warning
+    for state in (normalization, lambda fr: wavefunction(fr, [-1.0, 0.0, 1.0], UNITS)):
+        with pytest.raises(DomainError, match=r"not finite|\|g\| >= \|f\|"):
+            state(frame)
 
 
 def test_gaussian_equals_number_basis_series():

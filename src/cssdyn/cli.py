@@ -184,8 +184,11 @@ def cmd_density(args) -> int:
     points, span = _option(args, rc, "x_points"), _option(args, rc, "x_span_sigmas")
     frame, winding = _single_frame(rc, t)
     rec = _observed(rc, frame)
-    xs = np.linspace(rec.xbar - span * rec.sigma_x,
-                     rec.xbar + span * rec.sigma_x, points)
+    lo, hi = rec.xbar - span * rec.sigma_x, rec.xbar + span * rec.sigma_x
+    if not math.isfinite(hi - lo):  # linspace would write nan and inf
+        raise ConfigError(f"x_span_sigmas = {span!r} times sigma_x = {rec.sigma_x:.6g} "
+                          "puts the density grid past the floats")
+    xs = np.linspace(lo, hi, points)
     psi = wavefunction(frame, xs, rc.schedule.units, winding=winding)
     rows = ["%.17g,%.17g,%.17g,%.17g\n" % (x, p.real, p.imag, abs(p) ** 2)
             for x, p in zip(xs, psi)]

@@ -144,7 +144,10 @@ def from_initial_width(sigma_x0: float, theta: float, units: UnitContext) -> Ini
     Parameters
     ----------
     sigma_x0 : float
-        Target position deviation at t = 0, positive and finite.
+        Target position deviation at t = 0, positive and finite.  A
+        DomainError names it when 2 sigma_x0^2 underflows to 0 (below
+        about 1e-162) or when the start it gives is off the hyperboloid
+        in floating point.
     theta : float
         Phase of f0.  g0 is a real multiple of the same phase, negative
         when sigma_x0 > l/sqrt(2), which makes the initial state
@@ -161,7 +164,10 @@ def from_initial_width(sigma_x0: float, theta: float, units: UnitContext) -> Ini
     l = units.l
     if not (isinstance(sigma_x0, (int, float)) and 0 < sigma_x0 < math.inf):
         raise DomainError(f"sigma_x0 must be positive and finite, got {sigma_x0!r}")
-    a = l * l / (2.0 * sigma_x0 * sigma_x0)
+    denominator = 2.0 * sigma_x0 * sigma_x0
+    if denominator == 0.0:
+        raise DomainError(f"sigma_x0 = {sigma_x0!r} with l = {l!r}: 2 sigma_x0^2 underflows to 0")
+    a = l * l / denominator
     scale = sigma_x0 / (l * math.sqrt(2.0))
     phase = complex(math.cos(theta), math.sin(theta))
     try:

@@ -126,7 +126,9 @@ def wavefunction(frame: MotionFrame, x, units: UnitContext,
     convention as normalization()) and (1 - g/f)^(-1/2) has Re(1 - g/f) > 0
     on the hyperboloid, so its principal root is unambiguous.  This makes
     Psi equal to the number-basis series sum c_n psi_n pointwise, since
-    both read the frame's one phase.
+    both read the frame's one phase.  Where (x - xbar)^2 overflows, Psi is
+    exactly 0: Re((f+g)/(f-g)) = 1/|f-g|^2 > 0 on the hyperboloid, so the
+    Gaussian has underflowed long before that point.
 
     Raises DomainError for the frames normalization() refuses: a
     non-finite f, g or varphi, or |g| >= |f|.
@@ -140,7 +142,9 @@ def wavefunction(frame: MotionFrame, x, units: UnitContext,
     width = (f + g) / (f - g)
     dx = xs - xbar
     phase = (pbar / (2.0 * hbar)) * (2.0 * xs - xbar) + frame.phase_phi
-    return pref * np.exp(-width * dx * dx / (2.0 * l * l) + 1j * phase)
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = pref * np.exp(-width * dx * dx / (2.0 * l * l) + 1j * phase)
+        return np.where(np.isinf(dx * dx), 0.0, psi)
 
 
 def fock_wavefunction(n: int, x, units: UnitContext) -> np.ndarray:

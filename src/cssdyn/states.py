@@ -151,8 +151,11 @@ def fock_coefficients(frame: MotionFrame, tail_tolerance: float = TAIL_TOLERANCE
     squeezed states); a truncation is accepted once _WINDOW consecutive
     pair ratios E_k/E_{k-1} sit below 1 and the geometric bound
     E_K rho/(1-rho), rho = max(window, |zeta|^2), is <= tail_tolerance.
-    Underflow of two consecutive d_n to exact zero ends the expansion
-    exactly.  Near-unit |zeta| needs n_max of order 25/(1-|zeta|^2).
+    The first pair that is exactly 0.0, before any pair certifies, ends the
+    expansion at its last nonzero level with tail bound 0: what lies past
+    it has underflowed.  An even n_max leaves its last level without a
+    pair, so P_{n_max-1} = P_{n_max} = 0.0 ends the expansion at n_max - 2.
+    Near-unit |zeta| needs n_max of order 25/(1-|zeta|^2).
 
     Raises ConvergenceError when no truncation up to n_max certifies.
     """
@@ -170,7 +173,8 @@ def transition_probabilities(frame: MotionFrame, tail_tolerance: float = TAIL_TO
 
     The same expansion and truncation rule as fock_coefficients, whose
     probabilities it reproduces bit for bit, but without the coefficient
-    array: 8 bytes per level instead of 24, which matters for strongly
+    array: the rule reads probabilities alone, so nothing is rerun, and a
+    level costs 8 bytes instead of 24, which matters for strongly
     squeezed frames where the certified truncation runs into millions.
     The result is a view into the engine's buffer, which may run a few
     percent past the truncation.
@@ -189,13 +193,9 @@ def _expand(frame, tail_tolerance, n_max, winding, keep_coefficients):
     at the depth _predict_depth expects and grown by _GROW only when that
     depth does not certify, never past n_max.  _march fills them, and
     _Certifier applies the truncation rule of fock_coefficients to each
-    filled range in order, so the first level that certifies or ends in
-    exact zeros wins.
-
-    A probability-only call stores no coefficients, so it cannot tell an
-    exact zero d_n from one whose square underflowed.  Should two
-    consecutive probabilities vanish before certification it reruns with
-    coefficients, which reproduces p_raw bit for bit.
+    filled range in order, so the first pair that certifies or is exactly
+    zero wins.  The rule reads p_raw alone, so keep_coefficients changes
+    what is stored, never where the expansion ends.
     """
     if not (0.0 < tail_tolerance < 1.0):
         raise DomainError(f"tail_tolerance must lie in (0, 1), got {tail_tolerance!r}")
@@ -222,10 +222,14 @@ def _expand(frame, tail_tolerance, n_max, winding, keep_coefficients):
         while True:
             edge = _march(xi, zeta, edge, filled, size - 1, p, d)
             filled = size - 1
-            outcome = certifier.scan(p, d, filled)
+            outcome = certifier.scan(p, filled)
             if outcome is not None:
                 break
             if filled == n_max:
+                # no pair holds the lone last level of an even n_max
+                if n_max % 2 == 0 and p[n_max - 1] == p[n_max] == 0.0:
+                    outcome = n_max - 2, 0.0
+                    break
                 raise ConvergenceError(
                     f"tail not certified below {tail_tolerance:g} within n_max={n_max} "
                     f"(|zeta| = {abs(zeta):.8f}, last pair mass "
@@ -235,8 +239,6 @@ def _expand(frame, tail_tolerance, n_max, winding, keep_coefficients):
             if keep_coefficients:
                 d = _grown(d, size)
     top, bound = outcome
-    if bound is None:  # zero pair in p_raw; only the coefficients can decide
-        return _expand(frame, tail_tolerance, n_max, winding, True)
     return phi, d, p, top, bound
 
 
@@ -259,13 +261,18 @@ def _predict_depth(xi, zeta, weight, tail_tolerance):
     the short expansions, and _expand grows the buffers when it still
     falls short.  It never goes below the 2 _WINDOW + 1 levels the streak
     needs, counted past the displacement's peak.
+
+    The estimate only sizes the first buffer.  Where it cannot be formed in
+    floating point (|zeta| >= 1, a threshold that underflows to 0, a
+    weight/threshold ratio past the floats, or a depth past 2^53 levels)
+    it falls back to the floor, and growth finds the depth or n_max.
     """
     z2 = max(zeta.real * zeta.real + zeta.imag * zeta.imag, 1e-300)
     x2 = xi.real * xi.real + xi.imag * xi.imag
-    if not (weight > 0.0 and z2 < 1.0 and math.isfinite(x2)):
+    threshold = tail_tolerance * min(1.0, (1.0 - z2) / z2)  # <= 0 for |zeta| >= 1
+    if not (math.isfinite(x2) and threshold > 0.0 and 0.0 < weight / threshold < math.inf):
         return 2 * _WINDOW + 1  # no estimate; growth finds the depth or n_max
     cross = (zeta.conjugate() * xi * xi).real
-    threshold = tail_tolerance * min(1.0, (1.0 - z2) / z2)
     base = math.log(2.0 * weight / tail_tolerance)  # a pair is two levels
     # start from the larger of a geometric-tail and a Poisson depth
     lam = x2 / (1.0 - math.sqrt(z2)) ** 2
@@ -273,8 +280,12 @@ def _predict_depth(xi, zeta, weight, tail_tolerance):
     floor = 2 * _WINDOW + 1 + int(abs(zeta * xi.conjugate() - xi) ** 2 / (1.0 - z2) ** 2)
     guess = max(2.0 * math.log(weight / threshold) / -math.log(z2),
                 lam + 4.0 * math.sqrt(lam) + 8.0, floor)
-    s2 = max(1.0, guess / x2) ** 2 * z2 if x2 > 0.0 else 1.0
-    ell = math.log(-math.log1p(-min(s2, guess / (guess + 1.0))))
+    # past 1e154 the square overflows, and s^2 >= 1e8 loses to the cap below anyway
+    s2 = max(1.0, guess / x2) ** 2 * z2 if 0.0 < x2 and guess / x2 < 1e154 else 1.0
+    start = min(s2, guess / (guess + 1.0))
+    if not start < 1.0:  # guess past 2^53 levels
+        return floor
+    ell = math.log(-math.log1p(-start))
     # the tail lies beyond the mean, at s > 1; ell = 4 is past 1e23 levels
     lo, hi = math.log(-math.log1p(-z2)), 4.0
     for _ in range(_PREDICT_STEPS):
@@ -402,49 +413,32 @@ class _Certifier:
     Pairs E_k = P_2k + P_2k+1 are scanned in chunks of at most _CHUNK; the
     last pair whose ratio E_k/E_{k-1} was not below 1 and the last
     _WINDOW - 1 ratios carry from one chunk and one call to the next.
-    scan() returns None while nothing has happened, (top, bound) at the
-    first certified pair, (top, 0.0) when P_m = 0 and d_{m-1} = 0, and
-    (m, None) when d is not stored and P_{m-1} = P_m = 0.
+    scan() returns None while nothing has happened, (2k + 1, bound) when
+    E_k is the first pair to certify, and (top, 0.0) when E_k is the first
+    pair that is exactly zero, where top, 2k - 1 or 2k - 2, is the last
+    nonzero level.  A zero pair wins a tie with a certified one.
     """
 
     def __init__(self, weight, zeta2, tail_tolerance):
         self.weight = weight
         self.zeta2 = zeta2
         self.tol = tail_tolerance
-        self.level = 2           # next level to test for exact zeros
         self.pair = 1            # next pair to test for certification
         self.last_bad = 0        # pair 0 has no ratio
         self.window = np.zeros(_WINDOW - 1)
         self.prev_pair = 0.0
 
-    def scan(self, p, d, top):
+    def scan(self, p, top):
         end = (top + 1) // 2     # pairs below `end` are complete
-        while self.pair < end or self.level <= top:
-            k1 = min(end, self.pair + _CHUNK)
-            last = top if k1 == end else 2 * k1 - 1
-            zero = self._first_zero(p, d, last)
-            hit = self._first_certified(p, k1)
-            if zero is not None and (hit is None or zero <= hit[0]):
-                return (zero, None) if d is None else (_last_nonzero(p, zero), 0.0)
+        while self.pair < end:
+            hit = self._first_certified(p, min(end, self.pair + _CHUNK))
             if hit is not None:
                 return hit
-            self.level = last + 1
         self.prev_pair = p[2 * end - 2] + p[2 * end - 1]
         return None
 
-    def _first_zero(self, p, d, last):
-        m0 = self.level
-        here = p[m0:last + 1]
-        if np.count_nonzero(here) == here.size:
-            return None
-        below = d[m0 - 1:last] == 0 if d is not None else p[m0 - 1:last] == 0.0
-        found = np.flatnonzero((here == 0.0) & below)
-        return m0 + int(found[0]) if found.size else None
-
     def _first_certified(self, p, k1):
         k0 = self.pair
-        if k1 <= k0:
-            return None
         sums = p[2 * k0 - 2:2 * k1:2] + p[2 * k0 - 1:2 * k1:2]  # E_{k0-1} .. E_{k1-1}
         pair, before = sums[1:], sums[:-1]
         # p >= 0, so E_k/E_{k-1} < 1 in floating point exactly when
@@ -460,29 +454,22 @@ class _Certifier:
         self.pair = k1
         mass = self.weight * pair
         ready = (index - last_bad >= _WINDOW) & (mass <= self.tol)
-        if self.zeta2 >= 1.0 or not ready.any():  # rho >= 1 certifies nothing
+        # the first zero pair ends the expansion unless a pair before it certifies
+        zero = np.flatnonzero(pair == 0.0)
+        end = int(zero[0]) if zero.size else pair.size
+        if self.zeta2 < 1.0 and ready[:end].any():  # rho >= 1 certifies nothing
+            for shift in (1, 2, 4, 8):  # running max over the last 16 = _WINDOW ratios
+                window = np.maximum(window[shift:], window[:-shift])
+            rho = np.maximum(window[:end], self.zeta2)
+            bound = mass[:end] * rho / (1.0 - rho)
+            ok = np.flatnonzero(ready[:end] & (bound <= self.tol))
+            if ok.size:
+                i = int(ok[0])
+                return 2 * (k0 + i) + 1, float(bound[i])
+        if not zero.size:
             return None
-        for shift in (1, 2, 4, 8):  # running max over the last 16 = _WINDOW ratios
-            window = np.maximum(window[shift:], window[:-shift])
-        rho = np.maximum(window, self.zeta2)
-        bound = mass * rho / (1.0 - rho)
-        ok = np.flatnonzero(ready & (bound <= self.tol))
-        if not ok.size:
-            return None
-        i = int(ok[0])
-        return 2 * (k0 + i) + 1, float(bound[i])
-
-
-def _last_nonzero(p, m):
-    """Largest n <= m with p[n] != 0, or 0."""
-    hi = m + 1
-    while hi > 0:
-        lo = max(0, hi - 64)
-        found = np.flatnonzero(p[lo:hi])
-        if found.size:
-            return lo + int(found[-1])
-        hi = lo
-    return 0
+        k = k0 + end             # E_{k-1} > 0, so P_{2k-2} or P_{2k-1} is the last nonzero
+        return (2 * k - 1 if p[2 * k - 1] else 2 * k - 2), 0.0
 
 
 def overlap(frame1: MotionFrame, frame2: MotionFrame,

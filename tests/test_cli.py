@@ -649,6 +649,39 @@ def test_density_override_outside_its_bound_exits_two(tmp_path, capsys, option, 
     assert option in capsys.readouterr().err
 
 
+def test_density_grid_past_the_floats_exits_two(tmp_path, capsys):
+    # 2 x 1.7e308 x sigma_x overflows: linspace would write nan and inf
+    cfg = write(tmp_path, "run.ini", OSCILLATOR_CONFIG + "[output]\nx_span_sigmas = 1.7e308\n")
+    assert main(["density", "--config", cfg, "--time", "0.5",
+                 "--out", str(tmp_path / "d.csv")]) == 2
+    assert "x_span_sigmas = 1.7e+308" in capsys.readouterr().err
+
+
+def test_density_is_zero_where_the_grid_runs_far_past_the_state(tmp_path):
+    # x = +-3.5e307 and +-7e307, where (x - xbar)^2 overflows: rho is exactly 0
+    # there, where those rows were nan
+    cfg = write(tmp_path, "run.ini", OSCILLATOR_CONFIG + "[output]\nx_span_sigmas = 1e308\n")
+    out = tmp_path / "d.csv"
+    assert main(["density", "--config", cfg, "--time", "0.5", "--x-points", "5",
+                 "--out", str(out)]) == 0
+    _, data = read_csv(out)
+    assert np.all(np.isfinite(data))
+    assert np.array_equal(data[[0, 1, 3, 4], 1:], np.zeros((4, 3)))
+    assert data[2, 3] > 0.0
+
+
+@pytest.mark.parametrize("command, extra, section", [
+    ("fock", ["--times", "0.5"], "[initial]\nvarphi0_re = 1e-100\n"),
+    ("validate", [], "[initial]\nvarphi0_re = 1e-100\n"),
+    ("fock", ["--times", "0.5"], "[output]\ntail_tolerance = 1e-310\n"),
+], ids=["fock-tiny-displacement", "validate-tiny-displacement", "fock-tiny-tolerance"])
+def test_expansions_past_the_depth_estimate_exit_zero(tmp_path, command, extra, section):
+    # the depth estimate left the floats here, and the command ended in a traceback
+    text = OSCILLATOR_CONFIG.replace("[initial]\nvarphi0_re = -1.0\n", "") + section
+    cfg = write(tmp_path, "run.ini", text)
+    assert main([command, "--config", cfg, *extra, "--out", str(tmp_path / "o.csv")]) == 0
+
+
 @pytest.mark.parametrize("command, option, value", [
     ("density", "--time", "-1"),
     ("density", "--time", "abc"),
@@ -766,7 +799,8 @@ def test_width_past_l_over_sqrt2_runs(tmp_path):
 @pytest.mark.parametrize("text, message", [
     (WIDTH_CONFIG.replace("sigma_x0 = 0.4\n", ""), "sigma_x0"),
     (WIDTH_CONFIG.replace("theta = 0.3\n", "f0_re = 1.0\n"), "not both"),
-], ids=["theta-alone", "width-and-f0"])
+    (WIDTH_CONFIG.replace("sigma_x0 = 0.4", "sigma_x0 = 1e-200"), "sigma_x0 = 1e-200"),
+], ids=["theta-alone", "width-and-f0", "width-squared-underflows"])
 def test_width_style_misuse_exits_two(tmp_path, capsys, text, message):
     cfg = write(tmp_path, "run.ini", text)
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "e.csv")]) == 2

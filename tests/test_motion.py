@@ -689,6 +689,13 @@ def test_width_out_of_range_rejected():
             from_initial_width(sigma, 0.0, UNITS)
 
 
+@pytest.mark.parametrize("sigma", [1e-162, 1e-200, 5e-324])
+def test_width_whose_square_underflows_is_refused(sigma):
+    # 2 sigma_x0^2 underflows to 0: a DomainError, not a ZeroDivisionError
+    with pytest.raises(DomainError, match="sigma_x0 = .* underflows"):
+        from_initial_width(sigma, 0.0, UNITS)
+
+
 @pytest.mark.parametrize("sigma", [100.0, 1e-3])
 def test_hyperboloid_tolerance_is_relative(sigma):
     # |f0|^2 is about 5e3 and 1.25e5 here, so rounding leaves an absolute

@@ -201,6 +201,17 @@ def test_wavefunction_refuses_the_frames_normalization_refuses(frame):
             state(frame)
 
 
+def test_wavefunction_is_zero_where_the_squared_offset_overflows():
+    # (x - xbar)^2 overflows past about 1.3e154; the Gaussian's modulus has
+    # underflowed long before, so those points are exactly 0, without a warning
+    frame = MotionFrame(t=0.0, f=math.cosh(0.5), g=1j * math.sinh(0.5), varphi=0.4 - 0.2j)
+    xs = np.array([-7e307, -2e154, 1e154, 0.0, 0.5, 3.5e307])
+    psi = wavefunction(frame, xs, UNITS)
+    assert np.array_equal(psi[[0, 1, 5]], np.zeros(3))
+    assert np.array_equal(psi[2:5], wavefunction(frame, xs[2:5], UNITS))
+    assert np.all(np.isfinite(psi)) and abs(psi[3]) > 0.0
+
+
 def test_gaussian_equals_number_basis_series():
     rng = np.random.default_rng(101)
     for _ in range(6):

@@ -262,7 +262,7 @@ def scalar_reference(frame, tail_tolerance, n_max, winding=0):
         q = d_cur.real * d_cur.real + d_cur.imag * d_cur.imag
         d.append(d_cur)
         p.append(q)
-        if q == 0.0 and d_prev == 0:
+        if q == 0.0 and p[-2] == 0.0 and ((n + 1) & 1 or n + 1 == n_max):  # a zero pair
             nz = np.nonzero(p)[0]
             return done(int(nz[-1]) if nz.size else 0, 0.0)
         if (n + 1) & 1 == 0:
@@ -426,8 +426,8 @@ def test_overlap_refuses_non_finite_frames(frame):
 
 
 def test_exact_zero_termination_matches_scalar_reference():
-    # vacuum ends at once; an underflowing squeeze or displacement ends when
-    # two consecutive coefficients reach exact zero, before any streak
+    # vacuum ends at once; an underflowing squeeze or displacement ends at
+    # its first pair of probabilities that is exactly zero, before any streak
     for frame in (VACUUM,
                   MotionFrame(t=0.0, f=1.0, g=1e-30, varphi=0.0),
                   MotionFrame(t=0.0, f=1.0, g=0.0, varphi=1e-20),
@@ -439,6 +439,41 @@ def test_exact_zero_termination_matches_scalar_reference():
         assert np.array_equal(dist.coefficients, c_ref)
         assert np.array_equal(dist.probabilities, p_ref)
         assert np.array_equal(transition_probabilities(frame, 1e-16, 4096), p_ref)
+
+
+def test_a_zero_pair_ends_the_expansion_at_the_last_nonzero_level():
+    # P_n = (4e-10)^n / n! reaches 0.0 at level 31 while d_31 is still about
+    # 2e-163: the zero pair E_16 = P_32 + P_33 ends the expansion at level 30
+    frame = MotionFrame(t=0.0, f=1.0, g=0.0, varphi=2e-5)
+    dist = fock_coefficients(frame)
+    assert (dist.truncation, dist.tail_bound) == (30, 0.0)
+    assert dist.probabilities[30] > 0.0
+    assert np.array_equal(transition_probabilities(frame), dist.probabilities)
+    assert_same_expansion(frame, cssdyn.states.TAIL_TOLERANCE, cssdyn.states.N_MAX, 0)
+    # n_max = 2 leaves level 2 without a pair: P_1 = P_2 = 0 ends it there
+    for n_max in (2, 3, 4):
+        dist = fock_coefficients(VACUUM, n_max=n_max)
+        assert (dist.truncation, dist.tail_bound) == (0, 0.0)
+        assert np.array_equal(transition_probabilities(VACUUM, n_max=n_max), [1.0])
+
+
+def test_depth_estimate_past_the_float_range_keeps_the_rule():
+    # a zero threshold, weight / threshold past the floats and guess / |xi|^2
+    # past 1e154 each made the depth estimate raise a bare Python exception
+    frames = [MotionFrame(t=0.0, f=1.0, g=0.0, varphi=1e-100)]
+    for r in (0.0, 1e-320, 1e-160, 1e-100, 1e-5, 0.5, 0.94):
+        for x in (0.0, 1e-320, 1e-160, 1e-100, 2e-5, 1.0, 3.0):
+            frames.append(squeezed_frame(r, x * np.exp(0.7j), 0.3, 1.1))
+    for frame in frames:
+        for tol in (1e-323, 1e-310, 1e-300, 1e-10):
+            try:
+                scalar_reference(frame, tol, cssdyn.states.N_MAX)
+            except ConvergenceError:
+                for expand in (fock_coefficients, transition_probabilities):
+                    with pytest.raises(ConvergenceError):
+                        expand(frame, tol)
+            else:
+                assert_same_expansion(frame, tol, cssdyn.states.N_MAX, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,10 @@ call it.  The hermiticity and mass checks are written once too, as the
 checked reading of each coefficient's value, which the records, the
 evaluators and validate share.
 A schedule is evaluated through one compiled function t -> (alpha, beta,
-gamma, delta) that checks hermiticity and the mass on every call.  It also
+gamma, delta).  Bound to a horizon T (CoefficientSchedule.over), each
+package profile is decided once over [0, T]: one proved real, finite and,
+for the mass, free of zeros reads as a plain float closure, and only the
+unproved ones keep the checked reading on every call.  The schedule also
 lists its knots, the sample times of its tables, where the coefficients may
 have a kink: integrators put step edges there.
 """
@@ -44,8 +47,9 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -216,8 +220,9 @@ def to_physical(alg: AlgebraicCoefficients, units: UnitContext) -> PhysicalCoeff
 #
 # A profile is a scalar callable t -> value.  Values may be complex;
 # coefficients that must stay real (beta, delta, every physical one) are
-# checked by the schedule's compiled evaluator on every call, so a value
-# that turns complex between any two sampled times is still caught.
+# either proved real over the horizon the schedule is bound to, or checked
+# by its compiled evaluator on every call, so a value that turns complex
+# between any two sampled times is still caught.
 
 
 @dataclass(frozen=True)
@@ -292,6 +297,13 @@ class Table:
         object.__setattr__(self, "_imag", _segments(knots, [v.imag for v in values]))
 
     def __call__(self, t: float) -> complex:
+        x, j = self._locate(t)
+        ts = self._knots
+        return complex(_interp(ts, *self._real, j, x), _interp(ts, *self._imag, j, x))
+
+    def _locate(self, t: float) -> tuple:
+        """(float t, index of the knot at or before it); DomainError outside
+        [times[0], times[-1]]."""
         ts = self._knots
         if not ts[0] <= t <= ts[-1]:  # NaN fails both comparisons
             raise DomainError(
@@ -299,8 +311,7 @@ class Table:
                 f"[{self.times[0]}, {self.times[-1]}]"
             )
         x = float(t)
-        j = bisect_right(ts, x) - 1
-        return complex(_interp(ts, *self._real, j, x), _interp(ts, *self._imag, j, x))
+        return x, bisect_right(ts, x) - 1
 
 
 def _segments(ts: tuple, ys: list) -> tuple:
@@ -364,11 +375,18 @@ class CoefficientSchedule:
 
     Every evaluation goes through one evaluator, compiled on first use (so
     the profiles are read then): t -> (alpha, beta, gamma, delta), with the
-    physical -> algebraic map applied for physical schedules.  Each call
-    reads every profile value through the checked reading the coefficient
-    records use, so beta, delta and every physical coefficient must be real
-    and the mass finite and nonzero, with the records' errors.  The other
-    parameterization is the unit map applied to that evaluator.
+    physical -> algebraic map applied for physical schedules.  Its values
+    are those of the checked reading the coefficient records use, so beta,
+    delta and every physical coefficient must be real and the mass finite
+    and nonzero, with the records' errors.  Where that is checked depends on
+    the horizon.  An unbound schedule (horizon None) checks every profile
+    value on every call.  A schedule bound to [0, T] by over(T) decides each
+    package profile once over that interval: one proved real, finite and,
+    for the mass, free of zeros reads as a plain float closure without
+    per-call checks, bit for bit the checked value; only the unproved ones
+    (a foreign callable, or a profile refuted or beyond the decisions) are
+    checked per call.  A bound schedule evaluates t in [0, T] only.  The
+    other parameterization is the unit map applied to that evaluator.
 
     The knots (knots()) are compiled with the evaluators: the union of the
     times of every Table profile, those inside ComplexParts included.
@@ -379,7 +397,9 @@ class CoefficientSchedule:
     units: UnitContext
     parameterization: str
     profiles: Mapping[str, object] = field(default_factory=dict)
+    horizon: Optional[float] = None
     _evaluators: tuple = field(default=None, init=False, repr=False, compare=False)
+    _bound: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.parameterization not in _KEYS:
@@ -392,6 +412,8 @@ class CoefficientSchedule:
         missing = set(_KEYS[self.parameterization]) - set(self.profiles)
         if missing:
             raise DomainError(f"missing coefficient keys {sorted(missing)} for {self.parameterization}")
+        if self.horizon is not None and not 0.0 <= self.horizon < math.inf:
+            raise DomainError(f"horizon must be finite and nonnegative, got {self.horizon!r}")
 
     @classmethod
     def algebraic(cls, units: UnitContext = UnitContext(), *, alpha=0.0, beta=0.0,
@@ -407,13 +429,25 @@ class CoefficientSchedule:
                     "F": as_profile(F), "V": as_profile(V), "E": as_profile(E)}
         return cls(units=units, parameterization="physical", profiles=profiles)
 
+    def over(self, horizon: float) -> "CoefficientSchedule":
+        """This schedule bound to [0, horizon], its profiles decided there.
+
+        The last one bound is kept, so the check of a command and the run it
+        guards decide the profiles once.
+        """
+        bound = self._bound
+        if bound is None or bound.horizon != horizon:
+            bound = replace(self, horizon=float(horizon))
+            object.__setattr__(self, "_bound", bound)
+        return bound
+
     def _compiled(self) -> tuple:
         if self._evaluators is None:
             object.__setattr__(self, "_evaluators", _compile(self))
         return self._evaluators
 
     def compiled(self):
-        """The checked evaluator t -> (alpha, beta, gamma, delta), bit-identical to
+        """The evaluator t -> (alpha, beta, gamma, delta), bit-identical to
         the records' route (to_algebraic of the physical record)."""
         return self._compiled()[0]
 
@@ -428,84 +462,360 @@ class CoefficientSchedule:
         return _trusted(PhysicalCoefficients, _PHYSICAL_KEYS, self._compiled()[1](t))
 
 
-def _table_times(profile) -> list:
-    """Knots of a profile: a Table's times, a ComplexParts' of both parts."""
-    if isinstance(profile, Table):
-        return list(profile._knots)
-    if isinstance(profile, ComplexParts):
-        return _table_times(profile.real) + _table_times(profile.imag)
-    return []
-
-
 def _compile(schedule: CoefficientSchedule) -> tuple:
-    """(algebraic, physical, knots) of a schedule, checks included.
+    """(algebraic, physical, knots, doubts) of a schedule, checks included.
 
     algebraic is t -> (alpha, beta, gamma, delta) and physical is
     t -> (m, k, Omega, F, V, E).  The schedule's own form reads each
-    profile through its checked reading, and the other form applies the
-    unit map to it, so both equal the records' route (to_algebraic or
-    to_physical of the authoritative record) by construction.  knots is
-    the sorted tuple of distinct Table times over the profiles.
+    profile through its answer over the horizon (_answer): a proved
+    profile's closure returns the checked reading's value bit for bit, and
+    any other is read through the checked reading itself.  The other form
+    applies the unit map to it, so both equal the records' route
+    (to_algebraic or to_physical of the authoritative record) by
+    construction.  knots is the sorted tuple of distinct Table times over
+    the profiles.  doubts maps each unproved coefficient to the time of a
+    zero its mass was found to reach in [0, horizon], or None.
     """
-    knots = tuple(sorted({t for profile in schedule.profiles.values()
-                          for t in _table_times(profile)}))
-    readings = _readings(schedule)
+    closures, knots, doubts = [], set(), {}
+    for key in _KEYS[schedule.parameterization]:
+        profile = schedule.profiles[key]
+        kind = "complex" if key in _COMPLEX_KEYS else "mass" if key == "m" else "real"
+        times, closure, zero = _answer(profile, schedule.horizon, kind)
+        knots.update(times)
+        if closure is None:
+            closure = _checked(_READ[key], profile)
+            doubts[key] = zero
+        closures.append(closure)
+    knots = tuple(sorted(knots))
     if schedule.parameterization == "algebraic":
-        (_, ra, pa), (_, rb, pb), (_, rg, pg), (_, rd, pd) = readings
+        a, b, g, d = closures
 
         def algebraic(t):
-            return ra(pa(t)), rb(pb(t)), rg(pg(t)), rd(pd(t))
+            return a(t), b(t), g(t), d(t)
 
         pmap = _physical_map(schedule.units)
-        return algebraic, lambda t: pmap(*algebraic(t)), knots
+        return algebraic, lambda t: pmap(*algebraic(t)), knots, doubts
 
-    (_, rm, pm), (_, rk, pk), (_, rO, pO), (_, rF, pF), (_, rV, pV), (_, rE, pE) = readings
+    m, k, O, F, V, E = closures
 
     def physical(t):
-        return rm(pm(t)), rk(pk(t)), rO(pO(t)), rF(pF(t)), rV(pV(t)), rE(pE(t))
+        return m(t), k(t), O(t), F(t), V(t), E(t)
 
     amap = _algebraic_map(schedule.units)
-    return lambda t: amap(*physical(t)), physical, knots
+    return lambda t: amap(*physical(t)), physical, knots, doubts
 
 
-def _readings(schedule: CoefficientSchedule) -> list:
-    """(key, checked reading, profile) of each coefficient the schedule holds."""
-    return [(key, _READ[key], schedule.profiles[key]) for key in _KEYS[schedule.parameterization]]
+def _checked(read, profile):
+    """t -> the checked reading of profile(t)."""
+    return lambda t: read(profile(t))
+
+
+# ---------------------------------------------------------------------------
+# deciding a profile over a horizon
+#
+# Each package profile class answers once per horizon T whether its value is
+# real, finite and, for the mass, free of zeros at every float t in
+# [0, T+], T+ the float after T: a stage time t + c h of DOP853 rounds to at
+# most that.  "Real" means the value reads as complex (x, +0.0), the form
+# ComplexParts assembles exactly, and each margin below covers the rounding
+# of the float closure, so a proved closure returns the checked reading's
+# value bit for bit and never one the reading would refuse.
+
+_BAND = 2.0 ** -30  # guard band around what is read off a float cosine
+_HUGE = 2.0 ** 1000  # a bound on magnitudes that keeps the closures' sums finite
+_STURM_DEGREE = 8  # above it a polynomial mass is left to the scan
+
+
+def _answer(profile, horizon: Optional[float], kind: str) -> tuple:
+    """(knots, closure, zero) of a profile over [0, horizon].
+
+    kind is "real", "mass" or "complex", what the coefficient reads as.
+    closure is a plain function of t, or None when the profile is not proved
+    over the horizon, or no horizon is given: for "real" and "mass" a float
+    closure (a proved mass also keeps one sign, never 0), for "complex" a
+    complex one.  zero is a time near which a "mass" has an exact zero in
+    [0, horizon], else None.  Only the package classes themselves are
+    decided; any other callable, a subclass of one included, is answered
+    ((), None, None).
+    """
+    decide = _DECIDE.get(type(profile))
+    if decide is None:
+        return (), None, None
+    return decide(profile, horizon, kind)
+
+
+def _real_part(value) -> Optional[float]:
+    """x when complex(value) is (x, +0.0) with x finite, else None."""
+    try:
+        z = complex(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if z.imag == 0.0 and math.copysign(1.0, z.imag) > 0.0 and math.isfinite(z.real):
+        return z.real
+    return None
+
+
+def _constant(profile: Constant, horizon, kind) -> tuple:
+    if horizon is None:
+        return (), None, None
+    if kind == "complex":
+        try:
+            z = complex(profile.value)
+        except (TypeError, ValueError, OverflowError):
+            return (), None, None
+        return (), (lambda t: z) if cmath.isfinite(z) else None, None
+    x = _real_part(profile.value)
+    if x is None:
+        return (), None, None
+    if kind == "mass" and x == 0.0:
+        return (), None, 0.0
+    return (), lambda t: x, None
+
+
+def _harmonic(profile: Harmonic, horizon, kind) -> tuple:
+    o, a, w = _real_part(profile.offset), _real_part(profile.amplitude), profile.omega
+    if (horizon is None or kind == "complex" or o is None or a is None
+            or not isinstance(w, (int, float))):
+        return (), None, None
+    w = float(w)
+    reach = abs(w) * math.nextafter(horizon, math.inf)  # bounds |w t| on [0, T+]
+    if not (reach < math.inf and abs(o) + abs(a) < _HUGE):
+        return (), None, None
+    if kind == "mass" and not abs(o) > abs(a):  # |o| > |a| keeps the sign of o
+        # o + a c over the range of c = cos(w t): [cos(|w| T), 1] until |w| T
+        # passes pi; inner is surely inside the range, outer surely contains it
+        span = abs(w) * horizon
+        inner = -1.0 if span >= math.pi + _BAND else math.cos(span) + _BAND
+        if o + a == 0.0:
+            return (), None, 0.0
+        if inner < 1.0 and (o + a * inner > 0.0) != (o + a > 0.0):
+            return (), None, math.acos(max(-1.0, min(1.0, -o / a))) / abs(w)
+        outer = -1.0 if reach >= math.pi - _BAND else math.cos(reach) - _BAND
+        ends, margin = (o + a * outer, o + a), _BAND * (abs(o) + abs(a))
+        if not (min(ends) > margin or max(ends) < -margin):
+            return (), None, None
+    cos = math.cos
+    return (), lambda t: o + a * cos(w * t), None
+
+
+def _polynomial(profile: Polynomial, horizon, kind) -> tuple:
+    coeffs = [_real_part(c) for c in profile.coeffs]
+    if horizon is None or kind == "complex" or None in coeffs:
+        return (), None, None
+    reach = math.nextafter(horizon, math.inf)
+    scale = max(1.0, reach)
+    bound = 0.0  # sum |c_k| scale^k, which bounds every Horner partial sum
+    for c in reversed(coeffs):
+        bound = bound * scale + abs(c)
+    if not bound < _HUGE:
+        return (), None, None
+    if kind == "mass":
+        if len(coeffs) - 1 > _STURM_DEGREE:
+            return (), None, None
+        proved, zero = _sturm_decision(coeffs, horizon, reach, bound)
+        if not proved:
+            return (), None, zero
+    backwards = coeffs[::-1]
+
+    def polynomial(t):
+        acc = 0.0
+        for c in backwards:
+            acc = acc * t + c
+        return acc
+
+    return (), polynomial, None
+
+
+def _table(profile: Table, horizon, kind) -> tuple:
+    ts = profile._knots
+    ys, slopes = profile._real
+    if (horizon is None or kind == "complex" or not ts[0] <= 0.0 <= horizon <= ts[-1]
+            or not all(y == 0.0 and math.copysign(1.0, y) > 0.0 for y in profile._imag[0])):
+        return ts, None, None
+    # the knots and segments an evaluation on [0, T+] reads
+    lo, hi = max(bisect_right(ts, 0.0) - 1, 0), bisect_right(ts, math.nextafter(horizon, math.inf))
+    read = ys[lo:hi + 1]
+    if not (all(abs(y) < _HUGE for y in read) and all(map(math.isfinite, slopes[lo:hi]))):
+        return ts, None, None
+    if kind == "mass":
+        # one strict sign, and no knot so much smaller than another that an
+        # interpolated value could round to 0
+        small, large = min(map(abs, read)), max(map(abs, read))
+        if not ((min(read) > 0.0 or max(read) < 0.0)
+                and small >= max(large * _BAND * _BAND, 1.0 / _HUGE)):
+            return ts, None, _table_zero(ts, ys, horizon)
+    locate = profile._locate
+
+    def table(t):
+        x, j = locate(t)
+        return _interp(ts, ys, slopes, j, x)
+
+    return ts, table, None
+
+
+def _table_zero(ts: tuple, ys: tuple, horizon: float) -> Optional[float]:
+    """The first time in [0, horizon] where the exact linear interpolant
+    through (ts, ys) is 0, else None; ts covers [0, horizon]."""
+
+    def exact(s):
+        j = bisect_right(ts, s) - 1
+        if ts[j] == s:
+            return Fraction(ys[j])
+        t0, t1, y0, y1 = map(Fraction, (ts[j], ts[j + 1], ys[j], ys[j + 1]))
+        return y0 + (y1 - y0) * (Fraction(s) - t0) / (t1 - t0)
+
+    points = [(0.0, exact(0.0)), *((t, Fraction(y)) for t, y in zip(ts, ys) if 0.0 < t < horizon),
+              (horizon, exact(horizon))]
+    for (ta, ya), (tb, yb) in zip(points, points[1:]):
+        if ya == 0:
+            return ta
+        if yb == 0 or (ya > 0) != (yb > 0):
+            return float(Fraction(ta) + (Fraction(tb) - Fraction(ta)) * ya / (ya - yb))
+    return None
+
+
+def _complex_parts(profile: ComplexParts, horizon, kind) -> tuple:
+    real_knots, real, _ = _answer(profile.real, horizon, "real")
+    imag_knots, imag, _ = _answer(profile.imag, horizon, "real")
+    if kind != "complex" or real is None or imag is None:
+        return real_knots + imag_knots, None, None
+
+    def parts(t):
+        # complex(x) + 1j * complex(y), signed zeros included, for finite x, y
+        x, y = real(t), imag(t)
+        return complex(x + 0.0 * y, y + 0.0)
+
+    return real_knots + imag_knots, parts, None
+
+
+_DECIDE = {Constant: _constant, Harmonic: _harmonic, Polynomial: _polynomial,
+           Table: _table, ComplexParts: _complex_parts}
+
+
+# Sturm sequences in exact rational arithmetic (Basu, Pollack & Roy,
+# Algorithms in Real Algebraic Geometry, ch. 2).  A polynomial is the list
+# of its Fraction coefficients, highest degree first, without leading zeros.
+
+
+def _horner(p: list, t) -> Fraction:
+    acc = Fraction(0)
+    for c in p:
+        acc = acc * t + c
+    return acc
+
+
+def _sturm(p: list) -> list:
+    """The Sturm sequence p, p', -rem(p, p'), ... of p."""
+    n = len(p) - 1
+    seq, q = [p], [c * (n - i) for i, c in enumerate(p[:-1])]
+    while q:
+        seq.append(q)
+        r = list(seq[-2])
+        while len(r) >= len(q):  # r <- rem(r, q)
+            f = r[0] / q[0]
+            r = [x - f * y for x, y in zip(r[1:], q[1:])] + r[len(q):]
+        while r and r[0] == 0:
+            r.pop(0)
+        q = [-c for c in r]
+    return seq
+
+
+def _variations(seq: list, t) -> int:
+    """Sign changes along the Sturm sequence at t, zeros skipped."""
+    signs = [v > 0 for v in (_horner(p, t) for p in seq) if v != 0]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def _roots(seq: list, a, b) -> int:
+    """Distinct roots of seq[0] in (a, b), for a < b not roots of it."""
+    return _variations(seq, a) - _variations(seq, b)
+
+
+def _sturm_decision(coeffs: list, horizon: float, reach: float, bound: float) -> tuple:
+    """(proved, zero) for the polynomial mass sum coeffs[k] t^k.
+
+    proved: |p| exceeds the error bound of the float Horner sum on
+    [0, reach], so the float closure keeps the sign of p(0) and is never 0.
+    Otherwise zero is the first root of p in [0, horizon], found by
+    bisection on Sturm counts, or None when p has none there.
+    """
+    p = [Fraction(c) for c in reversed(coeffs)]
+    while p and p[0] == 0:
+        p.pop(0)
+    if not p or p[-1] == 0:
+        return False, 0.0
+    n = len(p) - 1
+    # Horner's rounding, gamma_2n sum |c_k| t^k, plus an ulp of underflow a step
+    scale = Fraction(max(1.0, reach))
+    error = Fraction(bound) * Fraction(4 * n + 4, 2 ** 53) + Fraction(2 * n + 2, 2 ** 1074) * scale ** n
+    sign = 1 if p[-1] > 0 else -1
+    shifted = p[:-1] + [p[-1] - sign * error]
+    end = Fraction(reach)
+    if (sign * _horner(shifted, 0) > 0 and sign * _horner(shifted, end) > 0
+            and _roots(_sturm(shifted), 0, end) == 0):
+        return True, None
+    seq, lo, hi = _sturm(p), Fraction(0), Fraction(horizon)
+    if _horner(p, hi) != 0 and (hi == 0 or _roots(seq, lo, hi) == 0):
+        return False, None
+    for _ in range(32):  # the first root lies in (lo, hi]
+        mid = (lo + hi) / 2
+        if _horner(p, mid) == 0 or _roots(seq, lo, mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return False, float(hi)
 
 
 _VALIDATE_SAMPLES = 257
 
 
 def validate(schedule: CoefficientSchedule, horizon: float) -> list:
-    """Sample the schedule at 257 times over [0, horizon] and collect diagnostics.
+    """Diagnostics of the schedule over [0, horizon]; empty when it is usable.
 
-    Returns a list of strings, empty when the schedule is usable: every
-    coefficient evaluates through the checked reading the compiled
-    evaluator uses (so it respects hermiticity, and the mass is finite and
-    nonzero) and is finite, and the mass keeps one sign from sample to
-    sample, since a mass that crosses zero between two samples makes 1/m
-    singular there.  Each coefficient gets at most one diagnostic, naming
-    it and the first time it fails.  No exception escapes; problems become
-    diagnostics.
+    Usable means: every coefficient evaluates through the checked reading
+    the compiled evaluator uses (so it respects hermiticity, and the mass is
+    finite and nonzero) and is finite, and the mass has no zero.  Each
+    package profile is decided once over the interval (over(horizon)), and a
+    schedule whose profiles are all proved returns [] without sampling.
+    Only a refuted or unproved profile (a foreign callable, for one) is
+    sampled at 257 times over [0, horizon], and its diagnostic names it and
+    the first time it fails: an evaluation that raises, a non-finite value,
+    or a mass whose sign differs between two consecutive samples, since a
+    mass that crosses zero makes 1/m singular there.  A mass the samples
+    pass but whose exact decision found a zero, two roots between two
+    samples say, gets a diagnostic naming it and the time near that zero.
+    Each coefficient gets at most one diagnostic.  No exception escapes;
+    problems become diagnostics.
     """
     if not (math.isfinite(horizon) and horizon >= 0):
         return [f"horizon must be finite and nonnegative, got {horizon!r}"]
-    diagnostics = []
+    doubts = schedule.over(horizon)._compiled()[3]
+    if not doubts:
+        return []
     grid = np.linspace(0.0, horizon, _VALIDATE_SAMPLES).tolist()
-    for key, read, profile in _readings(schedule):
-        last = None  # the time and sign of the mass's previous sample
-        for t in grid:
-            try:
-                value = read(profile(t))
-            except DomainError as exc:
-                diagnostics.append(f"{key}: evaluation failed at t={t:.6g}: {exc}")
-                break
-            if not cmath.isfinite(value):
-                diagnostics.append(f"{key}: non-finite value {value!r} at t={t:.6g}")
-                break
-            if key == "m":
-                if last and (value > 0) != last[1]:
-                    diagnostics.append(f"m: changes sign between t={last[0]:.6g} and t={t:.6g}")
-                    break
-                last = t, value > 0
+    diagnostics = []
+    for key, zero in doubts.items():
+        problem = _scan(key, _READ[key], schedule.profiles[key], grid)
+        if problem is None and zero is not None:
+            problem = f"{key}: reaches zero near t={zero:.6g}, between two samples"
+        if problem is not None:
+            diagnostics.append(problem)
     return diagnostics
+
+
+def _scan(key: str, read, profile, grid: list) -> Optional[str]:
+    """The first problem of profile, read as coefficient key, at the grid
+    times, else None."""
+    last = None  # the time and sign of the mass's previous sample
+    for t in grid:
+        try:
+            value = read(profile(t))
+        except DomainError as exc:
+            return f"{key}: evaluation failed at t={t:.6g}: {exc}"
+        if not cmath.isfinite(value):
+            return f"{key}: non-finite value {value!r} at t={t:.6g}"
+        if key == "m":
+            if last and (value > 0) != last[1]:
+                return f"m: changes sign between t={last[0]:.6g} and t={t:.6g}"
+            last = t, value > 0
+    return None

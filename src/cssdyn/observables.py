@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .hamiltonian import AlgebraicCoefficients, CoefficientSchedule, UnitContext
 from .motion import MotionFrame, u_of
 from .states import _inverse_root
@@ -131,7 +131,9 @@ def wavefunction(frame: MotionFrame, x, units: UnitContext,
     Gaussian has underflowed long before that point.
 
     Raises DomainError for the frames normalization() refuses: a
-    non-finite f, g or varphi, or |g| >= |f|.
+    non-finite f, g or varphi, or |g| >= |f|, and NumericalError where the
+    phase (pbar/(2 hbar))(2x - xbar) + phase_phi leaves the floats at a
+    point the Gaussian has not underflowed, since Psi has no value there.
     """
     l, hbar = units.l, units.hbar
     f, g = frame.f, frame.g
@@ -141,10 +143,16 @@ def wavefunction(frame: MotionFrame, x, units: UnitContext,
     pref = _inverse_root(frame, winding) / (np.sqrt(l * math.sqrt(math.pi)) * np.sqrt(1.0 - g / f))
     width = (f + g) / (f - g)
     dx = xs - xbar
-    phase = (pbar / (2.0 * hbar)) * (2.0 * xs - xbar) + frame.phase_phi
     with np.errstate(over="ignore", invalid="ignore"):
+        phase = (pbar / (2.0 * hbar)) * (2.0 * xs - xbar) + frame.phase_phi
+        far = np.isinf(dx * dx)
+        lost = ~(np.isfinite(phase) | far)
+        if lost.any():
+            raise NumericalError(
+                f"wavefunction phase (pbar/(2 hbar))(2x - xbar) + phase_phi is not finite "
+                f"at x = {float(xs[lost][0])!r} (pbar = {pbar:.6g})", t=frame.t)
         psi = pref * np.exp(-width * dx * dx / (2.0 * l * l) + 1j * phase)
-        return np.where(np.isinf(dx * dx), 0.0, psi)
+        return np.where(far, 0.0, psi)
 
 
 def fock_wavefunction(n: int, x, units: UnitContext) -> np.ndarray:
@@ -182,8 +190,9 @@ def hamilton_residual(records, schedule: CoefficientSchedule):
 
         du/dt = -i (alpha conj(u) + beta u + gamma)
 
-    with the coefficients of the schedule's compiled evaluator, the one
-    evolve integrates.  Returns (res_x, res_p) = (sqrt(2) l max|Re r|,
+    with the coefficients of the schedule's compiled evaluator, bound as
+    evolve binds it to [0, t] of the last record when the records start at
+    t >= 0.  Returns (res_x, res_p) = (sqrt(2) l max|Re r|,
     sqrt(2) (hbar/l) max|Im r|) over the interior residuals r of that
     equation: in exact arithmetic these are the violations of Hamilton's
     equations for xbar and pbar in the (x, p) form, but they need no mass,
@@ -211,7 +220,8 @@ def hamilton_residual(records, schedule: CoefficientSchedule):
         interior = np.arange(1, len(recs) - 1)
     l, hbar = schedule.units.l, schedule.units.hbar
     u = np.array([complex(r.xbar / l, l * r.pbar / hbar) for r in recs]) / math.sqrt(2.0)
-    alpha, beta, gamma, _ = np.array(list(map(schedule.compiled(), ts[interior].tolist()))).T
+    bound = schedule.over(float(ts[-1])) if 0.0 <= ts[0] and ts[-1] < math.inf else schedule
+    alpha, beta, gamma, _ = np.array(list(map(bound.compiled(), ts[interior].tolist()))).T
     r = ((u[interior + 1] - u[interior - 1]) / (2.0 * h)
          + 1j * (alpha * u[interior].conj() + beta * u[interior] + gamma))
     return (math.sqrt(2.0) * l * float(np.max(np.abs(r.real))),

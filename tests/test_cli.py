@@ -259,6 +259,27 @@ def test_mass_crossing_zero_between_samples_exits_two(tmp_path, mass, t_max):
     assert "m: changes sign between t=" in proc.stderr
 
 
+def test_mass_with_two_zeros_between_samples_exits_two(tmp_path, capsys):
+    # roots 0.497 and 0.498 lie between two samples of [0, 1]; the run used
+    # to fail on its step size (exit 3) near the first one
+    cfg = write(tmp_path, "run.ini", "[hamiltonian]\nparameterization = physical\n"
+                "m = poly 0.247506 -0.995 1\nk = 1\n[integration]\nt_max = 1\n")
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "e.csv")]) == 2
+    assert "m: reaches zero near t=0.497" in capsys.readouterr().err
+
+
+def test_density_phase_past_the_floats_exits_three(tmp_path, capsys):
+    # pbar near -1.4e308 takes (pbar/(2 hbar))(2x - xbar) past the floats: the
+    # command wrote nan rows with exit 0
+    cfg = write(tmp_path, "run.ini", "[hamiltonian]\nparameterization = physical\n"
+                "m = 1\nk = 1\n[initial]\nvarphi0_im = 1e308\n")
+    out = tmp_path / "d.csv"
+    assert main(["density", "--config", cfg, "--time", "0", "--x-points", "3",
+                 "--out", str(out)]) == 3
+    assert "wavefunction phase" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # the mass crosses zero at t = 1, and no t_max bounds the run
 CROSSING_MASS_CONFIG = """\
 [hamiltonian]

@@ -34,10 +34,11 @@ call it.  The hermiticity and mass checks are written once too, as the
 checked reading of each coefficient's value, which the records, the
 evaluators and validate share.
 A schedule is evaluated through one compiled function t -> (alpha, beta,
-gamma, delta).  Bound to a horizon T (CoefficientSchedule.over), each
-package profile is decided once over [0, T]: one proved real, finite and,
-for the mass, free of zeros reads as a plain float closure, and only the
-unproved ones keep the checked reading on every call.  The schedule also
+gamma, delta).  Compiled for a horizon T, as evolve and validate compile
+it, each package profile is decided once over [0, T]: on [0, T] one proved
+real, finite and, for the mass, free of zeros reads as a plain float
+closure, and only the unproved ones keep the checked reading on every
+call.  Everywhere else every call is checked.  The schedule also
 lists its knots, the sample times of its tables, where the coefficients may
 have a kink: integrators put step edges there.
 """
@@ -47,7 +48,7 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -220,9 +221,9 @@ def to_physical(alg: AlgebraicCoefficients, units: UnitContext) -> PhysicalCoeff
 #
 # A profile is a scalar callable t -> value.  Values may be complex;
 # coefficients that must stay real (beta, delta, every physical one) are
-# either proved real over the horizon the schedule is bound to, or checked
-# by its compiled evaluator on every call, so a value that turns complex
-# between any two sampled times is still caught.
+# either proved real over the horizon the schedule is compiled for, or
+# checked by its compiled evaluator on every call, so a value that turns
+# complex between any two sampled times is still caught.
 
 
 @dataclass(frozen=True)
@@ -379,14 +380,17 @@ class CoefficientSchedule:
     are those of the checked reading the coefficient records use, so beta,
     delta and every physical coefficient must be real and the mass finite
     and nonzero, with the records' errors.  Where that is checked depends on
-    the horizon.  An unbound schedule (horizon None) checks every profile
-    value on every call.  A schedule bound to [0, T] by over(T) decides each
-    package profile once over that interval: one proved real, finite and,
-    for the mass, free of zeros reads as a plain float closure without
-    per-call checks, bit for bit the checked value; only the unproved ones
-    (a foreign callable, or a profile refuted or beyond the decisions) are
-    checked per call.  A bound schedule evaluates t in [0, T] only.  The
-    other parameterization is the unit map applied to that evaluator.
+    the horizon the evaluator was compiled for.  evolve and validate compile
+    it for theirs, T (_compiled(T)), which decides each package profile once
+    over [0, T]: at t in [0, T+], T+ the float after T, one proved real,
+    finite and, for the mass, free of zeros reads as a plain float closure
+    without per-call checks, bit for bit the checked value, and only the
+    unproved ones (a foreign callable, or a profile refuted or beyond the
+    decisions) are checked per call.  At any other t, and before any
+    horizon, every profile value is checked on every call.  So compiled(),
+    algebraic_at and physical_at return the checked values, or raise its
+    errors, at every t; the horizon only makes [0, T+] cheaper.  The other
+    parameterization is the unit map applied to that evaluator.
 
     The knots (knots()) are compiled with the evaluators: the union of the
     times of every Table profile, those inside ComplexParts included.
@@ -397,9 +401,7 @@ class CoefficientSchedule:
     units: UnitContext
     parameterization: str
     profiles: Mapping[str, object] = field(default_factory=dict)
-    horizon: Optional[float] = None
     _evaluators: tuple = field(default=None, init=False, repr=False, compare=False)
-    _bound: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.parameterization not in _KEYS:
@@ -412,8 +414,6 @@ class CoefficientSchedule:
         missing = set(_KEYS[self.parameterization]) - set(self.profiles)
         if missing:
             raise DomainError(f"missing coefficient keys {sorted(missing)} for {self.parameterization}")
-        if self.horizon is not None and not 0.0 <= self.horizon < math.inf:
-            raise DomainError(f"horizon must be finite and nonnegative, got {self.horizon!r}")
 
     @classmethod
     def algebraic(cls, units: UnitContext = UnitContext(), *, alpha=0.0, beta=0.0,
@@ -429,22 +429,17 @@ class CoefficientSchedule:
                     "F": as_profile(F), "V": as_profile(V), "E": as_profile(E)}
         return cls(units=units, parameterization="physical", profiles=profiles)
 
-    def over(self, horizon: float) -> "CoefficientSchedule":
-        """This schedule bound to [0, horizon], its profiles decided there.
-
-        The last one bound is kept, so the check of a command and the run it
-        guards decide the profiles once.
+    def _compiled(self, horizon: Optional[float] = None) -> tuple:
+        """_compile's (algebraic, physical, knots, doubts) for the last
+        horizon given, a finite nonnegative float, or for none before one
+        is given.  They are kept, so the check of a command, the run it
+        guards and the records read after it decide the profiles once.
         """
-        bound = self._bound
-        if bound is None or bound.horizon != horizon:
-            bound = replace(self, horizon=float(horizon))
-            object.__setattr__(self, "_bound", bound)
-        return bound
-
-    def _compiled(self) -> tuple:
-        if self._evaluators is None:
-            object.__setattr__(self, "_evaluators", _compile(self))
-        return self._evaluators
+        kept = self._evaluators
+        if kept is None or (horizon is not None and kept[0] != horizon):
+            kept = horizon, _compile(self, None if horizon is None else float(horizon))
+            object.__setattr__(self, "_evaluators", kept)
+        return kept[1]
 
     def compiled(self):
         """The evaluator t -> (alpha, beta, gamma, delta), bit-identical to
@@ -462,44 +457,55 @@ class CoefficientSchedule:
         return _trusted(PhysicalCoefficients, _PHYSICAL_KEYS, self._compiled()[1](t))
 
 
-def _compile(schedule: CoefficientSchedule) -> tuple:
-    """(algebraic, physical, knots, doubts) of a schedule, checks included.
+def _compile(schedule: CoefficientSchedule, horizon: Optional[float]) -> tuple:
+    """(algebraic, physical, knots, doubts) of a schedule over [0, horizon],
+    checks included; with no horizon every profile is checked.
 
     algebraic is t -> (alpha, beta, gamma, delta) and physical is
-    t -> (m, k, Omega, F, V, E).  The schedule's own form reads each
-    profile through its answer over the horizon (_answer): a proved
-    profile's closure returns the checked reading's value bit for bit, and
-    any other is read through the checked reading itself.  The other form
-    applies the unit map to it, so both equal the records' route
+    t -> (m, k, Omega, F, V, E).  At t in [0, horizon+] the schedule's own
+    form reads each profile through its answer over the horizon (_answer):
+    a proved profile's closure returns the checked reading's value bit for
+    bit, and any other is read through the checked reading itself.  At
+    any other t every profile is read through the checked reading.  The
+    other form applies the unit map to it, so both equal the records' route
     (to_algebraic or to_physical of the authoritative record) by
     construction.  knots is the sorted tuple of distinct Table times over
     the profiles.  doubts maps each unproved coefficient to the time of a
     zero its mass was found to reach in [0, horizon], or None.
     """
-    closures, knots, doubts = [], set(), {}
+    closures, checked, knots, doubts = [], [], set(), {}
     for key in _KEYS[schedule.parameterization]:
         profile = schedule.profiles[key]
         kind = "complex" if key in _COMPLEX_KEYS else "mass" if key == "m" else "real"
-        times, closure, zero = _answer(profile, schedule.horizon, kind)
+        times, closure, zero = _answer(profile, horizon, kind)
         knots.update(times)
+        checked.append(_checked(_READ[key], profile))
         if closure is None:
-            closure = _checked(_READ[key], profile)
+            closure = checked[-1]
             doubts[key] = zero
         closures.append(closure)
     knots = tuple(sorted(knots))
+    # the answers hold at t in [0, horizon+]; NaN fails both comparisons
+    reach = -math.inf if horizon is None else math.nextafter(horizon, math.inf)
     if schedule.parameterization == "algebraic":
         a, b, g, d = closures
+        ca, cb, cg, cd = checked
 
         def algebraic(t):
-            return a(t), b(t), g(t), d(t)
+            if 0.0 <= t <= reach:
+                return a(t), b(t), g(t), d(t)
+            return ca(t), cb(t), cg(t), cd(t)
 
         pmap = _physical_map(schedule.units)
         return algebraic, lambda t: pmap(*algebraic(t)), knots, doubts
 
     m, k, O, F, V, E = closures
+    cm, ck, cO, cF, cV, cE = checked
 
     def physical(t):
-        return m(t), k(t), O(t), F(t), V(t), E(t)
+        if 0.0 <= t <= reach:
+            return m(t), k(t), O(t), F(t), V(t), E(t)
+        return cm(t), ck(t), cO(t), cF(t), cV(t), cE(t)
 
     amap = _algebraic_map(schedule.units)
     return lambda t: amap(*physical(t)), physical, knots, doubts
@@ -775,8 +781,9 @@ def validate(schedule: CoefficientSchedule, horizon: float) -> list:
     Usable means: every coefficient evaluates through the checked reading
     the compiled evaluator uses (so it respects hermiticity, and the mass is
     finite and nonzero) and is finite, and the mass has no zero.  Each
-    package profile is decided once over the interval (over(horizon)), and a
-    schedule whose profiles are all proved returns [] without sampling.
+    package profile is decided once over the interval, in the evaluator the
+    schedule keeps for evolve, and a schedule whose profiles are all proved
+    returns [] without sampling.
     Only a refuted or unproved profile (a foreign callable, for one) is
     sampled at 257 times over [0, horizon], and its diagnostic names it and
     the first time it fails: an evaluation that raises, a non-finite value,
@@ -784,12 +791,17 @@ def validate(schedule: CoefficientSchedule, horizon: float) -> list:
     mass that crosses zero makes 1/m singular there.  A mass the samples
     pass but whose exact decision found a zero, two roots between two
     samples say, gets a diagnostic naming it and the time near that zero.
+    That decision covers a Constant or Table mass, a Polynomial one up to
+    degree 8 and a Harmonic one whose smallest |value| on the interval is
+    not within about 2^-30 (|offset| + |amplitude|) of zero, magnitudes
+    below 2^1000; any other mass is only sampled, and two of its zeros
+    between two samples pass.
     Each coefficient gets at most one diagnostic.  No exception escapes;
     problems become diagnostics.
     """
     if not (math.isfinite(horizon) and horizon >= 0):
         return [f"horizon must be finite and nonnegative, got {horizon!r}"]
-    doubts = schedule.over(horizon)._compiled()[3]
+    doubts = schedule._compiled(horizon)[3]
     if not doubts:
         return []
     grid = np.linspace(0.0, horizon, _VALIDATE_SAMPLES).tolist()

@@ -212,13 +212,13 @@ def evolve(schedule: CoefficientSchedule, init: InitialConditions, grid,
     edges: DOP853 restarts at each one from the state it reached there, so
     no step straddles a table's kink.  Between edges, and for a knot-free
     schedule over the whole horizon, it is one integration that yields the
-    grid times on the way.  The coefficients come from the schedule bound
-    to [0, grid[-1]] (CoefficientSchedule.over): each profile proved over
-    that interval is read as a plain float closure, the others through the
-    checked reading, with the checked values bit for bit.  A step that
-    falls below 10 ulps of t raises NumericalError at that t, and so does a
-    derivative whose scaled norm overflows at a step edge; errors the
-    coefficients raise (DomainError) pass through unchanged.
+    grid times on the way.  The schedule's evaluator is compiled for
+    [0, grid[-1]]: each profile proved over that interval is read as a
+    plain float closure, the others through the checked reading, with the
+    checked values bit for bit.  A step that falls below 10 ulps of t
+    raises NumericalError at that t, and so does a derivative whose scaled
+    norm overflows at a step edge; errors the coefficients raise
+    (DomainError) pass through unchanged.
 
     Parameters
     ----------
@@ -244,11 +244,8 @@ def evolve(schedule: CoefficientSchedule, init: InitialConditions, grid,
     """
     ts = _check_grid(grid)
     hbar = schedule.units.hbar
-    # the schedule decided over the horizon: proved profiles read unchecked
-    times = ts.tolist()
-    t_end = times[-1]
-    bound = schedule.over(t_end)
-    coefficients = bound.compiled()
+    schedule._compiled(float(ts[-1]))  # proved profiles read unchecked
+    coefficients = schedule.compiled()
 
     # derivatives of (f, g, varphi, phase_phi); the phase is real
     def rhs(t, f, g, varphi):
@@ -262,7 +259,9 @@ def evolve(schedule: CoefficientSchedule, init: InitialConditions, grid,
 
     # spans between step edges: the knots strictly inside the horizon, where
     # a table kinks; the single-point grid has none
-    inner = [k for k in bound.knots() if 0.0 < k < t_end]
+    times = ts.tolist()
+    t_end = times[-1]
+    inner = [k for k in schedule.knots() if 0.0 < k < t_end]
     edges = [0.0, *inner, t_end] if t_end > 0.0 else []
 
     def run(rtol, atol):

@@ -130,10 +130,11 @@ def wavefunction(frame: MotionFrame, x, units: UnitContext,
     exactly 0: Re((f+g)/(f-g)) = 1/|f-g|^2 > 0 on the hyperboloid, so the
     Gaussian has underflowed long before that point.
 
-    Raises DomainError for the frames normalization() refuses: a
-    non-finite f, g or varphi, or |g| >= |f|, and NumericalError where the
-    phase (pbar/(2 hbar))(2x - xbar) + phase_phi leaves the floats at a
-    point the Gaussian has not underflowed, since Psi has no value there.
+    Where the phase (pbar/(2 hbar))(2x - xbar) + phase_phi leaves the
+    floats, Psi is 0 too if its Gaussian exp(-Re((f+g)/(f-g)) (x - xbar)^2
+    / (2 l^2)) has underflowed to 0 there; elsewhere Psi has no value, and
+    NumericalError is raised.  DomainError is raised for the frames
+    normalization() refuses: a non-finite f, g or varphi, or |g| >= |f|.
     """
     l, hbar = units.l, units.hbar
     f, g = frame.f, frame.g
@@ -144,15 +145,17 @@ def wavefunction(frame: MotionFrame, x, units: UnitContext,
     width = (f + g) / (f - g)
     dx = xs - xbar
     with np.errstate(over="ignore", invalid="ignore"):
+        gauss = -width * dx * dx / (2.0 * l * l)
         phase = (pbar / (2.0 * hbar)) * (2.0 * xs - xbar) + frame.phase_phi
         far = np.isinf(dx * dx)
         lost = ~(np.isfinite(phase) | far)
-        if lost.any():
+        valued = lost & (np.exp(gauss.real) != 0.0)  # the Gaussian has not underflowed
+        if valued.any():
             raise NumericalError(
                 f"wavefunction phase (pbar/(2 hbar))(2x - xbar) + phase_phi is not finite "
-                f"at x = {float(xs[lost][0])!r} (pbar = {pbar:.6g})", t=frame.t)
-        psi = pref * np.exp(-width * dx * dx / (2.0 * l * l) + 1j * phase)
-        return np.where(far, 0.0, psi)
+                f"at x = {float(xs[valued][0])!r} (pbar = {pbar:.6g})", t=frame.t)
+        psi = pref * np.exp(gauss + 1j * phase)
+        return np.where(far | lost, 0.0, psi)
 
 
 def fock_wavefunction(n: int, x, units: UnitContext) -> np.ndarray:
@@ -190,9 +193,8 @@ def hamilton_residual(records, schedule: CoefficientSchedule):
 
         du/dt = -i (alpha conj(u) + beta u + gamma)
 
-    with the coefficients of the schedule's compiled evaluator, bound as
-    evolve binds it to [0, t] of the last record when the records start at
-    t >= 0.  Returns (res_x, res_p) = (sqrt(2) l max|Re r|,
+    with the coefficients of the schedule's compiled evaluator, the one
+    evolve integrates.  Returns (res_x, res_p) = (sqrt(2) l max|Re r|,
     sqrt(2) (hbar/l) max|Im r|) over the interior residuals r of that
     equation: in exact arithmetic these are the violations of Hamilton's
     equations for xbar and pbar in the (x, p) form, but they need no mass,
@@ -220,8 +222,7 @@ def hamilton_residual(records, schedule: CoefficientSchedule):
         interior = np.arange(1, len(recs) - 1)
     l, hbar = schedule.units.l, schedule.units.hbar
     u = np.array([complex(r.xbar / l, l * r.pbar / hbar) for r in recs]) / math.sqrt(2.0)
-    bound = schedule.over(float(ts[-1])) if 0.0 <= ts[0] and ts[-1] < math.inf else schedule
-    alpha, beta, gamma, _ = np.array(list(map(bound.compiled(), ts[interior].tolist()))).T
+    alpha, beta, gamma, _ = np.array(list(map(schedule.compiled(), ts[interior].tolist()))).T
     r = ((u[interior + 1] - u[interior - 1]) / (2.0 * h)
          + 1j * (alpha * u[interior].conj() + beta * u[interior] + gamma))
     return (math.sqrt(2.0) * l * float(np.max(np.abs(r.real))),

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from cssdyn import (CoefficientSchedule, ComplexParts, Constant, DomainError, Harmonic,
-                    MotionFrame, NumericalError, Polynomial, Table, UnitContext, validate,
-                    wavefunction)
+                    InitialConditions, MotionFrame, NumericalError, Polynomial, Table,
+                    UnitContext, evolve, validate, wavefunction)
 from cssdyn import hamiltonian
 from cssdyn.hamiltonian import _READ, _answer
 
@@ -105,7 +105,7 @@ def test_every_proved_closure_is_the_checked_reading_bit_for_bit():
                       | {("complex", "Constant"), ("complex", "ComplexParts")})
 
 
-def test_bound_schedules_evaluate_as_unbound_ones_bit_for_bit():
+def test_decided_evaluators_are_the_checked_ones_bit_for_bit():
     rng = np.random.default_rng(7)
     for _ in range(30):
         horizon = float(rng.uniform(0.5, 5.0))
@@ -119,32 +119,50 @@ def test_bound_schedules_evaluate_as_unbound_ones_bit_for_bit():
                                           beta=pick(), gamma=ComplexParts(pick(), pick()),
                                           delta=pick()))
         for schedule in schedules:
-            bound = schedule.over(horizon)
-            assert bound.knots() == schedule.knots()
-            for t in _times(rng, Constant(0.0), horizon) + list(schedule.knots()):
-                if not 0.0 <= t <= math.nextafter(horizon, math.inf):
-                    continue
-                assert _outcome(bound.compiled(), t) == _outcome(schedule.compiled(), t)
-                assert _outcome(bound.physical_at, t) == _outcome(schedule.physical_at, t)
-                assert _outcome(bound.algebraic_at, t) == _outcome(schedule.algebraic_at, t)
+            algebraic, physical, knots, _ = schedule._compiled(horizon)
+            checked = hamiltonian._compile(schedule, None)
+            assert knots == checked[2]
+            # past [0, T+] too, where the decided evaluator reads every value checked
+            past = [-1.0, -0.0, 2.0 * horizon + 1.0, math.nan, math.inf]
+            for t in _times(rng, Constant(0.0), horizon) + list(knots) + past:
+                assert _outcome(algebraic, t) == _outcome(checked[0], t)
+                assert _outcome(physical, t) == _outcome(checked[1], t)
 
 
-def test_over_keeps_the_last_bound_schedule():
+def test_the_last_horizon_is_decided_once():
     schedule = CoefficientSchedule.physical(UNITS, m=1.0, k=Harmonic(1.0, 0.5, 2.0))
-    bound = schedule.over(2.0)
-    assert schedule.over(2) is bound and bound.horizon == 2.0
-    assert schedule.over(3.0) is not bound and schedule.horizon is None
-    with pytest.raises(DomainError, match="horizon must be finite and nonnegative"):
-        schedule.over(-1.0)
+    checked = schedule._compiled()
+    decided = schedule._compiled(2.0)
+    assert decided is not checked and decided[3] == {} and len(checked[3]) == 6
+    # no horizon keeps the last one given
+    assert schedule._compiled(2) is decided and schedule._compiled() is decided
+    assert schedule._compiled(3.0) is not decided
+    # the evaluators cached on a schedule leave its equality alone
+    assert schedule == CoefficientSchedule.physical(UNITS, m=1.0, k=Harmonic(1.0, 0.5, 2.0))
+
+
+def test_public_evaluators_stay_checked_past_the_horizon():
+    # m = 1 - t is proved over [0, 0.5], where evolve reads it unchecked
+    mass = CoefficientSchedule.physical(UNITS, m=Polynomial((1.0, -1.0)), k=1.0)
+    evolve(mass, InitialConditions(1.0, 0.0, 0.0), [0.0, 0.25, 0.5])
+    assert mass._compiled(0.5)[3] == {}
+    # 1e300 t is finite over [0, 1], where validate proves the profile
+    overflow = CoefficientSchedule.physical(UNITS, m=1.0, F=Harmonic(0.0, 1.0, 1e300))
+    assert validate(overflow, 1.0) == [] and overflow._compiled(1.0)[3] == {}
+    for schedule, t, error in ((mass, 1.0, "mass must be finite and nonzero"),
+                               (overflow, 1e10, "harmonic profile has no value")):
+        for evaluate in (schedule.physical_at, schedule.algebraic_at, schedule.compiled()):
+            with pytest.raises(DomainError, match=error):
+                evaluate(t)
 
 
 def test_a_table_keeps_its_range_check_when_proved():
     schedule = CoefficientSchedule.physical(UNITS, m=Table((0.0, 2.0), (1.0, 1.5)), k=1.0)
-    bound = schedule.over(2.0)
     assert validate(schedule, 2.0) == []
+    assert schedule._compiled(2.0)[3] == {}
     past = math.nextafter(2.0, math.inf)
     with pytest.raises(DomainError, match="outside its horizon"):
-        bound.compiled()(past)
+        schedule._compiled(2.0)[0](past)
 
 
 def _polynomial_roots_oracle(coeffs, horizon):
@@ -200,7 +218,7 @@ def test_double_zero_between_samples_is_refused_by_name():
     assert validate(schedule, 1.0) == ["m: reaches zero near t=0.497, between two samples"]
     # the same mass is proved over [0, 0.49], short of both roots
     assert validate(schedule, 0.49) == []
-    assert schedule.over(0.49)._compiled()[3] == {}
+    assert schedule._compiled(0.49)[3] == {}
 
 
 def test_harmonic_mass_at_the_offset_amplitude_edge():
@@ -211,7 +229,7 @@ def test_harmonic_mass_at_the_offset_amplitude_edge():
     below = CoefficientSchedule.physical(UNITS, m=Harmonic(1.0, 1.0 + 1e-12, 1.0), k=1.0)
     assert validate(below, 5.0) == ["m: reaches zero near t=3.14159, between two samples"]
     # cos(omega t) stays above -1 / (1 + 1e-12) on [0, 3]
-    assert validate(below, 3.0) == [] and below.over(3.0)._compiled()[3] == {}
+    assert validate(below, 3.0) == [] and below._compiled(3.0)[3] == {}
     # just below with the opposite amplitude: m(0) < 0 < m(0.02), which the samples see
     starts = CoefficientSchedule.physical(UNITS, m=Harmonic(1.0, -(1.0 + 1e-12), 1.0), k=1.0)
     problems = validate(starts, 5.0)
@@ -242,3 +260,7 @@ def test_wavefunction_refuses_a_phase_past_the_floats():
     # where (x - xbar)^2 overflows the Gaussian is 0, whatever its phase
     psi = wavefunction(MotionFrame(t=0.0, f=1.0, g=0.0, varphi=0.0), [-1e308, 1e308], UNITS)
     assert np.array_equal(psi, np.zeros(2))
+    # and so it is where the phase is lost in a tail the Gaussian underflowed in
+    frame = MotionFrame(t=0.0, f=1.0, g=0.0, varphi=1e300j)
+    psi = wavefunction(frame, [0.0, 1e9], UNITS)
+    assert psi[1] == 0.0 and psi[0] == wavefunction(frame, [0.0], UNITS)[0] != 0.0

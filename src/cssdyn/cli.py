@@ -146,6 +146,9 @@ def cmd_evolve(args) -> int:
     rows = []
     for fr in _frames_on(rc, rc.time_grid()):
         rec = _observed(rc, fr)
+        if not math.isfinite(rec.energy):
+            raise NumericalError(f"at t = {fr.t:g}: the mean energy <H> = {rec.energy!r} "
+                                 "leaves the floats", t=fr.t)
         sd = parameters(fr)
         rows.append(_EVOLVE_ROW % (
             fr.t, fr.f.real, fr.f.imag, fr.g.real, fr.g.imag,

@@ -34,11 +34,11 @@ call it.  The hermiticity and mass checks are written once too, as the
 checked reading of each coefficient's value, which the records, the
 evaluators and validate share.
 A schedule is evaluated through one compiled function t -> (alpha, beta,
-gamma, delta).  Compiled for a horizon T, as evolve and validate compile
-it, each package profile is decided once over [0, T]: on [0, T] one proved
-real, finite and, for the mass, free of zeros reads as a plain float
-closure, and only the unproved ones keep the checked reading on every
-call.  Everywhere else every call is checked.  The schedule also
+gamma, delta), the same at every t: each package profile with real
+parameters reads as a plain float closure, and a call whose values did
+not all come out finite, with a nonzero mass, is read again through the
+checked reading.  validate alone decides each profile over an interval,
+exactly, and samples only what it cannot decide.  The schedule also
 lists its knots, the sample times of its tables, where the coefficients may
 have a kink: integrators put step edges there.
 """
@@ -221,9 +221,9 @@ def to_physical(alg: AlgebraicCoefficients, units: UnitContext) -> PhysicalCoeff
 #
 # A profile is a scalar callable t -> value.  Values may be complex;
 # coefficients that must stay real (beta, delta, every physical one) are
-# either proved real over the horizon the schedule is compiled for, or
-# checked by its compiled evaluator on every call, so a value that turns
-# complex between any two sampled times is still caught.
+# read through the float closure of a profile whose parameters are real,
+# or else checked by the schedule's evaluator on every call, so a value
+# that turns complex between any two sampled times is still caught.
 
 
 @dataclass(frozen=True)
@@ -379,17 +379,15 @@ class CoefficientSchedule:
     physical -> algebraic map applied for physical schedules.  Its values
     are those of the checked reading the coefficient records use, so beta,
     delta and every physical coefficient must be real and the mass finite
-    and nonzero, with the records' errors.  Where that is checked depends on
-    the horizon the evaluator was compiled for.  evolve and validate compile
-    it for theirs, T (_compiled(T)), which decides each package profile once
-    over [0, T]: at t in [0, T+], T+ the float after T, one proved real,
-    finite and, for the mass, free of zeros reads as a plain float closure
-    without per-call checks, bit for bit the checked value, and only the
-    unproved ones (a foreign callable, or a profile refuted or beyond the
-    decisions) are checked per call.  At any other t, and before any
-    horizon, every profile value is checked on every call.  So compiled(),
-    algebraic_at and physical_at return the checked values, or raise its
-    errors, at every t; the horizon only makes [0, T+] cheaper.  The other
+    and nonzero, with the records' errors.  A package profile whose
+    parameters read as real is read through a plain float closure without
+    per-call checks, bit for bit the checked value wherever that is finite
+    (_form); any other profile, a foreign callable for one, through its
+    checked reading.  A call returns those values when nothing raised,
+    their sum is finite and the mass is nonzero, and otherwise reads every
+    profile checked.  So compiled(), algebraic_at and physical_at return
+    the checked values, or raise the checked reading's first error, at
+    every t, from the one evaluator the schedule compiles.  The other
     parameterization is the unit map applied to that evaluator.
 
     The knots (knots()) are compiled with the evaluators: the union of the
@@ -429,21 +427,15 @@ class CoefficientSchedule:
                     "F": as_profile(F), "V": as_profile(V), "E": as_profile(E)}
         return cls(units=units, parameterization="physical", profiles=profiles)
 
-    def _compiled(self, horizon: Optional[float] = None) -> tuple:
-        """_compile's (algebraic, physical, knots, doubts) for the last
-        horizon given, a finite nonnegative float, or for none before one
-        is given.  They are kept, so the check of a command, the run it
-        guards and the records read after it decide the profiles once.
-        """
-        kept = self._evaluators
-        if kept is None or (horizon is not None and kept[0] != horizon):
-            kept = horizon, _compile(self, None if horizon is None else float(horizon))
-            object.__setattr__(self, "_evaluators", kept)
-        return kept[1]
+    def _compiled(self) -> tuple:
+        if self._evaluators is None:
+            object.__setattr__(self, "_evaluators", _compile(self))
+        return self._evaluators
 
     def compiled(self):
-        """The evaluator t -> (alpha, beta, gamma, delta), bit-identical to
-        the records' route (to_algebraic of the physical record)."""
+        """The evaluator t -> (alpha, beta, gamma, delta), the same at every
+        t, bit-identical to the records' route (to_algebraic of the physical
+        record)."""
         return self._compiled()[0]
 
     def knots(self) -> tuple:
@@ -457,58 +449,63 @@ class CoefficientSchedule:
         return _trusted(PhysicalCoefficients, _PHYSICAL_KEYS, self._compiled()[1](t))
 
 
-def _compile(schedule: CoefficientSchedule, horizon: Optional[float]) -> tuple:
-    """(algebraic, physical, knots, doubts) of a schedule over [0, horizon],
-    checks included; with no horizon every profile is checked.
+# what each coefficient reads as: "complex", "mass" or "real"
+_KIND = {key: "complex" if key in _COMPLEX_KEYS else "mass" if key == "m" else "real"
+         for key in _ALGEBRAIC_KEYS + _PHYSICAL_KEYS}
+
+
+def _compile(schedule: CoefficientSchedule) -> tuple:
+    """(algebraic, physical, knots) of a schedule, checks included.
 
     algebraic is t -> (alpha, beta, gamma, delta) and physical is
-    t -> (m, k, Omega, F, V, E).  At t in [0, horizon+] the schedule's own
-    form reads each profile through its answer over the horizon (_answer):
-    a proved profile's closure returns the checked reading's value bit for
-    bit, and any other is read through the checked reading itself.  At
-    any other t every profile is read through the checked reading.  The
+    t -> (m, k, Omega, F, V, E).  The schedule's own form reads each
+    profile through its float closure (_form), or through its checked
+    reading where it has none.  It returns those values when nothing
+    raised, their sum is finite and, for a physical schedule, m is nonzero;
+    in every other case it returns the checked reading of every profile in
+    key order, which gives the same values or raises the first error.  The
     other form applies the unit map to it, so both equal the records' route
     (to_algebraic or to_physical of the authoritative record) by
     construction.  knots is the sorted tuple of distinct Table times over
-    the profiles.  doubts maps each unproved coefficient to the time of a
-    zero its mass was found to reach in [0, horizon], or None.
+    the profiles.
     """
-    closures, checked, knots, doubts = [], [], set(), {}
-    for key in _KEYS[schedule.parameterization]:
-        profile = schedule.profiles[key]
-        kind = "complex" if key in _COMPLEX_KEYS else "mass" if key == "m" else "real"
-        times, closure, zero = _answer(profile, horizon, kind)
-        knots.update(times)
-        checked.append(_checked(_READ[key], profile))
-        if closure is None:
-            closure = checked[-1]
-            doubts[key] = zero
-        closures.append(closure)
-    knots = tuple(sorted(knots))
-    # the answers hold at t in [0, horizon+]; NaN fails both comparisons
-    reach = -math.inf if horizon is None else math.nextafter(horizon, math.inf)
+    profiles = [(key, schedule.profiles[key]) for key in _KEYS[schedule.parameterization]]
+    forms = [_form(profile, _KIND[key]) for key, profile in profiles]
+    checked = [_checked(_READ[key], profile) for key, profile in profiles]
+    closures = [closure or reading for (_, closure), reading in zip(forms, checked)]
+    knots = tuple(sorted({t for times, _ in forms for t in times}))
     if schedule.parameterization == "algebraic":
         a, b, g, d = closures
         ca, cb, cg, cd = checked
+        finite = cmath.isfinite
 
         def algebraic(t):
-            if 0.0 <= t <= reach:
-                return a(t), b(t), g(t), d(t)
+            try:
+                values = a(t), b(t), g(t), d(t)
+                if finite(sum(values)):
+                    return values
+            except Exception:  # the checked reading raises its first error
+                pass
             return ca(t), cb(t), cg(t), cd(t)
 
         pmap = _physical_map(schedule.units)
-        return algebraic, lambda t: pmap(*algebraic(t)), knots, doubts
+        return algebraic, lambda t: pmap(*algebraic(t)), knots
 
     m, k, O, F, V, E = closures
     cm, ck, cO, cF, cV, cE = checked
+    finite = math.isfinite
 
     def physical(t):
-        if 0.0 <= t <= reach:
-            return m(t), k(t), O(t), F(t), V(t), E(t)
+        try:
+            values = m(t), k(t), O(t), F(t), V(t), E(t)
+            if values[0] and finite(sum(values)):
+                return values
+        except Exception:  # the checked reading raises its first error
+            pass
         return cm(t), ck(t), cO(t), cF(t), cV(t), cE(t)
 
     amap = _algebraic_map(schedule.units)
-    return lambda t: amap(*physical(t)), physical, knots, doubts
+    return lambda t: amap(*physical(t)), physical, knots
 
 
 def _checked(read, profile):
@@ -517,37 +514,26 @@ def _checked(read, profile):
 
 
 # ---------------------------------------------------------------------------
-# deciding a profile over a horizon
+# float closures
 #
-# Each package profile class answers once per horizon T whether its value is
-# real, finite and, for the mass, free of zeros at every float t in
-# [0, T+], T+ the float after T: a stage time t + c h of DOP853 rounds to at
-# most that.  "Real" means the value reads as complex (x, +0.0), the form
-# ComplexParts assembles exactly, and each margin below covers the rounding
-# of the float closure, so a proved closure returns the checked reading's
-# value bit for bit and never one the reading would refuse.
-
-_BAND = 2.0 ** -30  # guard band around what is read off a float cosine
-_HUGE = 2.0 ** 1000  # a bound on magnitudes that keeps the closures' sums finite
-_STURM_DEGREE = 8  # above it a polynomial mass is left to the scan
+# A package profile whose parameters read as real, that is as complex
+# (x, +0.0), the form ComplexParts assembles exactly, evaluates through a
+# plain float closure without the per-call checks.  Wherever that closure returns a
+# finite value it is the checked reading's value bit for bit, signed zeros
+# included; where it raises or returns a non-finite value the schedule's
+# evaluator reads the checked value instead.
 
 
-def _answer(profile, horizon: Optional[float], kind: str) -> tuple:
-    """(knots, closure, zero) of a profile over [0, horizon].
+def _form(profile, kind: str) -> tuple:
+    """(knots, closure) of a profile read as kind, "real", "mass" or "complex".
 
-    kind is "real", "mass" or "complex", what the coefficient reads as.
-    closure is a plain function of t, or None when the profile is not proved
-    over the horizon, or no horizon is given: for "real" and "mass" a float
-    closure (a proved mass also keeps one sign, never 0), for "complex" a
-    complex one.  zero is a time near which a "mass" has an exact zero in
-    [0, horizon], else None.  Only the package classes themselves are
-    decided; any other callable, a subclass of one included, is answered
-    ((), None, None).
+    knots are the times of the Table profiles it holds.  closure is a plain
+    function of t, a float one for "real" and "mass" and a complex one for
+    "complex", or None: for parameters that do not read as real, and for any
+    callable but the package classes themselves, a subclass of one included.
     """
-    decide = _DECIDE.get(type(profile))
-    if decide is None:
-        return (), None, None
-    return decide(profile, horizon, kind)
+    forms = _FORMS.get(type(profile))
+    return ((), None) if forms is None else forms[0](profile, kind)
 
 
 def _real_part(value) -> Optional[float]:
@@ -561,102 +547,139 @@ def _real_part(value) -> Optional[float]:
     return None
 
 
-def _constant(profile: Constant, horizon, kind) -> tuple:
-    if horizon is None:
-        return (), None, None
-    if kind == "complex":
-        try:
-            z = complex(profile.value)
-        except (TypeError, ValueError, OverflowError):
-            return (), None, None
-        return (), (lambda t: z) if cmath.isfinite(z) else None, None
-    x = _real_part(profile.value)
-    if x is None:
-        return (), None, None
-    if kind == "mass" and x == 0.0:
-        return (), None, 0.0
-    return (), lambda t: x, None
+def _constant_form(profile: Constant, kind) -> tuple:
+    try:
+        z = complex(profile.value)
+    except (TypeError, ValueError, OverflowError):
+        return (), None
+    x = _real_part(z) if kind != "complex" else z if cmath.isfinite(z) else None
+    return (), None if x is None else (lambda t: x)
 
 
-def _harmonic(profile: Harmonic, horizon, kind) -> tuple:
+def _harmonic_form(profile: Harmonic, kind) -> tuple:
     o, a, w = _real_part(profile.offset), _real_part(profile.amplitude), profile.omega
-    if (horizon is None or kind == "complex" or o is None or a is None
-            or not isinstance(w, (int, float))):
-        return (), None, None
-    w = float(w)
-    reach = abs(w) * math.nextafter(horizon, math.inf)  # bounds |w t| on [0, T+]
-    if not (reach < math.inf and abs(o) + abs(a) < _HUGE):
-        return (), None, None
-    if kind == "mass" and not abs(o) > abs(a):  # |o| > |a| keeps the sign of o
-        # o + a c over the range of c = cos(w t): [cos(|w| T), 1] until |w| T
-        # passes pi; inner is surely inside the range, outer surely contains it
-        span = abs(w) * horizon
-        inner = -1.0 if span >= math.pi + _BAND else math.cos(span) + _BAND
-        if o + a == 0.0:
-            return (), None, 0.0
-        if inner < 1.0 and (o + a * inner > 0.0) != (o + a > 0.0):
-            return (), None, math.acos(max(-1.0, min(1.0, -o / a))) / abs(w)
-        outer = -1.0 if reach >= math.pi - _BAND else math.cos(reach) - _BAND
-        ends, margin = (o + a * outer, o + a), _BAND * (abs(o) + abs(a))
-        if not (min(ends) > margin or max(ends) < -margin):
-            return (), None, None
+    if kind == "complex" or o is None or a is None or not isinstance(w, (int, float)):
+        return (), None
     cos = math.cos
-    return (), lambda t: o + a * cos(w * t), None
+    return (), lambda t: o + a * cos(w * t)
 
 
-def _polynomial(profile: Polynomial, horizon, kind) -> tuple:
+def _polynomial_form(profile: Polynomial, kind) -> tuple:
     coeffs = [_real_part(c) for c in profile.coeffs]
-    if horizon is None or kind == "complex" or None in coeffs:
-        return (), None, None
-    reach = math.nextafter(horizon, math.inf)
-    scale = max(1.0, reach)
-    bound = 0.0  # sum |c_k| scale^k, which bounds every Horner partial sum
-    for c in reversed(coeffs):
-        bound = bound * scale + abs(c)
-    if not bound < _HUGE:
-        return (), None, None
-    if kind == "mass":
-        if len(coeffs) - 1 > _STURM_DEGREE:
-            return (), None, None
-        proved, zero = _sturm_decision(coeffs, horizon, reach, bound)
-        if not proved:
-            return (), None, zero
+    if kind == "complex" or None in coeffs:
+        return (), None
     backwards = coeffs[::-1]
 
     def polynomial(t):
-        acc = 0.0
+        acc, t = 0.0, float(t)
         for c in backwards:
             acc = acc * t + c
         return acc
 
-    return (), polynomial, None
+    return (), polynomial
 
 
-def _table(profile: Table, horizon, kind) -> tuple:
+def _table_form(profile: Table, kind) -> tuple:
     ts = profile._knots
+    if kind == "complex" or None in map(_real_part, profile.values):
+        return ts, None
     ys, slopes = profile._real
-    if (horizon is None or kind == "complex" or not ts[0] <= 0.0 <= horizon <= ts[-1]
-            or not all(y == 0.0 and math.copysign(1.0, y) > 0.0 for y in profile._imag[0])):
-        return ts, None, None
-    # the knots and segments an evaluation on [0, T+] reads
-    lo, hi = max(bisect_right(ts, 0.0) - 1, 0), bisect_right(ts, math.nextafter(horizon, math.inf))
-    read = ys[lo:hi + 1]
-    if not (all(abs(y) < _HUGE for y in read) and all(map(math.isfinite, slopes[lo:hi]))):
-        return ts, None, None
-    if kind == "mass":
-        # one strict sign, and no knot so much smaller than another that an
-        # interpolated value could round to 0
-        small, large = min(map(abs, read)), max(map(abs, read))
-        if not ((min(read) > 0.0 or max(read) < 0.0)
-                and small >= max(large * _BAND * _BAND, 1.0 / _HUGE)):
-            return ts, None, _table_zero(ts, ys, horizon)
     locate = profile._locate
 
     def table(t):
         x, j = locate(t)
         return _interp(ts, ys, slopes, j, x)
 
-    return ts, table, None
+    return ts, table
+
+
+def _complex_parts_form(profile: ComplexParts, kind) -> tuple:
+    real_knots, real = _form(profile.real, "real")
+    imag_knots, imag = _form(profile.imag, "real")
+    if kind != "complex" or real is None or imag is None:
+        return real_knots + imag_knots, None
+
+    def parts(t):
+        # complex(x) + 1j * complex(y), signed zeros included, for finite x, y
+        x, y = real(t), imag(t)
+        return complex(x + 0.0 * y, y + 0.0)
+
+    return real_knots + imag_knots, parts
+
+
+# ---------------------------------------------------------------------------
+# deciding a profile over an interval
+#
+# validate asks each package profile with a float closure whether its exact
+# value is finite, with magnitudes below 2^1000 so that no float evaluation
+# overflows, and, for the mass, free of zeros at every t in [0, T].
+
+_BAND = 2.0 ** -30  # guard band around what is read off a float cosine
+_HUGE = 2.0 ** 1000  # a bound on magnitudes that keeps float evaluations finite
+_STURM_DEGREE = 16  # above it a polynomial mass is left to the scan
+
+
+def _decision(profile, horizon: float, kind: str) -> tuple:
+    """(proved, zero) of a profile read as kind over [0, horizon].
+
+    proved: the profile has a float closure (_form), its value is finite
+    there and, for a "mass", never 0.  zero is a time near which a "mass"
+    has an exact zero in [0, horizon], else None.  A profile without a
+    closure is answered (False, None).
+    """
+    if _form(profile, kind)[1] is None:
+        return False, None
+    return _FORMS[type(profile)][1](profile, horizon, kind)
+
+
+def _constant(profile: Constant, horizon, kind) -> tuple:
+    return (False, 0.0) if kind == "mass" and complex(profile.value) == 0 else (True, None)
+
+
+def _harmonic(profile: Harmonic, horizon, kind) -> tuple:
+    o, a, w = _real_part(profile.offset), _real_part(profile.amplitude), profile.omega
+    span = abs(w) * horizon  # bounds |w t| on [0, T]
+    if not (span < math.inf and abs(o) + abs(a) < _HUGE):
+        return False, None
+    if kind == "mass" and not abs(o) > abs(a):  # |o| > |a| keeps the sign of o
+        # o + a c over the range of c = cos(w t): [cos(|w| T), 1] until |w| T
+        # passes pi; inner is surely inside the range, outer surely contains it
+        inner = -1.0 if span >= math.pi + _BAND else math.cos(span) + _BAND
+        if o + a == 0.0:
+            return False, 0.0
+        if inner < 1.0 and (o + a * inner > 0.0) != (o + a > 0.0):
+            return False, math.acos(max(-1.0, min(1.0, -o / a))) / abs(w)
+        outer = -1.0 if span >= math.pi - _BAND else math.cos(span) - _BAND
+        ends, margin = (o + a * outer, o + a), _BAND * (abs(o) + abs(a))
+        if not (min(ends) > margin or max(ends) < -margin):
+            return False, None
+    return True, None
+
+
+def _polynomial(profile: Polynomial, horizon, kind) -> tuple:
+    coeffs = [_real_part(c) for c in profile.coeffs]
+    scale = max(1.0, horizon)
+    bound = 0.0  # sum |c_k| scale^k, which bounds every Horner partial sum
+    for c in reversed(coeffs):
+        bound = bound * scale + abs(c)
+    if not bound < _HUGE or (kind == "mass" and len(coeffs) - 1 > _STURM_DEGREE):
+        return False, None
+    return _sturm_decision(coeffs, horizon) if kind == "mass" else (True, None)
+
+
+def _table(profile: Table, horizon, kind) -> tuple:
+    ts = profile._knots
+    ys, slopes = profile._real
+    if not ts[0] <= 0.0 <= horizon <= ts[-1]:
+        return False, None
+    # the knots and segments an evaluation on [0, T] reads
+    lo, hi = max(bisect_right(ts, 0.0) - 1, 0), bisect_right(ts, horizon)
+    read = ys[lo:hi + 1]
+    if not (all(abs(y) < _HUGE for y in read) and all(map(math.isfinite, slopes[lo:hi]))):
+        return False, None
+    if kind == "mass" and not (min(read) > 0.0 or max(read) < 0.0):
+        return False, _table_zero(ts, ys, horizon)
+    return True, None
 
 
 def _table_zero(ts: tuple, ys: tuple, horizon: float) -> Optional[float]:
@@ -681,26 +704,21 @@ def _table_zero(ts: tuple, ys: tuple, horizon: float) -> Optional[float]:
 
 
 def _complex_parts(profile: ComplexParts, horizon, kind) -> tuple:
-    real_knots, real, _ = _answer(profile.real, horizon, "real")
-    imag_knots, imag, _ = _answer(profile.imag, horizon, "real")
-    if kind != "complex" or real is None or imag is None:
-        return real_knots + imag_knots, None, None
-
-    def parts(t):
-        # complex(x) + 1j * complex(y), signed zeros included, for finite x, y
-        x, y = real(t), imag(t)
-        return complex(x + 0.0 * y, y + 0.0)
-
-    return real_knots + imag_knots, parts, None
+    return all(_decision(part, horizon, "real")[0] for part in (profile.real, profile.imag)), None
 
 
-_DECIDE = {Constant: _constant, Harmonic: _harmonic, Polynomial: _polynomial,
-           Table: _table, ComplexParts: _complex_parts}
+# each package class: its float closure, and its decision over an interval
+_FORMS = {Constant: (_constant_form, _constant), Harmonic: (_harmonic_form, _harmonic),
+          Polynomial: (_polynomial_form, _polynomial), Table: (_table_form, _table),
+          ComplexParts: (_complex_parts_form, _complex_parts)}
 
 
-# Sturm sequences in exact rational arithmetic (Basu, Pollack & Roy,
+# Sturm sequences in exact integer arithmetic (Basu, Pollack & Roy,
 # Algorithms in Real Algebraic Geometry, ch. 2).  A polynomial is the list
-# of its Fraction coefficients, highest degree first, without leading zeros.
+# of its integer coefficients, highest degree first, without leading zeros.
+# A positive multiple of each member has its signs, so remainders are taken
+# as pseudo-remainders by |leading coefficient| and every member is divided
+# by the gcd of its coefficients, which keeps the integers small.
 
 
 def _horner(p: list, t) -> Fraction:
@@ -711,15 +729,17 @@ def _horner(p: list, t) -> Fraction:
 
 
 def _sturm(p: list) -> list:
-    """The Sturm sequence p, p', -rem(p, p'), ... of p."""
+    """The Sturm sequence p, p', -rem(p, p'), ... of p, each member up to a
+    positive factor."""
     n = len(p) - 1
     seq, q = [p], [c * (n - i) for i, c in enumerate(p[:-1])]
     while q:
-        seq.append(q)
-        r = list(seq[-2])
-        while len(r) >= len(q):  # r <- rem(r, q)
-            f = r[0] / q[0]
-            r = [x - f * y for x, y in zip(r[1:], q[1:])] + r[len(q):]
+        gcd = math.gcd(*q)
+        seq.append([c // gcd for c in q])
+        r, q = list(seq[-2]), seq[-1]
+        while len(r) >= len(q):  # r <- |q[0]|^k r mod q, a positive multiple of rem(r, q)
+            a, f = abs(q[0]), r[0] if q[0] > 0 else -r[0]
+            r = [a * x - f * y for x, y in zip(r[1:], q[1:])] + [a * x for x in r[len(q):]]
         while r and r[0] == 0:
             r.pop(0)
         q = [-c for c in r]
@@ -737,32 +757,24 @@ def _roots(seq: list, a, b) -> int:
     return _variations(seq, a) - _variations(seq, b)
 
 
-def _sturm_decision(coeffs: list, horizon: float, reach: float, bound: float) -> tuple:
-    """(proved, zero) for the polynomial mass sum coeffs[k] t^k.
+def _sturm_decision(coeffs: list, horizon: float) -> tuple:
+    """(proved, zero) for the polynomial mass p = sum coeffs[k] t^k.
 
-    proved: |p| exceeds the error bound of the float Horner sum on
-    [0, reach], so the float closure keeps the sign of p(0) and is never 0.
-    Otherwise zero is the first root of p in [0, horizon], found by
-    bisection on Sturm counts, or None when p has none there.
+    proved: p(0) and p(horizon) are nonzero and the Sturm sequence of p
+    counts no root between them, so p keeps one sign on [0, horizon].
+    Otherwise zero is the first root of p there, found by bisection on
+    Sturm counts.
     """
-    p = [Fraction(c) for c in reversed(coeffs)]
+    exact = [Fraction(c) for c in reversed(coeffs)]
+    scale = max(c.denominator for c in exact)  # a power of 2 that makes them integers
+    p = [int(c * scale) for c in exact]
     while p and p[0] == 0:
         p.pop(0)
     if not p or p[-1] == 0:
         return False, 0.0
-    n = len(p) - 1
-    # Horner's rounding, gamma_2n sum |c_k| t^k, plus an ulp of underflow a step
-    scale = Fraction(max(1.0, reach))
-    error = Fraction(bound) * Fraction(4 * n + 4, 2 ** 53) + Fraction(2 * n + 2, 2 ** 1074) * scale ** n
-    sign = 1 if p[-1] > 0 else -1
-    shifted = p[:-1] + [p[-1] - sign * error]
-    end = Fraction(reach)
-    if (sign * _horner(shifted, 0) > 0 and sign * _horner(shifted, end) > 0
-            and _roots(_sturm(shifted), 0, end) == 0):
-        return True, None
     seq, lo, hi = _sturm(p), Fraction(0), Fraction(horizon)
     if _horner(p, hi) != 0 and (hi == 0 or _roots(seq, lo, hi) == 0):
-        return False, None
+        return True, None
     for _ in range(32):  # the first root lies in (lo, hi]
         mid = (lo + hi) / 2
         if _horner(p, mid) == 0 or _roots(seq, lo, mid) > 0:
@@ -779,11 +791,11 @@ def validate(schedule: CoefficientSchedule, horizon: float) -> list:
     """Diagnostics of the schedule over [0, horizon]; empty when it is usable.
 
     Usable means: every coefficient evaluates through the checked reading
-    the compiled evaluator uses (so it respects hermiticity, and the mass is
-    finite and nonzero) and is finite, and the mass has no zero.  Each
-    package profile is decided once over the interval, in the evaluator the
-    schedule keeps for evolve, and a schedule whose profiles are all proved
-    returns [] without sampling.
+    the compiled evaluator falls back on (so it respects hermiticity, and
+    the mass is finite and nonzero) and is finite, and the mass has no zero.
+    validate is the only code that decides a profile over an interval: each
+    package profile is decided once over [0, horizon] (_decision), nothing
+    is kept on the schedule, and a proved profile is not sampled.
     Only a refuted or unproved profile (a foreign callable, for one) is
     sampled at 257 times over [0, horizon], and its diagnostic names it and
     the first time it fails: an evaluation that raises, a non-finite value,
@@ -792,22 +804,23 @@ def validate(schedule: CoefficientSchedule, horizon: float) -> list:
     pass but whose exact decision found a zero, two roots between two
     samples say, gets a diagnostic naming it and the time near that zero.
     That decision covers a Constant or Table mass, a Polynomial one up to
-    degree 8 and a Harmonic one whose smallest |value| on the interval is
+    degree 16 and a Harmonic one whose smallest |value| on the interval is
     not within about 2^-30 (|offset| + |amplitude|) of zero, magnitudes
     below 2^1000; any other mass is only sampled, and two of its zeros
-    between two samples pass.
+    between two samples pass.  The decisions are about the exact profile:
+    a float evaluation that rounds a proved mass to 0 next to a zero-free
+    minimum is refused when evolve meets it, not here.
     Each coefficient gets at most one diagnostic.  No exception escapes;
     problems become diagnostics.
     """
     if not (math.isfinite(horizon) and horizon >= 0):
         return [f"horizon must be finite and nonnegative, got {horizon!r}"]
-    doubts = schedule._compiled(horizon)[3]
-    if not doubts:
-        return []
     grid = np.linspace(0.0, horizon, _VALIDATE_SAMPLES).tolist()
     diagnostics = []
-    for key, zero in doubts.items():
-        problem = _scan(key, _READ[key], schedule.profiles[key], grid)
+    for key in _KEYS[schedule.parameterization]:
+        profile = schedule.profiles[key]
+        proved, zero = _decision(profile, horizon, _KIND[key])
+        problem = None if proved else _scan(key, _READ[key], profile, grid)
         if problem is None and zero is not None:
             problem = f"{key}: reaches zero near t={zero:.6g}, between two samples"
         if problem is not None:

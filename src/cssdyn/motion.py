@@ -211,10 +211,9 @@ def evolve(schedule: CoefficientSchedule, init: InitialConditions, grid,
     (CoefficientSchedule.knots) strictly inside (0, grid[-1]) are step
     edges: DOP853 restarts at each one from the state it reached there, so
     no step straddles a table's kink.  Between edges, and for a knot-free
-    schedule over the whole horizon, it is one integration that yields the
-    grid times on the way.  The schedule's evaluator is compiled for
-    [0, grid[-1]]: each profile proved over that interval is read as a
-    plain float closure, the others through the checked reading, with the
+    schedule over the whole of [0, grid[-1]], it is one integration that
+    yields the grid times on the way.  The coefficients come from the
+    schedule's compiled evaluator (CoefficientSchedule.compiled), the
     checked values bit for bit.  A step that falls below 10 ulps of t
     raises NumericalError at that t, and so does a derivative whose scaled
     norm overflows at a step edge; errors the coefficients raise
@@ -244,7 +243,6 @@ def evolve(schedule: CoefficientSchedule, init: InitialConditions, grid,
     """
     ts = _check_grid(grid)
     hbar = schedule.units.hbar
-    schedule._compiled(float(ts[-1]))  # proved profiles read unchecked
     coefficients = schedule.compiled()
 
     # derivatives of (f, g, varphi, phase_phi); the phase is real

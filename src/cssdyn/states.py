@@ -27,11 +27,12 @@ count of arg f, recoverable along a trajectory with branch_windings().
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, NumericalError
 from .motion import MotionFrame
 
 # Default truncation control of every number-basis expansion: the certified
@@ -157,7 +158,10 @@ def fock_coefficients(frame: MotionFrame, tail_tolerance: float = TAIL_TOLERANCE
     pair, so P_{n_max-1} = P_{n_max} = 0.0 ends the expansion at n_max - 2.
     Near-unit |zeta| needs n_max of order 25/(1-|zeta|^2).
 
-    Raises ConvergenceError when no truncation up to n_max certifies.
+    Raises ConvergenceError when no truncation up to n_max certifies, and
+    NumericalError when the weight |Phi|^2 is below the smallest normal
+    float and a certified level's unweighted probability overflowed, so
+    that its probability would be inf or NaN.
     """
     phi, d, p, top, bound = _expand(frame, tail_tolerance, n_max, winding, True)
     coefficients, probabilities = d[:top + 1], p[:top + 1]
@@ -171,8 +175,8 @@ def transition_probabilities(frame: MotionFrame, tail_tolerance: float = TAIL_TO
                              n_max: int = N_MAX) -> np.ndarray:
     """P_n = |c_n|^2 for n up to the certified truncation; branch-independent.
 
-    The same expansion and truncation rule as fock_coefficients, whose
-    probabilities it reproduces bit for bit, but without the coefficient
+    The same expansion, truncation rule and errors as fock_coefficients,
+    whose probabilities it reproduces bit for bit, but without the coefficient
     array: the rule reads probabilities alone, so nothing is rerun, and a
     level costs 8 bytes instead of 24, which matters for strongly
     squeezed frames where the certified truncation runs into millions.
@@ -239,6 +243,14 @@ def _expand(frame, tail_tolerance, n_max, winding, keep_coefficients):
             if keep_coefficients:
                 d = _grown(d, size)
     top, bound = outcome
+    # a normal weight bounds every level by 1/weight < 4.5e307; below it the
+    # certified levels may have overflowed, and the weight cannot bring them
+    # back: the weighted probability is inf, or NaN once the weight is 0
+    if weight < sys.float_info.min and not np.isfinite(p[:top + 1]).all():
+        raise NumericalError(
+            f"at t = {frame.t:g}: the number-basis probabilities leave the floats: "
+            f"|Phi|^2 = {weight:.3g} underflows while the unweighted levels overflow",
+            t=frame.t)
     return phi, d, p, top, bound
 
 

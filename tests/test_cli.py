@@ -268,6 +268,39 @@ def test_mass_with_two_zeros_between_samples_exits_two(tmp_path, capsys):
     assert "m: reaches zero near t=0.497" in capsys.readouterr().err
 
 
+def test_degree_nine_mass_with_two_zeros_between_samples_exits_two(tmp_path, capsys):
+    # the same two roots times 1 + 1e-3 t^7: the decision used to stop at
+    # degree 8, and the run failed on its step size (exit 3)
+    cfg = write(tmp_path, "run.ini", "[hamiltonian]\nparameterization = physical\n"
+                "m = poly 0.247506 -0.995 1 0 0 0 0 0.000247506 -0.000995 0.001\n"
+                "k = 1\n[integration]\nt_max = 1\n")
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "e.csv")]) == 2
+    assert "m: reaches zero near t=0.497, between two samples" in capsys.readouterr().err
+
+
+def test_mean_energy_past_the_floats_exits_three(tmp_path, capsys):
+    # |u| near 1.4e308 takes beta |u|^2 past the floats: evolve wrote inf in
+    # every energy cell with exit 0
+    cfg = write(tmp_path, "run.ini", "[hamiltonian]\nparameterization = physical\n"
+                "m = 1\nk = 1\n[initial]\nvarphi0_im = 1e308\n"
+                "[integration]\nt_max = 1\nnum_points = 3\n")
+    out = tmp_path / "e.csv"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 3
+    assert "at t = 0: the mean energy <H> = inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_weight_underflow_with_overflowing_levels_exits_three(tmp_path, capsys):
+    # |Phi|^2 = exp(-|varphi|^2) underflows to 0 at varphi = 28 while the
+    # unweighted levels overflow: fock wrote 661 nan levels with exit 0
+    cfg = write(tmp_path, "run.ini", "[hamiltonian]\nparameterization = physical\n"
+                "m = 1\nk = 1\n[initial]\nvarphi0_re = 28\n")
+    out = tmp_path / "f.csv"
+    assert main(["fock", "--config", cfg, "--times", "0.5", "--out", str(out)]) == 3
+    assert "number-basis probabilities leave the floats" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_density_phase_past_the_floats_exits_three(tmp_path, capsys):
     # pbar near -1.4e308 takes (pbar/(2 hbar))(2x - xbar) past the floats: the
     # command wrote nan rows with exit 0

@@ -1,5 +1,7 @@
-"""Profiles decided over a horizon: proved float closures and exact checks."""
+"""The float closures of the package profiles, the schedule's evaluator that
+falls back on the checked reading, and validate's exact decisions."""
 
+import cmath
 import math
 import re
 from fractions import Fraction
@@ -7,11 +9,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cssdyn import (CoefficientSchedule, ComplexParts, Constant, DomainError, Harmonic,
-                    InitialConditions, MotionFrame, NumericalError, Polynomial, Table,
-                    UnitContext, evolve, validate, wavefunction)
+from cssdyn import (AlgebraicCoefficients, CoefficientSchedule, ComplexParts, Constant,
+                    DomainError, Harmonic, InitialConditions, MotionFrame, NumericalError,
+                    PhysicalCoefficients, Polynomial, Table, UnitContext, evolve,
+                    to_algebraic, to_physical, validate, wavefunction)
 from cssdyn import hamiltonian
-from cssdyn.hamiltonian import _READ, _answer
+from cssdyn.hamiltonian import _READ, _decision, _form
 
 UNITS = UnitContext()
 
@@ -23,8 +26,18 @@ def _outcome(evaluate, t):
     """repr of the value, signed zeros included, or the error raised."""
     try:
         return repr(evaluate(t))
-    except DomainError as exc:
-        return f"DomainError: {exc}"
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _accepted(closure, t, kind):
+    """Whether the schedule's evaluator keeps closure(t): nothing raised, the
+    value is finite and, for a mass, nonzero."""
+    try:
+        value = closure(t)
+    except Exception:
+        return False
+    return cmath.isfinite(value) and (kind != "mass" or value != 0.0)
 
 
 def _number(rng):
@@ -80,9 +93,13 @@ def _draws(rng, horizon):
 
 
 def _times(rng, profile, horizon):
-    knots = [t for t in _answer(profile, horizon, "real")[0] if 0.0 <= t <= horizon]
-    return [0.0, horizon, math.nextafter(horizon, math.inf), *knots,
-            *rng.uniform(0.0, horizon, 12).tolist()]
+    """Times in [0, horizon], the knots inside it, and times past it on both
+    sides, at the float extremes, signed zeros and NaN included."""
+    knots = [t for t in _form(profile, "real")[0] if 0.0 <= t <= horizon]
+    inside = [0.0, horizon, *knots, *rng.uniform(0.0, horizon, 12).tolist()]
+    past = [-0.0, math.nextafter(horizon, math.inf), 2.0 * horizon + 1.0, -1.0, 1e300,
+            -1e300, math.inf, -math.inf, math.nan]
+    return inside, past
 
 
 def test_every_proved_closure_is_the_checked_reading_bit_for_bit():
@@ -91,25 +108,73 @@ def test_every_proved_closure_is_the_checked_reading_bit_for_bit():
     for _ in range(60):
         horizon = float(rng.choice([0.0, rng.uniform(0.1, 6.0)]))
         for kind, profile in _draws(rng, horizon):
-            _, closure, _ = _answer(profile, horizon, kind)
+            closure = _form(profile, kind)[1]
+            decided, _ = _decision(profile, horizon, kind)
             if closure is None:
+                assert not decided, (kind, profile)
                 continue
-            proved.add((kind, type(profile).__name__))
+            if decided:
+                proved.add((kind, type(profile).__name__))
             read = _READER[kind]
-            for t in _times(rng, profile, horizon):
+            inside, past = _times(rng, profile, horizon)
+            for t in inside + past:
                 want = _outcome(lambda s: read(profile(s)), t)
-                assert _outcome(closure, t) == want, (kind, profile, t)
-                assert not want.startswith("DomainError") or t > horizon, (kind, profile, t)
+                # what the evaluator keeps of a closure is the checked value
+                if _accepted(closure, t, kind):
+                    assert _outcome(closure, t) == want, (kind, profile, t)
+                # and over [0, horizon] it keeps every value of a proved profile
+                if decided and t in inside:
+                    assert _accepted(closure, t, kind), (kind, profile, t)
     classes = {"Constant", "Harmonic", "Polynomial", "Table"}
     assert proved == ({(kind, name) for kind in ("real", "mass") for name in classes}
                       | {("complex", "Constant"), ("complex", "ComplexParts")})
 
 
-def test_decided_evaluators_are_the_checked_ones_bit_for_bit():
+def _reference(schedule):
+    """(own, other): t -> the schedule's own form read through the checked
+    reading of each profile in key order, and t -> the records' unit map of
+    it, to_algebraic or to_physical."""
+    keys = hamiltonian._KEYS[schedule.parameterization]
+
+    def own(t):
+        return tuple(_READ[key](schedule.profiles[key](t)) for key in keys)
+
+    if schedule.parameterization == "physical":
+        record = lambda t: to_algebraic(PhysicalCoefficients(*own(t)), schedule.units)  # noqa: E731
+    else:
+        record = lambda t: to_physical(AlgebraicCoefficients(*own(t)), schedule.units)  # noqa: E731
+    return own, _fields(record)
+
+
+def _fields(record):
+    return lambda t: tuple(vars(record(t)).values())
+
+
+def _mixed_profiles(rng, horizon):
+    """Profiles of every package class, with int-, float- and complex-typed
+    parameters, one value that is not real, and two callables the package
+    does not decide."""
+    reals = list(_real_profiles(rng, horizon))
+    reals += [Constant(int(rng.integers(-3, 4))), Constant(complex(rng.normal(), 0.0)),
+              Harmonic(int(rng.integers(-3, 4)), complex(rng.normal(), -0.0), 2),
+              Polynomial((int(rng.integers(-3, 4)), complex(rng.normal()), 1e300)),
+              Table((0.0, horizon + 1.0), (int(rng.integers(1, 4)), complex(rng.normal()))),
+              Constant(complex(1.0, 1e-3)), lambda t: 1.0 + 0.5 * t, _Shifted(horizon / 2.0)]
+    return reals
+
+
+class _Shifted(Constant):
+    """A subclass of a package class, so a foreign callable: 1 + t - value."""
+
+    def __call__(self, t):
+        return 1.0 + t - self.value
+
+
+def test_public_evaluators_are_the_checked_reference():
     rng = np.random.default_rng(7)
-    for _ in range(30):
+    for _ in range(40):
         horizon = float(rng.uniform(0.5, 5.0))
-        reals = list(_real_profiles(rng, horizon))
+        reals = _mixed_profiles(rng, horizon)
         pick = lambda: reals[int(rng.integers(len(reals)))]  # noqa: E731
         units = UnitContext(hbar=rng.uniform(0.5, 2.0), l=rng.uniform(0.5, 2.0))
         schedules = (
@@ -117,38 +182,66 @@ def test_decided_evaluators_are_the_checked_ones_bit_for_bit():
                                          V=pick(), E=pick()),
             CoefficientSchedule.algebraic(units, alpha=ComplexParts(pick(), pick()),
                                           beta=pick(), gamma=ComplexParts(pick(), pick()),
-                                          delta=pick()))
+                                          delta=pick()),
+            CoefficientSchedule.algebraic(units, alpha=complex(rng.normal(), rng.normal()),
+                                          beta=pick(), gamma=pick(), delta=pick()))
         for schedule in schedules:
-            algebraic, physical, knots, _ = schedule._compiled(horizon)
-            checked = hamiltonian._compile(schedule, None)
-            assert knots == checked[2]
-            # past [0, T+] too, where the decided evaluator reads every value checked
-            past = [-1.0, -0.0, 2.0 * horizon + 1.0, math.nan, math.inf]
-            for t in _times(rng, Constant(0.0), horizon) + list(knots) + past:
-                assert _outcome(algebraic, t) == _outcome(checked[0], t)
-                assert _outcome(physical, t) == _outcome(checked[1], t)
+            validate(schedule, horizon)
+            own, other = _reference(schedule)
+            if schedule.parameterization == "physical":
+                pairs = ((schedule.physical_at, own), (schedule.algebraic_at, other),
+                         (schedule.compiled(), other))
+            else:
+                pairs = ((schedule.algebraic_at, own), (schedule.physical_at, other),
+                         (schedule.compiled(), own))
+            inside, past = _times(rng, Constant(0.0), horizon)
+            for t in inside + past + list(schedule.knots()) + [np.float64(horizon / 3.0), 1]:
+                for evaluate, reference in pairs:
+                    got = evaluate if evaluate is schedule.compiled() else _fields(evaluate)
+                    assert _outcome(got, t) == _outcome(reference, t), (schedule, t)
 
 
-def test_the_last_horizon_is_decided_once():
-    schedule = CoefficientSchedule.physical(UNITS, m=1.0, k=Harmonic(1.0, 0.5, 2.0))
-    checked = schedule._compiled()
-    decided = schedule._compiled(2.0)
-    assert decided is not checked and decided[3] == {} and len(checked[3]) == 6
-    # no horizon keeps the last one given
-    assert schedule._compiled(2) is decided and schedule._compiled() is decided
-    assert schedule._compiled(3.0) is not decided
-    # the evaluators cached on a schedule leave its equality alone
-    assert schedule == CoefficientSchedule.physical(UNITS, m=1.0, k=Harmonic(1.0, 0.5, 2.0))
+def test_one_evaluator_for_every_horizon():
+    schedule = CoefficientSchedule.physical(UNITS, m=Polynomial((1.0, 0.1)),
+                                            k=Harmonic(1.0, 0.5, 2.0))
+    evaluator = schedule.compiled()
+    assert validate(schedule, 2.0) == []
+    evolve(schedule, InitialConditions(), [0.0, 0.5, 1.0])
+    evolve(schedule, InitialConditions(), [0.0, 3.0])
+    assert validate(schedule, 3.0) == []
+    assert schedule.compiled() is evaluator
+    # the evaluator cached on a schedule leaves its equality alone
+    assert schedule == CoefficientSchedule.physical(UNITS, m=Polynomial((1.0, 0.1)),
+                                                    k=Harmonic(1.0, 0.5, 2.0))
+
+
+def test_a_failed_fast_reading_raises_the_first_checked_error():
+    # at t = 1 the mass closure returns 0 and the table past its end raises:
+    # the checked reading, in key order, names the mass
+    schedule = CoefficientSchedule.physical(UNITS, m=Polynomial((1.0, -1.0)),
+                                            k=Table((0.0, 0.5), (1.0, 1.0)))
+    massless = re.escape("mass must be finite and nonzero, got 0.0")
+    for evaluate in (schedule.physical_at, schedule.algebraic_at, schedule.compiled()):
+        with pytest.raises(DomainError, match=massless):
+            evaluate(1.0)
+    # alpha's table fails before beta's hermiticity
+    schedule = CoefficientSchedule.algebraic(
+        UNITS, alpha=ComplexParts(Table((0.0, 0.5), (1.0, 1.0)), 0.0), beta=Constant(1j))
+    with pytest.raises(DomainError, match="outside its horizon"):
+        schedule.compiled()(1.0)
+    with pytest.raises(DomainError, match=re.escape("beta must be real (hermiticity)")):
+        schedule.compiled()(0.25)
 
 
 def test_public_evaluators_stay_checked_past_the_horizon():
-    # m = 1 - t is proved over [0, 0.5], where evolve reads it unchecked
+    # m = 1 - t is proved over [0, 0.5], which evolve integrates
     mass = CoefficientSchedule.physical(UNITS, m=Polynomial((1.0, -1.0)), k=1.0)
     evolve(mass, InitialConditions(1.0, 0.0, 0.0), [0.0, 0.25, 0.5])
-    assert mass._compiled(0.5)[3] == {}
+    assert _decision(mass.profiles["m"], 0.5, "mass") == (True, None)
     # 1e300 t is finite over [0, 1], where validate proves the profile
     overflow = CoefficientSchedule.physical(UNITS, m=1.0, F=Harmonic(0.0, 1.0, 1e300))
-    assert validate(overflow, 1.0) == [] and overflow._compiled(1.0)[3] == {}
+    assert validate(overflow, 1.0) == []
+    assert _decision(overflow.profiles["F"], 1.0, "real") == (True, None)
     for schedule, t, error in ((mass, 1.0, "mass must be finite and nonzero"),
                                (overflow, 1e10, "harmonic profile has no value")):
         for evaluate in (schedule.physical_at, schedule.algebraic_at, schedule.compiled()):
@@ -159,10 +252,10 @@ def test_public_evaluators_stay_checked_past_the_horizon():
 def test_a_table_keeps_its_range_check_when_proved():
     schedule = CoefficientSchedule.physical(UNITS, m=Table((0.0, 2.0), (1.0, 1.5)), k=1.0)
     assert validate(schedule, 2.0) == []
-    assert schedule._compiled(2.0)[3] == {}
+    assert _decision(schedule.profiles["m"], 2.0, "mass") == (True, None)
     past = math.nextafter(2.0, math.inf)
     with pytest.raises(DomainError, match="outside its horizon"):
-        schedule._compiled(2.0)[0](past)
+        schedule.compiled()(past)
 
 
 def _polynomial_roots_oracle(coeffs, horizon):
@@ -203,12 +296,12 @@ def test_sturm_decision_matches_a_roots_oracle_on_near_double_roots():
                  quadratic[1] - far * quadratic[2], quadratic[2]]
         for coeffs in (quadratic, cubic):
             zero = _polynomial_roots_oracle(coeffs, horizon)
-            _, closure, certified = _answer(Polynomial(tuple(coeffs)), horizon, "mass")
+            proved, certified = _decision(Polynomial(tuple(coeffs)), horizon, "mass")
             if zero is None:
-                assert closure is not None and certified is None, (coeffs, horizon)
+                assert proved and certified is None, (coeffs, horizon)
             else:
                 found += 1
-                assert closure is None and certified == pytest.approx(zero, abs=1e-6)
+                assert not proved and certified == pytest.approx(zero, abs=1e-6)
     assert 100 < found < 300
 
 
@@ -218,18 +311,28 @@ def test_double_zero_between_samples_is_refused_by_name():
     assert validate(schedule, 1.0) == ["m: reaches zero near t=0.497, between two samples"]
     # the same mass is proved over [0, 0.49], short of both roots
     assert validate(schedule, 0.49) == []
-    assert schedule._compiled(0.49)[3] == {}
+    assert _decision(schedule.profiles["m"], 0.49, "mass") == (True, None)
+
+
+@pytest.mark.parametrize("zeros", [4, 11])
+def test_a_double_zero_above_degree_eight_is_refused_by_name(zeros):
+    # the same two roots times 1 + 1e-3 t^(zeros + 3): degree 9 and 16
+    coeffs = (0.247506, -0.995, 1.0) + (0.0,) * zeros + (0.000247506, -0.000995, 0.001)
+    schedule = CoefficientSchedule.physical(UNITS, m=Polynomial(coeffs), k=1.0)
+    assert validate(schedule, 1.0) == ["m: reaches zero near t=0.497, between two samples"]
+    assert validate(schedule, 0.49) == []
 
 
 def test_harmonic_mass_at_the_offset_amplitude_edge():
     # |offset| just above |amplitude|: one sign over any horizon
     above = Harmonic(1.0, -math.nextafter(1.0, 0.0), 3.0)
-    assert _answer(above, 1e6, "mass")[1] is not None
+    assert _decision(above, 1e6, "mass") == (True, None)
     # just below: two zeros next to t = pi, between two samples of [0, 5]
     below = CoefficientSchedule.physical(UNITS, m=Harmonic(1.0, 1.0 + 1e-12, 1.0), k=1.0)
     assert validate(below, 5.0) == ["m: reaches zero near t=3.14159, between two samples"]
     # cos(omega t) stays above -1 / (1 + 1e-12) on [0, 3]
-    assert validate(below, 3.0) == [] and below._compiled(3.0)[3] == {}
+    assert validate(below, 3.0) == []
+    assert _decision(below.profiles["m"], 3.0, "mass") == (True, None)
     # just below with the opposite amplitude: m(0) < 0 < m(0.02), which the samples see
     starts = CoefficientSchedule.physical(UNITS, m=Harmonic(1.0, -(1.0 + 1e-12), 1.0), k=1.0)
     problems = validate(starts, 5.0)

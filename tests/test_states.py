@@ -9,7 +9,7 @@ from numpy.polynomial.hermite import hermval
 
 import cssdyn.states
 from cssdyn import (CoefficientSchedule, ConvergenceError, DomainError,
-                    InitialConditions, MotionFrame, UnitContext, branch_windings,
+                    InitialConditions, MotionFrame, NumericalError, UnitContext, branch_windings,
                     evolve, fock_coefficients, normalization, overlap,
                     parameters, transition_probabilities)
 
@@ -378,6 +378,21 @@ def test_degenerate_frames_refuse_like_scalar_reference(frame):
             with pytest.raises(ConvergenceError) as got:
                 expand(frame, 1e-10, n_max)
             assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("varphi, weight", [(27.0, "2.51e-317"), (28.0, "0")])
+def test_a_subnormal_weight_over_overflowing_levels_is_refused(varphi, weight):
+    # |Phi|^2 = exp(-varphi^2) is subnormal at 27 and 0 at 28, while the
+    # peak levels' |d_n|^2 overflow: the weighted probabilities were inf
+    # (their sum inf) at 27 and NaN at 28
+    frame = MotionFrame(t=0.5, f=1.0, g=0.0, varphi=varphi)
+    for expand in (fock_coefficients, transition_probabilities):
+        with pytest.raises(NumericalError, match=f"at t = 0.5: .*[|]Phi[|]\\^2 = {weight} ") as got:
+            expand(frame)
+        assert got.value.t == 0.5 and not isinstance(got.value, ConvergenceError)
+    # one level lower the weight is normal and bounds every level
+    normal = MotionFrame(t=0.5, f=1.0, g=0.0, varphi=26.0)
+    assert np.isfinite(transition_probabilities(normal)).all()
 
 
 @pytest.mark.parametrize("frame", [

@@ -24,11 +24,21 @@ its imaginary part stays 0), and rhs(t, f, g, varphi) returns their four
 derivatives.  The phase never feeds back, so stage states are built for f,
 g and varphi only.  Every stage sum is written out on named scalars, as
 dop853.f writes it, with no numpy call inside a step.
+
+integrate does not evaluate the dense output itself.  It returns a step
+record, one row per accepted step that holds requested times, and
+grid_states evaluates the interpolant of every such step at all of its
+times in one numpy pass, in the scalar expression's order and on real and
+imaginary parts, so each state is the one Python complex arithmetic gives,
+bit for bit.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+
+import numpy as np
 
 from .errors import NumericalError
 
@@ -210,13 +220,26 @@ D715 = -0.39177261675615439165231486172e+2
 D716 = -0.14972683625798562581422125276e+3
 
 
+# the dense-output rows of a step whose only time is its end
+_NO_ROWS = (0j,) * 28
+
+
 def integrate(rhs, t0: float, t1: float, y: tuple, times: list, rtol: float,
               atol: float, max_step: float):
-    """Integrate from t0 to t1 > t0; returns (states at times, state at t1).
+    """Integrate from t0 to t1 > t0; returns (step record, state at t1).
 
     y and every state are tuples (f, g, varphi, p) of complex.  times is an
-    increasing list inside (t0, t1]; a time that ends a step gets that
-    step's state, any other the dense output of the step across it.
+    increasing list inside (t0, t1].  The record has one row per accepted
+    step that holds times, in order, each a tuple of 38 numbers:
+
+        t, t_new, f, g, varphi, p, f1, g1, varphi1, p1, d0 (4), ..., d6 (4)
+
+    the step's ends, its start and end states, and the rows d0..d6 of its
+    7th-order interpolant, four components each (all zero for a step whose
+    only time is its end).  The interpolant at a time s in (t, t_new) is
+    y + x (d0 + w (d1 + x (d2 + w (d3 + x (d4 + w (d5 + x d6)))))) with
+    x = (s - t) / (t_new - t) and w = 1 - x; a time equal to t_new gets the
+    end state itself.  grid_states evaluates both.
 
     Raises NumericalError, with the time where the step failed, once the
     step size falls below 10 ulps of t, and at t0 when the derivative there
@@ -227,7 +250,7 @@ def integrate(rhs, t0: float, t1: float, y: tuple, times: list, rtol: float,
     f, g, v, p = y
     kf1, kg1, kv1, kp1 = rhs(t0, f, g, v)
     h_abs = _initial_step(rhs, t0, t1, y, (kf1, kg1, kv1, kp1), rtol, atol, max_step)
-    states = []
+    record = []
     i, n = 0, len(times)
     t = t0
     while t < t1:
@@ -358,7 +381,8 @@ def integrate(rhs, t0: float, t1: float, y: tuple, times: list, rtol: float,
             h_abs *= max(MIN_FACTOR, SAFETY * err ** EXPONENT)
             rejected = True
 
-        if i < n and times[i] < t_new:
+        dense = i < n and times[i] < t_new
+        if dense:
             kf14, kg14, kv14, kp14 = rhs(
                 t + C14 * h,
                 f + h * (A141 * kf1 + A147 * kf7 + A148 * kf8 + A149 * kf9 + A1410 * kf10
@@ -438,21 +462,53 @@ def integrate(rhs, t0: float, t1: float, y: tuple, times: list, rtol: float,
             d2g = 2.0 * d0g - h * (kg13 + kg1)
             d2v = 2.0 * d0v - h * (kv13 + kv1)
             d2p = 2.0 * d0p - h * (kp13 + kp1)
-            while i < n and times[i] < t_new:
-                x = (times[i] - t) / h
-                w = 1.0 - x
-                states.append((
-                f + x * (d0f + w * (d1f + x * (d2f + w * (d3f + x * (d4f + w * (d5f + x * d6f)))))),
-                g + x * (d0g + w * (d1g + x * (d2g + w * (d3g + x * (d4g + w * (d5g + x * d6g)))))),
-                v + x * (d0v + w * (d1v + x * (d2v + w * (d3v + x * (d4v + w * (d5v + x * d6v)))))),
-                p + x * (d0p + w * (d1p + x * (d2p + w * (d3p + x * (d4p + w * (d5p + x * d6p))))))))
-                i += 1
+            rows = (d0f, d0g, d0v, d0p, d1f, d1g, d1v, d1p, d2f, d2g, d2v, d2p,
+                    d3f, d3g, d3v, d3p, d4f, d4g, d4v, d4p, d5f, d5g, d5v, d5p,
+                    d6f, d6g, d6v, d6p)
+            i = bisect.bisect_left(times, t_new, i)
+        else:
+            rows = _NO_ROWS
+        ends = i < n and times[i] == t_new
+        if ends:
+            i += 1
+        if dense or ends:
+            record.append((t, t_new, f, g, v, p, f1, g1, v1, p1, *rows))
         t, f, g, v, p = t_new, f1, g1, v1, p1
         kf1, kg1, kv1, kp1 = kf13, kg13, kv13, kp13
-        if i < n and times[i] == t:
-            states.append((f, g, v, p))
-            i += 1
-    return states, (f, g, v, p)
+    return record, (f, g, v, p)
+
+
+def grid_states(record: list, times: np.ndarray) -> np.ndarray:
+    """The states at times from the rows of integrate's step records, as a
+    complex array of shape (len(times), 4).
+
+    times is increasing, and each entry lies in (t, t_new] of one row; the
+    records of consecutive spans may be joined.  A time that ends a step
+    gets that step's end state unchanged, signed zeros included.  Any other
+    gets the step's interpolant, evaluated as Python evaluates the scalar
+    expression: every complex product x z as (x z.re - 0.0 z.im,
+    x z.im + 0.0 z.re) and every sum part by part.  The phase's d3..d6 are
+    floats in the record; read as complex with imaginary part +0 they give
+    the same value (nan in both where a float product is not finite).  A
+    state that overflows comes out inf or nan, with no warning.
+    """
+    rows = np.array(record, dtype=complex)
+    t, t_new = rows[:, 0].real, rows[:, 1].real
+    k = np.searchsorted(t_new, times)  # the row whose (t, t_new] holds each time
+    # per time: start state, end state, d0..d6, four components of (re, im)
+    parts = rows[k, 2:].view(float).reshape(len(times), 9, 4, 2)
+    with np.errstate(all="ignore"):
+        x = (times - t[k]) / (t_new - t)[k]
+        w = 1.0 - x
+        x, w = x[:, None, None], w[:, None, None]
+        acc = parts[:, 8].copy()
+        for factor, addend in zip((x, w, x, w, x, w, x), (7, 6, 5, 4, 3, 2, 0)):
+            scaled, zero = factor * acc, 0.0 * acc
+            np.subtract(scaled[..., 0], zero[..., 1], out=acc[..., 0])
+            np.add(scaled[..., 1], zero[..., 0], out=acc[..., 1])
+            acc += parts[:, addend]
+    ends = (times == t_new[k])[:, None, None]
+    return np.where(ends, parts[:, 1], acc).view(complex).reshape(len(times), 4)
 
 
 def _squares(e5, e3, old, new, rtol, atol):

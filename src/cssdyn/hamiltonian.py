@@ -238,7 +238,8 @@ class Constant:
 class Harmonic:
     """offset + amplitude * cos(omega * t)
 
-    Raises DomainError where omega * t overflows, so cos has no value.
+    Raises DomainError where omega * t overflows, so cos has no value, and
+    where an int parameter is past the floats.
     """
 
     offset: complex = 0j
@@ -252,6 +253,9 @@ class Harmonic:
             raise DomainError(
                 f"harmonic profile has no value at t={t!r}: omega * t = "
                 f"{self.omega * t!r}") from None
+        except OverflowError:  # an int parameter met a float
+            raise DomainError(f"harmonic profile has no value at t={t!r}: an int parameter "
+                              f"is past the floats") from None
 
 
 @dataclass(frozen=True)
@@ -638,7 +642,10 @@ def _constant(profile: Constant, horizon, kind) -> tuple:
 
 def _harmonic(profile: Harmonic, horizon, kind) -> tuple:
     o, a, w = _real_part(profile.offset), _real_part(profile.amplitude), profile.omega
-    span = abs(w) * horizon  # bounds |w t| on [0, T]
+    try:
+        span = abs(w) * horizon  # bounds |w t| on [0, T]
+    except OverflowError:  # an int omega past the floats: left to the scan
+        return False, None
     if not (span < math.inf and abs(o) + abs(a) < _HUGE):
         return False, None
     if kind == "mass" and not abs(o) > abs(a):  # |o| > |a| keeps the sign of o

@@ -71,12 +71,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
 from .hamiltonian import CoefficientSchedule, Harmonic, UnitContext
-from .motion import InitialConditions, MotionFrame, _check_grid
+from .motion import InitialConditions, _check_grid, _frames
 from .states import N_MAX, TAIL_TOLERANCE, transition_probabilities
 
 # Wronskian of the fundamental pair must stay this close to 1.
@@ -459,9 +460,8 @@ def frames(cfg: DrivenOscillatorConfig, grid) -> list:
     dyy = y_start * basis.dyc + dy_start * basis.dys
     xx = -0.5j * dyy
     f, g = 0.5 * (xx + yy), 0.5 * (xx - yy)
-    return [MotionFrame(t=ti, f=fi, g=gi, varphi=cfg.init.varphi0,
-                        phase_phi=0.0, phase_vartheta=0.0)
-            for ti, fi, gi in zip(ts.tolist(), f.tolist(), g.tolist())]
+    return _frames(ts.tolist(), f.tolist(), g.tolist(), repeat(cfg.init.varphi0),
+                   repeat(0.0), repeat(0.0))
 
 
 def transition_snapshot(cfg: DrivenOscillatorConfig, tau: float,

@@ -24,9 +24,12 @@ dtau, is stored beside it as phase_vartheta.
 evolve integrates the three complex coefficients and the phase with
 DOP853 on Python complex scalars (_dop853): Hairer's method with
 scipy.integrate.solve_ivp's step control and dense output, so rtol and
-atol mean what they mean there, without numpy work inside a step.  That
-solve_ivp is the reference the stepper is tested against; nothing here
-imports scipy.
+atol mean what they mean there, without numpy work inside a step.  The
+stepper returns a record of the steps that hold grid times, and evolve
+reads the grid states, their drift and the frames from it column by
+column: one numpy pass of the dense output for all times, the values the
+scalar expression gives bit for bit.  That solve_ivp is the reference the
+stepper is tested against; nothing here imports scipy.
 
 For constant coefficients the solution is closed-form through the entire
 functions cos(Theta t) and sin(Theta t)/Theta of Theta^2 = beta^2 - |alpha|^2,
@@ -53,15 +56,29 @@ _INIT_TOL = 1e-12
 # Below this |Theta^2| the trig pair switches to its 6-term Taylor series.
 _THETA2_EPS = 1e-24
 
+# Coefficient evaluations one evolve call may make over its spans and its
+# drift retry: 50,000 DOP853 steps of 12 evaluations.  dop853.f stops one
+# integration after NMAX = 100,000 steps, where a compiled step costs about
+# a microsecond.  A step here costs about 60 us, so that count would let a
+# run that cannot progress go on for some 6 s, and half of it stops one in
+# about 3 s.  Such a run: a coefficient oscillating at 1e300 rad/s is noise
+# to the step control, which holds the step near 1e-12, so [0, 0.5] would
+# take months.  Successful calls stay far below the budget: at most 4,238
+# evaluations in the test suite and 777 in a trajectory_sweep task, and an
+# oscillator at the default rtol spends about 210 a period.
+_EVALUATION_BUDGET = 600_000
 
-def _hyperboloid_defect(f: complex, g: complex) -> float:
-    """| |f|^2 - |g|^2 - 1 |, zero in exact arithmetic.
 
-    |f|^2 is Re(f conj(f)) = Re(f)^2 + Im(f)^2, squared from the parts: a
-    huge but finite f gives inf or nan, which every check refuses, where
-    abs(f) ** 2 raises OverflowError.
+def _hyperboloid_defect(f, g):
+    """| |f|^2 - |g|^2 - 1 | of complex numbers or arrays, zero in exact
+    arithmetic.
+
+    |f|^2 is Re(f)^2 + Im(f)^2, squared from the parts: a huge but finite f
+    gives inf or nan, which every check refuses, where abs(f) ** 2 raises
+    OverflowError.  On Python complex numbers this is Re(f conj(f)) -
+    Re(g conj(g)) - 1 bit for bit.
     """
-    return abs((f * f.conjugate()).real - (g * g.conjugate()).real - 1.0)
+    return abs((f.real * f.real + f.imag * f.imag) - (g.real * g.real + g.imag * g.imag) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -108,6 +125,25 @@ class MotionFrame:
     def unitarity_defect(self) -> float:
         """| |f|^2 - |g|^2 - 1 |, zero in exact arithmetic."""
         return _hyperboloid_defect(self.f, self.g)
+
+
+def _frames(ts, fs, gs, varphis, phis, varthetas) -> list:
+    """MotionFrames from equal columns of Python numbers, one per row.
+
+    The fields go straight into each frame's __dict__, which is where the
+    frozen dataclass's __init__ puts them one object.__setattr__ at a time,
+    so equality, hashing and dataclasses.replace treat these frames as
+    constructed ones.  The columns are not checked or converted.
+    """
+    frames = []
+    append, new = frames.append, object.__new__
+    for t, f, g, varphi, phi, vartheta in zip(ts, fs, gs, varphis, phis, varthetas):
+        frame = new(MotionFrame)
+        fields = frame.__dict__
+        fields["t"], fields["f"], fields["g"], fields["varphi"] = t, f, g, varphi
+        fields["phase_phi"], fields["phase_vartheta"] = phi, vartheta
+        append(frame)
+    return frames
 
 
 @dataclass(frozen=True)
@@ -211,13 +247,20 @@ def evolve(schedule: CoefficientSchedule, init: InitialConditions, grid,
     (CoefficientSchedule.knots) strictly inside (0, grid[-1]) are step
     edges: DOP853 restarts at each one from the state it reached there, so
     no step straddles a table's kink.  Between edges, and for a knot-free
-    schedule over the whole of [0, grid[-1]], it is one integration that
-    yields the grid times on the way.  The coefficients come from the
-    schedule's compiled evaluator (CoefficientSchedule.compiled), the
+    schedule over the whole of [0, grid[-1]], it is one integration whose
+    step record keeps the steps that hold grid times.  The grid states
+    come from those records in one numpy pass (_dop853.grid_states), the
+    dense output that Python complex arithmetic gives bit for bit, and the
+    drift test below reads the same columns.  The coefficients come from
+    the schedule's compiled evaluator (CoefficientSchedule.compiled), the
     checked values bit for bit.  A step that falls below 10 ulps of t
     raises NumericalError at that t, and so does a derivative whose scaled
     norm overflows at a step edge; errors the coefficients raise
-    (DomainError) pass through unchanged.
+    (DomainError) pass through unchanged.  One call evaluates the
+    coefficients at most 600,000 times (about 50,000 steps), its spans and
+    drift retry together; the evaluation that would pass that budget
+    raises NumericalError at its t instead, where a coefficient that no
+    step resolves would otherwise keep the stepper going for months.
 
     Parameters
     ----------
@@ -244,9 +287,16 @@ def evolve(schedule: CoefficientSchedule, init: InitialConditions, grid,
     ts = _check_grid(grid)
     hbar = schedule.units.hbar
     coefficients = schedule.compiled()
+    evaluations = 0
 
     # derivatives of (f, g, varphi, phase_phi); the phase is real
     def rhs(t, f, g, varphi):
+        nonlocal evaluations
+        evaluations += 1
+        if evaluations > _EVALUATION_BUDGET:
+            raise NumericalError(
+                f"evolve stopped at t = {t!r}: its budget of {_EVALUATION_BUDGET} coefficient "
+                f"evaluations (about {_EVALUATION_BUDGET // 12} steps) is spent", t=t)
         alpha, beta, gamma, delta = coefficients(t)
         gc = gamma.conjugate()
         u = g * varphi.conjugate() - f.conjugate() * varphi
@@ -263,35 +313,42 @@ def evolve(schedule: CoefficientSchedule, init: InitialConditions, grid,
     edges = [0.0, *inner, t_end] if t_end > 0.0 else []
 
     def run(rtol, atol):
-        # a span yields the grid times in (a, b]; its state at b starts the next
+        # the grid states, one row (f, g, varphi, phase) per time: a span's
+        # record covers the grid times in (a, b], and its state at b starts
+        # the next span
         y = (init.f0, init.g0, init.varphi0, 0j)
-        states, lo = [y], 1
+        states = np.empty((len(times), 4), dtype=complex)
+        states[0] = y
+        record, lo = [], 1
         for a, b in zip(edges, edges[1:]):
             hi = bisect.bisect_right(times, b, lo)
-            got, y = _dop853.integrate(rhs, a, b, y, times[lo:hi], rtol, atol,
-                                       settings.max_step)
-            states += got
+            steps, y = _dop853.integrate(rhs, a, b, y, times[lo:hi], rtol, atol,
+                                         settings.max_step)
+            record += steps
             lo = hi
-        return [MotionFrame(t, f, g, varphi, p.real, -hbar * p.real)
-                for t, (f, g, varphi, p) in zip(times, states)]
+        if record:
+            states[1:] = _dop853.grid_states(record, ts[1:])
+        return states
 
-    frames = run(settings.rtol, settings.atol)
-    if not enforce_drift:
-        return frames
-
-    def breaches(frames):
+    def breaches(states):
         # an overflowed run gives inf - inf = nan, which must count as a breach
-        defect = np.array([fr.unitarity_defect for fr in frames])
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = _hyperboloid_defect(states[:, 0], states[:, 1])
         return defect, ~(defect <= settings.drift_threshold)
 
-    if breaches(frames)[1].any():
-        frames = run(max(settings.rtol / 100.0, 3e-14), settings.atol / 100.0)
-        defect, bad = breaches(frames)
+    states = run(settings.rtol, settings.atol)
+    if enforce_drift and breaches(states)[1].any():
+        states = run(max(settings.rtol / 100.0, 3e-14), settings.atol / 100.0)
+        defect, bad = breaches(states)
         if bad.any():
             raise NumericalError(
                 f"unitarity drift {np.max(defect):.3e} exceeds threshold "
                 f"{settings.drift_threshold:g} after refinement", t=times[np.argmax(bad)])
-    return frames
+    phase = states[:, 3].real
+    with np.errstate(over="ignore"):
+        vartheta = -hbar * phase
+    return _frames(times, states[:, 0].tolist(), states[:, 1].tolist(), states[:, 2].tolist(),
+                   phase.tolist(), vartheta.tolist())
 
 
 # ---------------------------------------------------------------------------

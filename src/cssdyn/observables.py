@@ -50,7 +50,10 @@ class ObservableRecord:
 
 def means(frame: MotionFrame, units: UnitContext):
     """(xbar, pbar) of the state attached to a frame."""
-    u = u_of(frame)
+    return _means(u_of(frame), units)
+
+
+def _means(u: complex, units: UnitContext):
     return (math.sqrt(2.0) * units.l * u.real,
             math.sqrt(2.0) * (units.hbar / units.l) * u.imag)
 
@@ -78,17 +81,25 @@ def uncertainty(frame: MotionFrame, units: UnitContext):
     resonance reaches |f| ~ 1e3 within a few drive periods).
     """
     sx, sp, _ = deviations(frame, units)
+    return sx * sp, _sr(frame, units)
+
+
+def _sr(frame: MotionFrame, units: UnitContext) -> float:
     f, g = frame.f, frame.g
     delta = math.fsum([f.real * f.real, f.imag * f.imag,
                        -g.real * g.real, -g.imag * g.imag])
-    return sx * sp, (0.5 * units.hbar * delta) ** 2
+    return (0.5 * units.hbar * delta) ** 2
 
 
 def mean_energy(frame: MotionFrame, alg: AlgebraicCoefficients,
                 units: UnitContext) -> float:
     """<H> for the state attached to a frame under the given coefficients."""
+    return _energy(frame, u_of(frame), alg, units)
+
+
+def _energy(frame: MotionFrame, u: complex, alg: AlgebraicCoefficients,
+            units: UnitContext) -> float:
     f, g = frame.f, frame.g
-    u = u_of(frame)
     val = (2.0 * alg.gamma.conjugate() * u
            + alg.alpha.conjugate() * u * u
            - alg.alpha * f * g.conjugate()
@@ -99,13 +110,14 @@ def mean_energy(frame: MotionFrame, alg: AlgebraicCoefficients,
 
 def observe(frame: MotionFrame, alg: AlgebraicCoefficients,
             units: UnitContext) -> ObservableRecord:
-    """Bundle every scalar observable of a frame into one record."""
-    xbar, pbar = means(frame, units)
+    """Bundle every scalar observable of a frame into one record; each
+    quantity (u, the deviations) is computed once."""
+    u = u_of(frame)
+    xbar, pbar = _means(u, units)
     sx, sp, sxp = deviations(frame, units)
-    heis, sr = uncertainty(frame, units)
     return ObservableRecord(t=frame.t, xbar=xbar, pbar=pbar, sigma_x=sx,
-                            sigma_p=sp, sigma_xp=sxp, heisenberg=heis, sr=sr,
-                            energy=mean_energy(frame, alg, units))
+                            sigma_p=sp, sigma_xp=sxp, heisenberg=sx * sp,
+                            sr=_sr(frame, units), energy=_energy(frame, u, alg, units))
 
 
 # ---------------------------------------------------------------------------

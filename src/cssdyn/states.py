@@ -88,7 +88,7 @@ def branch_windings(frames) -> list:
     feed it to normalization()/overlap() to keep f^(-1/2) continuous in time.
     The first entry is always 0 (principal branch at the anchor).
     """
-    args = np.array([np.angle(fr.f) for fr in frames], dtype=float)
+    args = np.angle(np.array([fr.f for fr in frames], dtype=complex))
     if args.size == 0:
         return []
     unwrapped = np.unwrap(args)

@@ -86,6 +86,30 @@ def driven_frames(times):
     return evolve(DRIVEN_SCHEDULE, init, grid, IntegratorSettings(rtol=1e-13, atol=1e-15))[1:]
 
 
+def scalar_grid_states(record, times):
+    """The states (f, g, varphi, phase) at times from the rows of
+    _dop853.integrate's step records, one time at a time in Python complex
+    arithmetic: the per-time dense output the stepper evaluated before
+    _dop853.grid_states took its place, kept as the oracle for it."""
+    states, rows = [], iter(record)
+    row = next(rows, None)
+    for s in times:
+        while row[1] < s:
+            row = next(rows)
+        t, t_new = row[0], row[1]
+        if s == t_new:
+            states.append(tuple(row[6:10]))
+            continue
+        h = t_new - t
+        x = (s - t) / h
+        w = 1.0 - x
+        d = [row[10 + 4 * j:14 + 4 * j] for j in range(7)]
+        states.append(tuple(
+            y + x * (d0 + w * (d1 + x * (d2 + w * (d3 + x * (d4 + w * (d5 + x * d6))))))
+            for y, d0, d1, d2, d3, d4, d5, d6 in zip(row[2:6], *d)))
+    return states
+
+
 def mean_path(cfg, grid):
     """(t, xbar, pbar) at each time of the grid, from the Mathieu route's frames."""
     return [(fr.t, *means(fr, cfg.units)) for fr in frames(cfg, grid)]

@@ -613,6 +613,27 @@ num_points = 11
     assert "tail" in proc.stderr
 
 
+def test_a_run_that_cannot_progress_exits_three_in_seconds(tmp_path):
+    # F oscillates at 1e300 rad/s, which no step resolves, so the steps stay
+    # near 1e-12: evolve's evaluation budget ends the run, in a fresh
+    # interpreter under a time bound
+    cfg = write(tmp_path, "stuck.ini", """\
+[hamiltonian]
+parameterization = physical
+m = 1
+k = 1
+F = harmonic 3 1.408 -1e300
+
+[integration]
+t_max = 0.5
+""")
+    proc = subprocess.run([sys.executable, "-m", "cssdyn", "evolve", "--config", cfg,
+                           "--out", str(tmp_path / "s.csv")],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 3, proc.stderr
+    assert "budget of 600000 coefficient evaluations" in proc.stderr
+
+
 def test_preset_evolve_writes_the_grid_times(tmp_path):
     # the Mathieu route takes the physical grid itself: no t -> tau -> t trip
     cfg = write(tmp_path, "run.ini",

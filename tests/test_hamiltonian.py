@@ -404,3 +404,17 @@ def test_harmonic_past_overflow_is_a_domain_error():
     problems = validate(CoefficientSchedule.physical(UNITS, m=1.0, k=profile), horizon=2.0)
     assert len(problems) == 1
     assert problems[0].startswith("k: evaluation failed at t=1.80469")
+
+
+@pytest.mark.parametrize("profile", [Harmonic(0.0, 1.0, 10**400), Harmonic(0.0, 10**400, 1.0)],
+                         ids=["omega", "amplitude"])
+def test_int_parameter_past_the_floats_is_a_domain_error(profile):
+    # 10**400 has no float: validate names k instead of raising
+    # OverflowError, and the evaluators raise DomainError
+    schedule = CoefficientSchedule.physical(UNITS, m=1.0, k=profile)
+    assert validate(schedule, 1.0) == [
+        "k: evaluation failed at t=0: harmonic profile has no value at t=0.0: "
+        "an int parameter is past the floats"]
+    for evaluate in (profile, schedule.physical_at, schedule.compiled()):
+        with pytest.raises(DomainError, match="an int parameter is past the floats"):
+            evaluate(0.5)

@@ -4,7 +4,7 @@ import math
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from cssdyn import (AlgebraicCoefficients, CoefficientSchedule, ComplexParts,
                     from_initial_width, u_of)
 
 from helpers import (DRIVEN_SCHEDULE, DRIVEN_UNITS, constant_draws, driven_frames, hidden,
-                     kinked_schedule)
+                     kinked_schedule, scalar_grid_states)
 
 UNITS = UnitContext()
 TIGHT = IntegratorSettings(rtol=1e-12, atol=1e-14)
@@ -97,9 +97,13 @@ def test_non_finite_grid_is_refused():
 
 def test_overflowing_frame_raises_numerical_error():
     # |f| ~ cosh(461 t) passes 1e154, where abs(f) ** 2 raises OverflowError,
-    # while f is still finite
+    # while f is still finite; the grid states and the drift test overflow
+    # to inf and nan without a numpy warning (the suite makes one an error)
+    grid = np.linspace(0.0, 1.0, 11)
     with pytest.raises(NumericalError, match="unitarity drift"):
-        evolve(constant_schedule(alpha=461j), InitialConditions(), np.linspace(0.0, 1.0, 11))
+        evolve(constant_schedule(alpha=461j), InitialConditions(), grid)
+    frames = evolve(constant_schedule(alpha=461j), InitialConditions(), grid, enforce_drift=False)
+    assert not math.isfinite(frames[-1].unitarity_defect)
 
 
 def test_drift_breach_retries_once_at_tighter_tolerances(monkeypatch):
@@ -119,6 +123,33 @@ def test_drift_breach_retries_once_at_tighter_tolerances(monkeypatch):
     assert str(err.value) == "unitarity drift nan exceeds threshold 1e-08 after refinement"
     assert err.value.t in grid
     assert tolerances == [(1e-12, 1e-14), (3e-14, 1e-16)]
+
+
+def test_evaluation_budget_ends_a_run_that_cannot_progress(monkeypatch):
+    # F oscillates at 1e300 rad/s, which no step resolves, so the steps stay
+    # near 1e-12; the evaluation that passes the budget raises, naming its t
+    monkeypatch.setattr(cssdyn.motion, "_EVALUATION_BUDGET", 1200)
+    sched = CoefficientSchedule.physical(UNITS, m=1.0, k=1.0, F=Harmonic(3.0, 1.408, -1e300))
+    with pytest.raises(NumericalError, match="budget of 1200 coefficient evaluations") as err:
+        evolve(sched, InitialConditions(), np.linspace(0.0, 0.5, 11))
+    assert 0.0 < err.value.t < 0.5
+    assert str(err.value).startswith(f"evolve stopped at t = {err.value.t!r}: ")
+
+
+def test_evaluation_budget_spans_the_call(monkeypatch, evaluations):
+    # one budget for every span of a knotted schedule and for the drift retry
+    # of an overflowing run: one evaluation less than a whole call stops it
+    knotted = (kinked_schedule(), KINKED_INIT, np.linspace(0.0, 3.0, 61))
+    evolve(*knotted)
+    knotted_count = len(evaluations)
+    overflowing = (constant_schedule(alpha=461j), InitialConditions(), np.linspace(0.0, 1.0, 11))
+    with pytest.raises(NumericalError, match="unitarity drift"):
+        evolve(*overflowing)
+    retried_count = len(evaluations) - knotted_count
+    for args, count in ((knotted, knotted_count), (overflowing, retried_count)):
+        monkeypatch.setattr(cssdyn.motion, "_EVALUATION_BUDGET", count - 1)
+        with pytest.raises(NumericalError, match=f"budget of {count - 1} coefficient"):
+            evolve(*args)
 
 
 def test_closed_form_with_huge_alpha_gives_a_refused_frame():
@@ -427,6 +458,62 @@ def test_stepper_matches_solve_ivp(family, rtol, atol, evaluations):
     got = np.array([(fr.phase_phi, fr.phase_vartheta) for fr in frames])
     assert np.max(np.abs(got - phases) / np.maximum(1.0, np.abs(phases))) < 1e-12
     assert abs(ours - theirs) <= 0.02 * theirs
+
+
+@pytest.fixture
+def records(monkeypatch):
+    """The step record of every span the stepper integrates, in order."""
+    calls = []
+    integrate = cssdyn._dop853.integrate
+
+    def recording(*args):
+        record, end = integrate(*args)
+        calls.append(record)
+        return record, end
+
+    monkeypatch.setattr(cssdyn._dop853, "integrate", recording)
+    return calls
+
+
+@pytest.mark.parametrize("family", [*family_schedules(), "single_point"])
+def test_frames_are_the_scalar_dense_output_bit_for_bit(family, records):
+    # every frame is a step's scalar interpolant, or its end state, read off
+    # the step records; compared by repr, so the last bit and signed zeros count
+    schedule = family_schedules()["kinked_table" if family == "single_point" else family]
+    init = replace(from_initial_width(0.45 * schedule.units.l, 1.0, schedule.units),
+                   varphi0=0.5 - 0.3j)
+    grid = np.array([0.0]) if family == "single_point" else np.linspace(0.0, 3.0, 181)
+    frames = evolve(schedule, init, grid)
+    rows = [row for record in records for row in record]
+    states = [(init.f0, init.g0, init.varphi0, 0j), *scalar_grid_states(rows, grid[1:].tolist())]
+    hbar = schedule.units.hbar
+    want = [(t, f, g, varphi, p.real, -hbar * p.real)
+            for t, (f, g, varphi, p) in zip(grid.tolist(), states)]
+    assert repr([astuple(fr) for fr in frames]) == repr(want)
+
+
+def test_grid_states_keep_signed_zeros_and_non_finite_parts():
+    # step records with parts that test complex arithmetic's corners: +-0,
+    # subnormals, +-1e308, +-inf and nan; the phase's rows d3..d6 are floats,
+    # as the stepper forms them from a real derivative
+    rng = np.random.default_rng(2024)
+    corners = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan]
+
+    def part():
+        return corners[rng.integers(len(corners))] if rng.uniform() < 0.4 else rng.normal()
+
+    record, times, t = [], [], 0.0
+    for _ in range(60):
+        t_new = t + rng.uniform(0.1, 1.0)
+        ends = [complex(part(), part()) for _ in range(8)]
+        rows = [part() if j >= 12 and j % 4 == 3 else complex(part(), part()) for j in range(28)]
+        record.append((t, t_new, *ends, *rows))
+        inside = sorted(rng.uniform(t, t_new, rng.integers(0, 4)).tolist())
+        times += [s for s in inside if t < s < t_new] + [t_new] * bool(rng.integers(2))
+        t = t_new
+    got = cssdyn._dop853.grid_states(record, np.array(times))
+    assert repr([tuple(state) for state in got.tolist()]) == repr(
+        scalar_grid_states(record, times))
 
 
 def test_step_below_ten_ulps_raises_where_it_failed():

@@ -156,6 +156,7 @@ def test_observe_record_is_consistent():
     sx, sp, sxp = deviations(fr, UNITS)
     assert (rec.sigma_x, rec.sigma_p, rec.sigma_xp) == (sx, sp, sxp)
     assert rec.heisenberg == sx * sp
+    assert (rec.heisenberg, rec.sr) == uncertainty(fr, UNITS)
     assert rec.sr == pytest.approx((sx * sp) ** 2 - sxp ** 2, rel=1e-12)
     assert rec.energy == mean_energy(fr, alg, UNITS)
     assert (rec.xbar, rec.pbar) == means(fr, UNITS)

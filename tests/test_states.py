@@ -92,6 +92,19 @@ def test_windings_of_no_frames_are_empty():
     assert branch_windings([]) == []
 
 
+def test_windings_are_the_unwrap_of_each_frames_angle():
+    # arg f turns about seven times; np.angle over the f column is the
+    # per-frame np.angle bit for bit, so the unwrap counts the same crossings
+    frames = evolve(CoefficientSchedule.algebraic(UNITS, alpha=0.4, beta=3.0),
+                    InitialConditions(), np.linspace(0.0, 15.0, 301))
+    args = np.array([np.angle(fr.f) for fr in frames])
+    unwrapped = np.unwrap(args)
+    unwrapped += args[0] - unwrapped[0]
+    want = [int(round(w)) for w in (unwrapped - args) / (2.0 * np.pi)]
+    assert branch_windings(frames) == want
+    assert max(want) >= 3
+
+
 # ---------------------------------------------------------------------------
 # number-basis coefficients
 
@@ -244,7 +257,7 @@ def scalar_reference(frame, tail_tolerance, n_max, winding=0):
     weight = abs(phi) ** 2
     zeta2 = zeta.real * zeta.real + zeta.imag * zeta.imag
     d = [1.0 + 0.0j, -xi]
-    p = [1.0, abs(xi) ** 2]
+    p = [1.0, xi.real * xi.real + xi.imag * xi.imag]
 
     def done(top, bound):
         c = phi * np.array(d[:top + 1])
@@ -446,7 +459,9 @@ def test_exact_zero_termination_matches_scalar_reference():
     for frame in (VACUUM,
                   MotionFrame(t=0.0, f=1.0, g=1e-30, varphi=0.0),
                   MotionFrame(t=0.0, f=1.0, g=0.0, varphi=1e-20),
-                  MotionFrame(t=0.0, f=1.0, g=1e-200, varphi=1e-200)):
+                  MotionFrame(t=0.0, f=1.0, g=1e-200, varphi=1e-200),
+                  # |xi|^2 rounds up to the least subnormal, xr^2 + xi^2 to 0
+                  MotionFrame(t=0.0, f=1.0, g=0.0, varphi=complex(1.2728e-162, 1.2728e-162))):
         c_ref, p_ref, top, bound = scalar_reference(frame, 1e-16, 4096)
         assert bound == 0.0
         dist = fock_coefficients(frame, 1e-16, 4096)

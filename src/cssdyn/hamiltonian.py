@@ -34,10 +34,11 @@ call it.  The hermiticity and mass checks are written once too, as the
 checked reading of each coefficient's value, which the records, the
 evaluators and validate share.
 A schedule is evaluated through one compiled function t -> (alpha, beta,
-gamma, delta), the same at every t: each package profile with real
-parameters reads as a plain float closure, and a call whose values did
-not all come out finite, with a nonzero mass, is read again through the
-checked reading.  validate alone decides each profile over an interval,
+gamma, delta), the same at every t: each package profile's value is one
+closure, built once from its parameters, which the function calls
+directly where the coefficient's type allows it, and a call whose values
+did not all come out finite, with a nonzero mass, is read again through
+the checked reading.  validate alone decides each profile over an interval,
 exactly, and samples only what it cannot decide.  The schedule also
 lists its knots, the sample times of its tables, where the coefficients may
 have a kink: integrators put step edges there.
@@ -47,8 +48,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
+import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -73,8 +76,8 @@ class UnitContext:
 
     def __post_init__(self):
         for name in ("hbar", "l"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            v = getattr(self, name)  # an int past the floats fails the comparison too
+            if not (isinstance(v, (int, float)) and 0 < v <= sys.float_info.max):
                 raise DomainError(f"{name} must be a positive finite real, got {v!r}")
 
 
@@ -219,67 +222,117 @@ def to_physical(alg: AlgebraicCoefficients, units: UnitContext) -> PhysicalCoeff
 # ---------------------------------------------------------------------------
 # time profiles
 #
-# A profile is a scalar callable t -> value.  Values may be complex;
-# coefficients that must stay real (beta, delta, every physical one) are
-# read through the float closure of a profile whose parameters are real,
-# or else checked by the schedule's evaluator on every call, so a value
-# that turns complex between any two sampled times is still caught.
+# A profile is a scalar callable t -> value.  Each package profile is built
+# once from its parameters: Harmonic, Polynomial and Table coerce theirs to
+# floats and are float-valued, Constant keeps a float or a complex value,
+# and ComplexParts assembles two profiles.  Its value is one closure, which
+# __call__ returns and the schedule's evaluator calls directly where the
+# coefficient's type allows it.  Coefficients that must stay real (beta,
+# delta, every physical one) read any other profile through the checked
+# reading on every call, so a value that turns complex between any two
+# sampled times is still caught.
+
+
+class _Profile:
+    """A package profile: __post_init__ stores its value, a closure of t
+    built from the fields, as _value."""
+
+    def __call__(self, t: float):
+        return self._value(t)
+
+    def __reduce__(self):  # the closure is rebuilt from the fields
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+def _float(profile, name: str, value) -> float:
+    """value as a float; DomainError naming the class and the field unless
+    value is a real number within the floats (inf and NaN are admitted)."""
+    if isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise DomainError(f"{type(profile).__name__}.{name}: {value!r} is not a real number "
+                      f"within the floats")
+
+
+def _floats(profile, name: str) -> tuple:
+    """The sequence field name of profile as a tuple of floats, set back on
+    it; DomainError unless it is a nonempty sequence of real numbers."""
+    given = getattr(profile, name)
+    values = tuple(_float(profile, name, v) for v in given) if hasattr(given, "__iter__") else ()
+    if not values:
+        raise DomainError(f"{type(profile).__name__}.{name} must be a nonempty sequence of "
+                          f"real numbers, got {given!r}")
+    profile.__dict__[name] = values
+    return values
 
 
 @dataclass(frozen=True)
-class Constant:
-    value: complex = 0j
+class Constant(_Profile):
+    """A constant value: a float for a real number, else a complex number."""
 
-    def __call__(self, t: float) -> complex:
-        return self.value
+    value: complex = 0.0
+
+    def __post_init__(self):
+        complex_value = isinstance(self.value, numbers.Complex) and not isinstance(
+            self.value, numbers.Real)
+        value = complex(self.value) if complex_value else _float(self, "value", self.value)
+        self.__dict__.update(value=value, _value=lambda t: value)
 
 
 @dataclass(frozen=True)
-class Harmonic:
-    """offset + amplitude * cos(omega * t)
+class Harmonic(_Profile):
+    """offset + amplitude * cos(omega * t), in floats.
 
-    Raises DomainError where omega * t overflows, so cos has no value, and
-    where an int parameter is past the floats.
+    Raises DomainError where omega * t overflows, so cos has no value.
     """
 
-    offset: complex = 0j
-    amplitude: complex = 0j
+    offset: float = 0.0
+    amplitude: float = 0.0
     omega: float = 0.0
 
-    def __call__(self, t: float) -> complex:
-        try:
-            return self.offset + self.amplitude * math.cos(self.omega * t)
-        except ValueError:  # math.cos(inf)
-            raise DomainError(
-                f"harmonic profile has no value at t={t!r}: omega * t = "
-                f"{self.omega * t!r}") from None
-        except OverflowError:  # an int parameter met a float
-            raise DomainError(f"harmonic profile has no value at t={t!r}: an int parameter "
-                              f"is past the floats") from None
+    def __post_init__(self):
+        o, a, w = (_float(self, f.name, getattr(self, f.name)) for f in fields(Harmonic))
+        self.__dict__.update(offset=o, amplitude=a, omega=w)
+        cos = math.cos
+
+        def harmonic(t):
+            try:
+                return o + a * cos(w * t)
+            except ValueError:  # math.cos(inf)
+                raise DomainError(
+                    f"harmonic profile has no value at t={t!r}: omega * t = {w * t!r}") from None
+
+        self.__dict__["_value"] = harmonic
 
 
 @dataclass(frozen=True)
-class Polynomial:
-    """sum_k coeffs[k] * t^k (ascending order)."""
+class Polynomial(_Profile):
+    """sum_k coeffs[k] * t^k (ascending order), by Horner's rule in floats."""
 
-    coeffs: tuple = (0j,)
+    coeffs: tuple = (0.0,)
 
-    def __call__(self, t: float) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+    def __post_init__(self):
+        backwards = _floats(self, "coeffs")[::-1]
+
+        def polynomial(t):
+            acc, t = 0.0, float(t)
+            for c in backwards:
+                acc = acc * t + c
+            return acc
+
+        self.__dict__["_value"] = polynomial
 
 
 @dataclass(frozen=True)
-class Table:
+class Table(_Profile):
     """Piecewise-linear interpolation through (times, values) samples.
 
     times must be strictly increasing.  Evaluation outside
     [times[0], times[-1]], or at a non-finite time, raises DomainError: no
-    extrapolation.  Each part is np.interp's value, bit for bit: the knots
-    are float tuples found by bisection and np.interp's formula is applied
-    to them.
+    extrapolation.  The value is np.interp's, bit for bit: the knot is found
+    by bisection and np.interp's formula is applied to it.
 
     The profile has a kink at each interior knot, so a schedule holding the
     table lists its times as knots (CoefficientSchedule.knots), and evolve
@@ -287,79 +340,80 @@ class Table:
     """
 
     times: tuple = (0.0,)
-    values: tuple = (0j,)
+    values: tuple = (0.0,)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size < 1 or len(self.values) != t.size:
+        ts, ys = _floats(self, "times"), _floats(self, "values")
+        if len(ys) != len(ts):
             raise DomainError("table needs equally many times and values")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
+        if not all(a < b for a, b in zip(ts, ts[1:])):
             raise DomainError("table times must be strictly increasing")
-        values = [complex(v) for v in self.values]
-        knots = tuple(t.tolist())
-        object.__setattr__(self, "_knots", knots)
-        object.__setattr__(self, "_real", _segments(knots, [v.real for v in values]))
-        object.__setattr__(self, "_imag", _segments(knots, [v.imag for v in values]))
+        slopes = tuple((ys[j + 1] - ys[j]) / (ts[j + 1] - ts[j]) for j in range(len(ts) - 1))
 
-    def __call__(self, t: float) -> complex:
-        x, j = self._locate(t)
-        ts = self._knots
-        return complex(_interp(ts, *self._real, j, x), _interp(ts, *self._imag, j, x))
+        def table(t):  # np.interp, operation for operation
+            if not ts[0] <= t <= ts[-1]:  # NaN fails both comparisons
+                raise DomainError(
+                    f"table evaluated at t={t!r} outside its horizon [{ts[0]}, {ts[-1]}]")
+            x = float(t)
+            j = bisect_right(ts, x) - 1
+            if ts[j] == x:  # at the last knot too
+                return ys[j]
+            y = slopes[j] * (x - ts[j]) + ys[j]
+            if y != y:  # NaN one way: np.interp tries from the right knot
+                y = slopes[j] * (x - ts[j + 1]) + ys[j + 1]
+                if y != y and ys[j] == ys[j + 1]:
+                    y = ys[j]
+            return y
 
-    def _locate(self, t: float) -> tuple:
-        """(float t, index of the knot at or before it); DomainError outside
-        [times[0], times[-1]]."""
-        ts = self._knots
-        if not ts[0] <= t <= ts[-1]:  # NaN fails both comparisons
-            raise DomainError(
-                f"table evaluated at t={t!r} outside its horizon "
-                f"[{self.times[0]}, {self.times[-1]}]"
-            )
-        x = float(t)
-        return x, bisect_right(ts, x) - 1
+        self.__dict__["_value"] = table
 
 
-def _segments(ts: tuple, ys: list) -> tuple:
-    """(ys, slope of each segment), the slopes formed as np.interp forms them."""
-    slopes = tuple((ys[j + 1] - ys[j]) / (ts[j + 1] - ts[j]) for j in range(len(ts) - 1))
-    return tuple(ys), slopes
-
-
-def _interp(ts: tuple, ys: tuple, slopes: tuple, j: int, x: float) -> float:
-    """np.interp at x, for ts[j] <= x <= ts[-1], operation for operation."""
-    if j == len(ts) - 1 or ts[j] == x:
-        return ys[j]
-    y = slopes[j] * (x - ts[j]) + ys[j]
-    if y != y:  # NaN one way: np.interp tries from the right knot
-        y = slopes[j] * (x - ts[j + 1]) + ys[j + 1]
-        if y != y and ys[j] == ys[j + 1]:
-            y = ys[j]
-    return y
+def _direct(profile, kind: str) -> bool:
+    """Whether the evaluator calls profile's own closure for a coefficient
+    read as kind, "real", "mass" or "complex": a float-valued package
+    profile for a real one, a ComplexParts or a complex Constant for a
+    complex one.  The closure is the profile's value, already of the type
+    the checked reading returns, so the reading would only check it.  A
+    subclass of a package class, and any other callable, is read checked.
+    """
+    if type(profile) is Constant:
+        return type(profile.value) is (complex if kind == "complex" else float)
+    classes = (ComplexParts,) if kind == "complex" else (Harmonic, Polynomial, Table)
+    return type(profile) in classes
 
 
 @dataclass(frozen=True)
-class ComplexParts:
+class ComplexParts(_Profile):
     """Complex profile assembled from independent real and imaginary profiles.
 
     Bare numbers are coerced to Constant profiles, as as_profile() does.
+    The value is complex(real(t)) + 1j * complex(imag(t)); for two
+    float-valued package profiles it is formed as complex(x + 0.0 * y,
+    y + 0.0), which is the same bit for bit at every float.
     """
 
     real: object = Constant(0.0)
     imag: object = Constant(0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "real", as_profile(self.real))
-        object.__setattr__(self, "imag", as_profile(self.imag))
+        real, imag = as_profile(self.real), as_profile(self.imag)
+        self.__dict__.update(real=real, imag=imag)
+        if _direct(real, "real") and _direct(imag, "real"):
+            x, y = real._value, imag._value
 
-    def __call__(self, t: float) -> complex:
-        return complex(self.real(t)) + 1j * complex(self.imag(t))
+            def parts(t):
+                a, b = x(t), y(t)
+                return complex(a + 0.0 * b, b + 0.0)
+        else:
+            def parts(t):
+                return complex(real(t)) + 1j * complex(imag(t))
+
+        self.__dict__["_value"] = parts
 
 
 def as_profile(value) -> object:
     """Coerce a bare number to a Constant profile; pass callables through."""
-    if callable(value):
-        return value
-    return Constant(complex(value))
+    return value if callable(value) else Constant(value)
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +437,12 @@ class CoefficientSchedule:
     physical -> algebraic map applied for physical schedules.  Its values
     are those of the checked reading the coefficient records use, so beta,
     delta and every physical coefficient must be real and the mass finite
-    and nonzero, with the records' errors.  A package profile whose
-    parameters read as real is read through a plain float closure without
-    per-call checks, bit for bit the checked value wherever that is finite
-    (_form); any other profile, a foreign callable for one, through its
-    checked reading.  A call returns those values when nothing raised,
+    and nonzero, with the records' errors.  A package profile is read
+    through its own closure without per-call checks where the coefficient's
+    type allows it (_direct): a float-valued profile for a real coefficient,
+    a ComplexParts or a complex Constant for alpha and gamma.  Any other
+    profile, a foreign callable for one, is read through its checked
+    reading.  A call returns those values when nothing raised,
     their sum is finite and the mass is nonzero, and otherwise reads every
     profile checked.  So compiled(), algebraic_at and physical_at return
     the checked values, or raise the checked reading's first error, at
@@ -420,15 +475,13 @@ class CoefficientSchedule:
     @classmethod
     def algebraic(cls, units: UnitContext = UnitContext(), *, alpha=0.0, beta=0.0,
                   gamma=0.0, delta=0.0) -> "CoefficientSchedule":
-        profiles = {"alpha": as_profile(alpha), "beta": as_profile(beta),
-                    "gamma": as_profile(gamma), "delta": as_profile(delta)}
+        profiles = dict(zip(_ALGEBRAIC_KEYS, map(as_profile, (alpha, beta, gamma, delta))))
         return cls(units=units, parameterization="algebraic", profiles=profiles)
 
     @classmethod
     def physical(cls, units: UnitContext = UnitContext(), *, m=1.0, k=0.0,
                  Omega=0.0, F=0.0, V=0.0, E=0.0) -> "CoefficientSchedule":
-        profiles = {"m": as_profile(m), "k": as_profile(k), "Omega": as_profile(Omega),
-                    "F": as_profile(F), "V": as_profile(V), "E": as_profile(E)}
+        profiles = dict(zip(_PHYSICAL_KEYS, map(as_profile, (m, k, Omega, F, V, E))))
         return cls(units=units, parameterization="physical", profiles=profiles)
 
     def _compiled(self) -> tuple:
@@ -462,22 +515,22 @@ def _compile(schedule: CoefficientSchedule) -> tuple:
     """(algebraic, physical, knots) of a schedule, checks included.
 
     algebraic is t -> (alpha, beta, gamma, delta) and physical is
-    t -> (m, k, Omega, F, V, E).  The schedule's own form reads each
-    profile through its float closure (_form), or through its checked
-    reading where it has none.  It returns those values when nothing
-    raised, their sum is finite and, for a physical schedule, m is nonzero;
-    in every other case it returns the checked reading of every profile in
-    key order, which gives the same values or raises the first error.  The
-    other form applies the unit map to it, so both equal the records' route
-    (to_algebraic or to_physical of the authoritative record) by
-    construction.  knots is the sorted tuple of distinct Table times over
-    the profiles.
+    t -> (m, k, Omega, F, V, E).  The schedule's own form calls each
+    profile's own closure where the coefficient's type allows it (_direct),
+    and reads every other profile through its checked reading.  It returns
+    those values when nothing raised, their sum is finite and, for a
+    physical schedule, m is nonzero; in every other case it returns the
+    checked reading of every profile in key order, which gives the same
+    values or raises the first error.  The other form applies the unit map
+    to it, so both equal the records' route (to_algebraic or to_physical of
+    the authoritative record) by construction.  knots is the sorted tuple of
+    distinct Table times over the profiles.
     """
     profiles = [(key, schedule.profiles[key]) for key in _KEYS[schedule.parameterization]]
-    forms = [_form(profile, _KIND[key]) for key, profile in profiles]
     checked = [_checked(_READ[key], profile) for key, profile in profiles]
-    closures = [closure or reading for (_, closure), reading in zip(forms, checked)]
-    knots = tuple(sorted({t for times, _ in forms for t in times}))
+    closures = [profile._value if _direct(profile, _KIND[key]) else reading
+                for (key, profile), reading in zip(profiles, checked)]
+    knots = tuple(sorted({t for _, profile in profiles for t in _knots(profile)}))
     if schedule.parameterization == "algebraic":
         a, b, g, d = closures
         ca, cb, cg, cd = checked
@@ -517,106 +570,20 @@ def _checked(read, profile):
     return lambda t: read(profile(t))
 
 
-# ---------------------------------------------------------------------------
-# float closures
-#
-# A package profile whose parameters read as real, that is as complex
-# (x, +0.0), the form ComplexParts assembles exactly, evaluates through a
-# plain float closure without the per-call checks.  Wherever that closure returns a
-# finite value it is the checked reading's value bit for bit, signed zeros
-# included; where it raises or returns a non-finite value the schedule's
-# evaluator reads the checked value instead.
-
-
-def _form(profile, kind: str) -> tuple:
-    """(knots, closure) of a profile read as kind, "real", "mass" or "complex".
-
-    knots are the times of the Table profiles it holds.  closure is a plain
-    function of t, a float one for "real" and "mass" and a complex one for
-    "complex", or None: for parameters that do not read as real, and for any
-    callable but the package classes themselves, a subclass of one included.
-    """
-    forms = _FORMS.get(type(profile))
-    return ((), None) if forms is None else forms[0](profile, kind)
-
-
-def _real_part(value) -> Optional[float]:
-    """x when complex(value) is (x, +0.0) with x finite, else None."""
-    try:
-        z = complex(value)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if z.imag == 0.0 and math.copysign(1.0, z.imag) > 0.0 and math.isfinite(z.real):
-        return z.real
-    return None
-
-
-def _constant_form(profile: Constant, kind) -> tuple:
-    try:
-        z = complex(profile.value)
-    except (TypeError, ValueError, OverflowError):
-        return (), None
-    x = _real_part(z) if kind != "complex" else z if cmath.isfinite(z) else None
-    return (), None if x is None else (lambda t: x)
-
-
-def _harmonic_form(profile: Harmonic, kind) -> tuple:
-    o, a, w = _real_part(profile.offset), _real_part(profile.amplitude), profile.omega
-    if kind == "complex" or o is None or a is None or not isinstance(w, (int, float)):
-        return (), None
-    cos = math.cos
-    return (), lambda t: o + a * cos(w * t)
-
-
-def _polynomial_form(profile: Polynomial, kind) -> tuple:
-    coeffs = [_real_part(c) for c in profile.coeffs]
-    if kind == "complex" or None in coeffs:
-        return (), None
-    backwards = coeffs[::-1]
-
-    def polynomial(t):
-        acc, t = 0.0, float(t)
-        for c in backwards:
-            acc = acc * t + c
-        return acc
-
-    return (), polynomial
-
-
-def _table_form(profile: Table, kind) -> tuple:
-    ts = profile._knots
-    if kind == "complex" or None in map(_real_part, profile.values):
-        return ts, None
-    ys, slopes = profile._real
-    locate = profile._locate
-
-    def table(t):
-        x, j = locate(t)
-        return _interp(ts, ys, slopes, j, x)
-
-    return ts, table
-
-
-def _complex_parts_form(profile: ComplexParts, kind) -> tuple:
-    real_knots, real = _form(profile.real, "real")
-    imag_knots, imag = _form(profile.imag, "real")
-    if kind != "complex" or real is None or imag is None:
-        return real_knots + imag_knots, None
-
-    def parts(t):
-        # complex(x) + 1j * complex(y), signed zeros included, for finite x, y
-        x, y = real(t), imag(t)
-        return complex(x + 0.0 * y, y + 0.0)
-
-    return real_knots + imag_knots, parts
+def _knots(profile) -> tuple:
+    """The times of the Table profiles profile holds, itself or as a part."""
+    if type(profile) is ComplexParts:
+        return _knots(profile.real) + _knots(profile.imag)
+    return profile.times if type(profile) is Table else ()
 
 
 # ---------------------------------------------------------------------------
 # deciding a profile over an interval
 #
-# validate asks each package profile with a float closure whether its exact
-# value is finite, with magnitudes below 2^1000 so that no float evaluation
-# overflows, and, for the mass, free of zeros at every t in [0, T].
+# validate asks each profile the evaluator reads through its own closure
+# (_direct) whether its exact value is finite, with magnitudes below 2^1000
+# so that no float evaluation overflows, and, for the mass, free of zeros
+# at every t in [0, T].
 
 _BAND = 2.0 ** -30  # guard band around what is read off a float cosine
 _HUGE = 2.0 ** 1000  # a bound on magnitudes that keeps float evaluations finite
@@ -626,26 +593,25 @@ _STURM_DEGREE = 16  # above it a polynomial mass is left to the scan
 def _decision(profile, horizon: float, kind: str) -> tuple:
     """(proved, zero) of a profile read as kind over [0, horizon].
 
-    proved: the profile has a float closure (_form), its value is finite
-    there and, for a "mass", never 0.  zero is a time near which a "mass"
-    has an exact zero in [0, horizon], else None.  A profile without a
-    closure is answered (False, None).
+    proved: the evaluator calls the profile's own closure (_direct), its
+    value is finite there and, for a "mass", never 0.  zero is a time near
+    which a "mass" has an exact zero in [0, horizon], else None.  Any other
+    profile is answered (False, None).
     """
-    if _form(profile, kind)[1] is None:
+    if not _direct(profile, kind):
         return False, None
-    return _FORMS[type(profile)][1](profile, horizon, kind)
+    return _DECISIONS[type(profile)](profile, horizon, kind)
 
 
 def _constant(profile: Constant, horizon, kind) -> tuple:
-    return (False, 0.0) if kind == "mass" and complex(profile.value) == 0 else (True, None)
+    if kind == "mass" and profile.value == 0.0:
+        return False, 0.0
+    return cmath.isfinite(profile.value), None
 
 
 def _harmonic(profile: Harmonic, horizon, kind) -> tuple:
-    o, a, w = _real_part(profile.offset), _real_part(profile.amplitude), profile.omega
-    try:
-        span = abs(w) * horizon  # bounds |w t| on [0, T]
-    except OverflowError:  # an int omega past the floats: left to the scan
-        return False, None
+    o, a, w = profile.offset, profile.amplitude, profile.omega
+    span = abs(w) * horizon  # bounds |w t| on [0, T]
     if not (span < math.inf and abs(o) + abs(a) < _HUGE):
         return False, None
     if kind == "mass" and not abs(o) > abs(a):  # |o| > |a| keeps the sign of o
@@ -664,7 +630,7 @@ def _harmonic(profile: Harmonic, horizon, kind) -> tuple:
 
 
 def _polynomial(profile: Polynomial, horizon, kind) -> tuple:
-    coeffs = [_real_part(c) for c in profile.coeffs]
+    coeffs = profile.coeffs
     scale = max(1.0, horizon)
     bound = 0.0  # sum |c_k| scale^k, which bounds every Horner partial sum
     for c in reversed(coeffs):
@@ -675,14 +641,14 @@ def _polynomial(profile: Polynomial, horizon, kind) -> tuple:
 
 
 def _table(profile: Table, horizon, kind) -> tuple:
-    ts = profile._knots
-    ys, slopes = profile._real
+    ts, ys = profile.times, profile.values
     if not ts[0] <= 0.0 <= horizon <= ts[-1]:
         return False, None
     # the knots and segments an evaluation on [0, T] reads
     lo, hi = max(bisect_right(ts, 0.0) - 1, 0), bisect_right(ts, horizon)
-    read = ys[lo:hi + 1]
-    if not (all(abs(y) < _HUGE for y in read) and all(map(math.isfinite, slopes[lo:hi]))):
+    knots, read = ts[lo:hi + 1], ys[lo:hi + 1]
+    slopes = [(y1 - y0) / (t1 - t0) for t0, t1, y0, y1 in zip(knots, knots[1:], read, read[1:])]
+    if not (all(abs(y) < _HUGE for y in read) and all(map(math.isfinite, slopes))):
         return False, None
     if kind == "mass" and not (min(read) > 0.0 or max(read) < 0.0):
         return False, _table_zero(ts, ys, horizon)
@@ -714,10 +680,9 @@ def _complex_parts(profile: ComplexParts, horizon, kind) -> tuple:
     return all(_decision(part, horizon, "real")[0] for part in (profile.real, profile.imag)), None
 
 
-# each package class: its float closure, and its decision over an interval
-_FORMS = {Constant: (_constant_form, _constant), Harmonic: (_harmonic_form, _harmonic),
-          Polynomial: (_polynomial_form, _polynomial), Table: (_table_form, _table),
-          ComplexParts: (_complex_parts_form, _complex_parts)}
+# each package class's decision over an interval
+_DECISIONS = {Constant: _constant, Harmonic: _harmonic, Polynomial: _polynomial,
+              Table: _table, ComplexParts: _complex_parts}
 
 
 # Sturm sequences in exact integer arithmetic (Basu, Pollack & Roy,
@@ -820,7 +785,7 @@ def validate(schedule: CoefficientSchedule, horizon: float) -> list:
     Each coefficient gets at most one diagnostic.  No exception escapes;
     problems become diagnostics.
     """
-    if not (math.isfinite(horizon) and horizon >= 0):
+    if not 0.0 <= horizon <= sys.float_info.max:  # NaN and ints past the floats fail too
         return [f"horizon must be finite and nonnegative, got {horizon!r}"]
     grid = np.linspace(0.0, horizon, _VALIDATE_SAMPLES).tolist()
     diagnostics = []
@@ -842,7 +807,7 @@ def _scan(key: str, read, profile, grid: list) -> Optional[str]:
     for t in grid:
         try:
             value = read(profile(t))
-        except DomainError as exc:
+        except Exception as exc:  # a foreign callable may raise anything
             return f"{key}: evaluation failed at t={t:.6g}: {exc}"
         if not cmath.isfinite(value):
             return f"{key}: non-finite value {value!r} at t={t:.6g}"

@@ -69,6 +69,7 @@ that the generic `evolve` takes; `fundamental_solutions` and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
@@ -123,16 +124,19 @@ class DrivenOscillatorConfig:
         default_factory=lambda: InitialConditions(f0=1.0, g0=0.0, varphi0=complex(0.0, -1.0)))
 
     def __post_init__(self):
+        # comparisons, not math.isfinite, so that an int past the floats fails
+        # them instead of raising OverflowError
+        top = sys.float_info.max
         for name in ("m0", "omega0", "hbar"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if not (isinstance(v, (int, float)) and 0 < v <= top):
                 raise DomainError(f"{name} must be positive and finite, got {v!r}")
         for name in ("epsilon0", "eta0"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if not (isinstance(v, (int, float)) and abs(v) <= top):
                 raise DomainError(f"{name} must be finite, got {v!r}")
         # bounds |k| for every finite omega0 t, so the preset needs no sampled scan
-        if not math.isfinite(abs(self.epsilon0) + abs(self.eta0)):
+        if not abs(self.epsilon0) + abs(self.eta0) <= top:
             raise DomainError(f"epsilon0 = {self.epsilon0!r} and eta0 = {self.eta0!r}: "
                               f"|epsilon0| + |eta0| is not a finite float")
         # a and q divide by m0 omega0^2, computed as mathieu_parameters does

@@ -5,8 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from cssdyn import (AlgebraicCoefficients, CoefficientSchedule, ComplexParts, DomainError,
-                    Harmonic, IntegratorSettings, MotionFrame, Polynomial, Table,
+from cssdyn import (AlgebraicCoefficients, CoefficientSchedule, ComplexParts, Constant,
+                    DomainError, Harmonic, IntegratorSettings, MotionFrame, Polynomial, Table,
                     UnitContext, evolve, frames, from_initial_width, means)
 
 
@@ -50,6 +50,41 @@ def poisson_reference(xi_abs, n_levels):
     for n in range(1, n_levels):
         out[n] = out[n - 1] * lam / n
     return out
+
+
+def oracle(profile):
+    """t -> profile's value in complex arithmetic, an oracle independent of
+    the profiles' float closures: complex Horner from 0j, complex(offset) +
+    complex(amplitude) cos(omega t), np.interp on the real and imaginary
+    parts of a table (DomainError outside its times), and complex(real) +
+    1j complex(imag) of two parts.  Any other callable, a subclass of a
+    package class included, is its own oracle."""
+    kind = type(profile)
+    if kind is Constant:
+        return lambda t: profile.value
+    if kind is Harmonic:
+        o, a, w = complex(profile.offset), complex(profile.amplitude), profile.omega
+        return lambda t: o + a * math.cos(w * t)
+    if kind is Polynomial:
+        def horner(t):
+            acc = 0j
+            for c in reversed(profile.coeffs):
+                acc = acc * t + complex(c)
+            return acc
+        return horner
+    if kind is Table:
+        times, values = np.array(profile.times), np.array(profile.values, dtype=complex)
+
+        def interp(t):
+            if not times[0] <= t <= times[-1]:
+                raise DomainError(f"table evaluated at t={t!r} outside its horizon")
+            return complex(float(np.interp(t, times, values.real)),
+                           float(np.interp(t, times, values.imag)))
+        return interp
+    if kind is ComplexParts:
+        real, imag = oracle(profile.real), oracle(profile.imag)
+        return lambda t: complex(real(t)) + 1j * complex(imag(t))
+    return profile
 
 
 def hidden(profile):

@@ -1,5 +1,6 @@
-"""The float closures of the package profiles, the schedule's evaluator that
-falls back on the checked reading, and validate's exact decisions."""
+"""The closures of the package profiles against the complex-arithmetic
+oracle, the schedule's evaluator that falls back on the checked reading, and
+validate's exact decisions."""
 
 import cmath
 import math
@@ -14,7 +15,9 @@ from cssdyn import (AlgebraicCoefficients, CoefficientSchedule, ComplexParts, Co
                     PhysicalCoefficients, Polynomial, Table, UnitContext, evolve,
                     to_algebraic, to_physical, validate, wavefunction)
 from cssdyn import hamiltonian
-from cssdyn.hamiltonian import _READ, _decision, _form
+from cssdyn.hamiltonian import _READ, _decision, _direct, _knots
+
+from helpers import oracle
 
 UNITS = UnitContext()
 
@@ -30,23 +33,30 @@ def _outcome(evaluate, t):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _finite(evaluate, t):
+    """evaluate(t) when it returns a finite value or tuple of them, else None."""
+    try:
+        value = evaluate(t)
+    except Exception:
+        return None
+    values = value if isinstance(value, tuple) else (value,)
+    return value if all(map(cmath.isfinite, values)) else None
+
+
 def _accepted(closure, t, kind):
     """Whether the schedule's evaluator keeps closure(t): nothing raised, the
     value is finite and, for a mass, nonzero."""
-    try:
-        value = closure(t)
-    except Exception:
-        return False
-    return cmath.isfinite(value) and (kind != "mass" or value != 0.0)
+    value = _finite(closure, t)
+    return value is not None and (kind != "mass" or value != 0.0)
 
 
 def _number(rng):
-    """A seeded real number, sometimes a signed zero, an int or real-valued complex."""
+    """A seeded real number, sometimes a signed zero or an int."""
     pick = rng.integers(8)
     if pick == 0:
         return rng.choice([0.0, -0.0])
     x = float(rng.normal() * 10.0 ** rng.uniform(-2, 2))
-    return complex(x) if pick == 1 else int(round(x)) if pick == 2 else x
+    return int(round(x)) if pick == 2 else x
 
 
 def _table(rng, horizon):
@@ -67,18 +77,28 @@ def _real_profiles(rng, horizon):
     yield Constant(-0.0)
     yield Constant(_number(rng))
     offset = _number(rng)
-    amplitude = rng.uniform(0.0, 2.0) * abs(complex(offset)) * rng.choice([-1.0, 1.0])
+    amplitude = rng.uniform(0.0, 2.0) * abs(offset) * rng.choice([-1.0, 1.0])
     yield Harmonic(offset, amplitude, float(rng.uniform(-4.0, 4.0)))
     yield Harmonic(_number(rng), _number(rng), int(rng.integers(-3, 4)))
     yield Polynomial(tuple(_number(rng) for _ in range(int(rng.integers(1, 5)))))
-    yield Polynomial((1.0 + abs(complex(_number(rng))), rng.uniform(-0.2, 0.2), 0.01))
+    yield Polynomial((1.0 + abs(_number(rng)), rng.uniform(-0.2, 0.2), 0.01))
     yield _table(rng, horizon)
 
 
+def _zero_imaginary(rng, horizon):
+    """Real values in complex form, each read checked on a real key: a
+    complex Constant, and a ComplexParts whose imaginary part is a signed
+    zero, the form a complex-typed parameter of a float-valued class takes."""
+    yield Constant(complex(_number(rng), 0.0))
+    for profile in _real_profiles(rng, horizon):
+        yield ComplexParts(profile, rng.choice([0.0, -0.0]))
+
+
 def _draws(rng, horizon):
-    """(kind, profile) pairs: every class as each kind it can be proved as."""
+    """(kind, profile) pairs: every class as each kind it can be proved as,
+    and profiles in complex form on real keys."""
     reals = list(_real_profiles(rng, horizon))
-    for profile in reals:
+    for profile in reals + list(_zero_imaginary(rng, horizon)):
         yield "real", profile
         yield "mass", profile
     yield "complex", Constant(complex(_number(rng), _number(rng)))
@@ -95,7 +115,7 @@ def _draws(rng, horizon):
 def _times(rng, profile, horizon):
     """Times in [0, horizon], the knots inside it, and times past it on both
     sides, at the float extremes, signed zeros and NaN included."""
-    knots = [t for t in _form(profile, "real")[0] if 0.0 <= t <= horizon]
+    knots = [t for t in _knots(profile) if 0.0 <= t <= horizon]
     inside = [0.0, horizon, *knots, *rng.uniform(0.0, horizon, 12).tolist()]
     past = [-0.0, math.nextafter(horizon, math.inf), 2.0 * horizon + 1.0, -1.0, 1e300,
             -1e300, math.inf, -math.inf, math.nan]
@@ -108,21 +128,22 @@ def test_every_proved_closure_is_the_checked_reading_bit_for_bit():
     for _ in range(60):
         horizon = float(rng.choice([0.0, rng.uniform(0.1, 6.0)]))
         for kind, profile in _draws(rng, horizon):
-            closure = _form(profile, kind)[1]
             decided, _ = _decision(profile, horizon, kind)
-            if closure is None:
+            if not _direct(profile, kind):
                 assert not decided, (kind, profile)
                 continue
             if decided:
                 proved.add((kind, type(profile).__name__))
-            read = _READER[kind]
+            read, closure = _READER[kind], profile._value
             inside, past = _times(rng, profile, horizon)
             for t in inside + past:
-                want = _outcome(lambda s: read(profile(s)), t)
-                # what the evaluator keeps of a closure is the checked value
-                if _accepted(closure, t, kind):
-                    assert _outcome(closure, t) == want, (kind, profile, t)
-                # and over [0, horizon] it keeps every value of a proved profile
+                # the closure is the profile's value, and the oracle's
+                # complex-arithmetic reading wherever that is finite
+                assert _outcome(profile, t) == _outcome(closure, t)
+                want = _finite(lambda s: read(oracle(profile)(s)), t)
+                if want is not None:
+                    assert repr(closure(t)) == repr(want), (kind, profile, t)
+                # over [0, horizon] the evaluator keeps every value of a proved profile
                 if decided and t in inside:
                     assert _accepted(closure, t, kind), (kind, profile, t)
     classes = {"Constant", "Harmonic", "Polynomial", "Table"}
@@ -130,14 +151,14 @@ def test_every_proved_closure_is_the_checked_reading_bit_for_bit():
                       | {("complex", "Constant"), ("complex", "ComplexParts")})
 
 
-def _reference(schedule):
-    """(own, other): t -> the schedule's own form read through the checked
-    reading of each profile in key order, and t -> the records' unit map of
-    it, to_algebraic or to_physical."""
+def _reference(schedule, read_profile):
+    """(own, other): t -> the schedule's own form, each profile read by
+    read_profile and then through the checked reading, in key order, and
+    t -> the records' unit map of it, to_algebraic or to_physical."""
     keys = hamiltonian._KEYS[schedule.parameterization]
 
     def own(t):
-        return tuple(_READ[key](schedule.profiles[key](t)) for key in keys)
+        return tuple(_READ[key](read_profile(schedule.profiles[key])(t)) for key in keys)
 
     if schedule.parameterization == "physical":
         record = lambda t: to_algebraic(PhysicalCoefficients(*own(t)), schedule.units)  # noqa: E731
@@ -151,14 +172,15 @@ def _fields(record):
 
 
 def _mixed_profiles(rng, horizon):
-    """Profiles of every package class, with int-, float- and complex-typed
-    parameters, one value that is not real, and two callables the package
-    does not decide."""
+    """Profiles of every package class, with int- and float-typed parameters,
+    real values in complex form, one value that is not real, and two
+    callables the package does not decide."""
     reals = list(_real_profiles(rng, horizon))
     reals += [Constant(int(rng.integers(-3, 4))), Constant(complex(rng.normal(), 0.0)),
-              Harmonic(int(rng.integers(-3, 4)), complex(rng.normal(), -0.0), 2),
-              Polynomial((int(rng.integers(-3, 4)), complex(rng.normal()), 1e300)),
-              Table((0.0, horizon + 1.0), (int(rng.integers(1, 4)), complex(rng.normal()))),
+              ComplexParts(Harmonic(int(rng.integers(-3, 4)), rng.normal(), 2), -0.0),
+              ComplexParts(Polynomial((int(rng.integers(-3, 4)), rng.normal(), 1e300)), 0.0),
+              ComplexParts(Table((0.0, horizon + 1.0), (int(rng.integers(1, 4)), rng.normal())),
+                           0.0),
               Constant(complex(1.0, 1e-3)), lambda t: 1.0 + 0.5 * t, _Shifted(horizon / 2.0)]
     return reals
 
@@ -187,18 +209,24 @@ def test_public_evaluators_are_the_checked_reference():
                                           beta=pick(), gamma=pick(), delta=pick()))
         for schedule in schedules:
             validate(schedule, horizon)
-            own, other = _reference(schedule)
+            own, other = _reference(schedule, lambda profile: profile)
+            own_oracle, other_oracle = _reference(schedule, oracle)
             if schedule.parameterization == "physical":
-                pairs = ((schedule.physical_at, own), (schedule.algebraic_at, other),
-                         (schedule.compiled(), other))
+                pairs = ((schedule.physical_at, own, own_oracle),
+                         (schedule.algebraic_at, other, other_oracle),
+                         (schedule.compiled(), other, other_oracle))
             else:
-                pairs = ((schedule.algebraic_at, own), (schedule.physical_at, other),
-                         (schedule.compiled(), own))
+                pairs = ((schedule.algebraic_at, own, own_oracle),
+                         (schedule.physical_at, other, other_oracle),
+                         (schedule.compiled(), own, own_oracle))
             inside, past = _times(rng, Constant(0.0), horizon)
             for t in inside + past + list(schedule.knots()) + [np.float64(horizon / 3.0), 1]:
-                for evaluate, reference in pairs:
+                for evaluate, reference, independent in pairs:
                     got = evaluate if evaluate is schedule.compiled() else _fields(evaluate)
                     assert _outcome(got, t) == _outcome(reference, t), (schedule, t)
+                    want = _finite(independent, t)
+                    if want is not None:
+                        assert _outcome(got, t) == repr(want), (schedule, t)
 
 
 def test_one_evaluator_for_every_horizon():

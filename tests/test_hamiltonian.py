@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 import re
 import struct
 
@@ -9,9 +10,9 @@ import numpy as np
 import pytest
 
 from cssdyn import (AlgebraicCoefficients, CoefficientSchedule, ComplexParts,
-                    Constant, DomainError, Harmonic, InitialConditions,
-                    IntegratorSettings, PhysicalCoefficients, Polynomial, Table,
-                    UnitContext, evolve, to_algebraic, to_physical, validate)
+                    Constant, CssdynError, DomainError, DrivenOscillatorConfig, Harmonic,
+                    InitialConditions, IntegratorSettings, PhysicalCoefficients, Polynomial,
+                    Table, UnitContext, evolve, to_algebraic, to_physical, validate)
 
 UNITS = UnitContext()
 
@@ -187,13 +188,14 @@ def test_table_matches_np_interp_bit_for_bit():
     tables.append((np.array([0.0, 1e-300, 1.0]), np.array([1e308, -1e308 + 1e308j, 0.0])))
     tables.append((np.array([0.0, 1.0, 2.0]), np.array([math.inf, math.inf, 1.0 - 1j * math.inf])))
     for times, values in tables:
-        tab = Table(times=tuple(times), values=tuple(values))
         probes = list(times) + list(rng.uniform(times[0], times[-1], 20))
-        for t in probes:
-            want = complex(float(np.interp(t, times, values.real)),
-                           float(np.interp(t, times, values.imag)))
-            assert _bits(tab(t)) == _bits(want), (times, values, t)
-            assert _bits(tab(float(t))) == _bits(want)
+        # each part is its own real table; ComplexParts assembles the two
+        for part in (values.real, values.imag):
+            tab = Table(times=tuple(times), values=tuple(part))
+            for t in probes:
+                want = float(np.interp(t, times, part))
+                assert _bits(tab(t)) == _bits(want), (times, part, t)
+                assert _bits(tab(float(t))) == _bits(want)
 
 
 # every profile type, each given a base value a and a variation b over [0, 2]
@@ -203,6 +205,9 @@ _KNOTS = (0.0, 0.5, 1.25, 2.0)
 def _profile(kind, a, b):
     if kind == "Constant":
         return Constant(a)
+    if kind not in ("ComplexParts", "lambda") and isinstance(a + b, complex):
+        # the float-valued classes take a complex coefficient as two parts
+        return ComplexParts(_profile(kind, a.real, b.real), _profile(kind, a.imag, b.imag))
     if kind == "Harmonic":
         return Harmonic(offset=a, amplitude=b, omega=2.3)
     if kind == "Polynomial":
@@ -326,7 +331,7 @@ def test_schedule_cross_parameterization_sampling():
     assert back.k == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("horizon", [-1.0, math.nan])
+@pytest.mark.parametrize("horizon", [-1.0, math.nan, 10**400], ids=["-1.0", "nan", "10**400"])
 def test_validate_refuses_a_horizon_off_the_nonnegative_floats(horizon):
     sched = CoefficientSchedule.physical(UNITS, m=1.0, k=1.0)
     assert validate(sched, horizon) == [
@@ -386,6 +391,15 @@ def test_validate_flags_non_finite_values():
     assert problems[0].startswith("k: non-finite") and "t=0.503906" in problems[0]
 
 
+@pytest.mark.parametrize("k, message", [
+    (lambda t: 1.0 / (t - t), "float division by zero"),
+    (lambda t: 10**400, "int too large to convert to float")])
+def test_validate_names_what_a_foreign_callable_raises(k, message):
+    # validate returns a diagnostic, whatever a callable raises or returns
+    sched = CoefficientSchedule.physical(UNITS, m=1.0, k=k)
+    assert validate(sched, horizon=1.0) == [f"k: evaluation failed at t=0: {message}"]
+
+
 def test_validate_accepts_algebraic_schedule_without_physical_form():
     # Re(beta - alpha) = 0 has no (x, p) form, but the algebraic form is sound
     sched = CoefficientSchedule.algebraic(UNITS, alpha=0.5 + 0.3j, beta=0.5)
@@ -406,15 +420,86 @@ def test_harmonic_past_overflow_is_a_domain_error():
     assert problems[0].startswith("k: evaluation failed at t=1.80469")
 
 
-@pytest.mark.parametrize("profile", [Harmonic(0.0, 1.0, 10**400), Harmonic(0.0, 10**400, 1.0)],
-                         ids=["omega", "amplitude"])
-def test_int_parameter_past_the_floats_is_a_domain_error(profile):
-    # 10**400 has no float: validate names k instead of raising
-    # OverflowError, and the evaluators raise DomainError
-    schedule = CoefficientSchedule.physical(UNITS, m=1.0, k=profile)
-    assert validate(schedule, 1.0) == [
-        "k: evaluation failed at t=0: harmonic profile has no value at t=0.0: "
-        "an int parameter is past the floats"]
-    for evaluate in (profile, schedule.physical_at, schedule.compiled()):
-        with pytest.raises(DomainError, match="an int parameter is past the floats"):
-            evaluate(0.5)
+@pytest.mark.parametrize("field", ["omega", "amplitude"])
+def test_int_parameter_past_the_floats_is_a_domain_error(field):
+    # 10**400 has no float: the profile is refused when it is built, by
+    # class and field, and so is the schedule that would hold it
+    with pytest.raises(DomainError, match=f"^Harmonic.{field}: 1000.* is not a real number "
+                                          f"within the floats$"):
+        Harmonic(**{field: 10**400})
+    with pytest.raises(DomainError, match="Constant.value"):
+        CoefficientSchedule.physical(UNITS, m=1.0, k=10**400)
+
+
+_PHYSICAL = CoefficientSchedule.physical
+_HUGE_INT = 10**400
+
+# calls that raised TypeError, ValueError or OverflowError from inside the
+# package before profiles coerced their parameters: (call, message)
+_FOREIGN_EXCEPTION_CASES = {
+    "complex harmonic under validate": (
+        lambda: validate(_PHYSICAL(m=1, k=Harmonic(1, 0.5, 1j)), 1),
+        "Harmonic.omega: 1j is not a real number"),
+    "complex harmonic under compiled": (
+        lambda: _PHYSICAL(m=1, k=Harmonic(1, 0.5, 1j)).compiled()(0.1), "Harmonic.omega"),
+    "empty polynomial mass under validate": (
+        lambda: validate(_PHYSICAL(m=Polynomial(()), k=1), 1),
+        "Polynomial.coeffs must be a nonempty sequence of real numbers, got ()"),
+    "table of strings": (lambda: Table((0, 1), ("a", "b")), "Table.values: 'a' is not"),
+    "table of one number": (lambda: Table(0.0, 1.0), "Table.times must be a nonempty sequence"),
+    "ragged table": (lambda: Table(((0, 1), 2), (1, 2)), "Table.times: (0, 1) is not a real"),
+    "polynomial past the floats": (lambda: Polynomial((_HUGE_INT,)), "Polynomial.coeffs"),
+    "table value past the floats": (lambda: Table((0, 1), (_HUGE_INT, 1)), "Table.values"),
+    "table time past the floats": (lambda: Table((0, _HUGE_INT), (1, 1)), "Table.times"),
+    "constant past the floats under validate": (
+        lambda: validate(_PHYSICAL(m=1, k=Constant(_HUGE_INT)), 1), "Constant.value"),
+    "physical number past the floats": (lambda: _PHYSICAL(k=_HUGE_INT), "Constant.value"),
+    "complex parts past the floats": (lambda: ComplexParts(1.0, _HUGE_INT), "Constant.value"),
+    "constant of a string": (lambda: Constant("1"), "Constant.value: '1' is not"),
+    "hbar past the floats": (lambda: UnitContext(hbar=_HUGE_INT), "hbar must be a positive"),
+    "l past the floats": (lambda: UnitContext(l=_HUGE_INT), "l must be a positive"),
+    "preset offset past the floats": (lambda: DrivenOscillatorConfig(epsilon0=_HUGE_INT),
+                                      "epsilon0 must be finite"),
+    "preset mass past the floats": (lambda: DrivenOscillatorConfig(m0=_HUGE_INT),
+                                    "m0 must be positive and finite"),
+    "preset sum past the floats": (lambda: DrivenOscillatorConfig(epsilon0=10**308, eta0=10**308),
+                                   "|epsilon0| + |eta0| is not a finite float"),
+}
+
+
+@pytest.mark.parametrize("call, message", _FOREIGN_EXCEPTION_CASES.values(),
+                         ids=_FOREIGN_EXCEPTION_CASES.keys())
+def test_only_package_errors_leave_the_coefficient_api(call, message):
+    with pytest.raises(CssdynError) as caught:
+        call()
+    assert type(caught.value) is DomainError and message in str(caught.value)
+
+
+@pytest.mark.parametrize("profile", [
+    Constant(0.5), Constant(0.5 - 2j), Harmonic(1.0, -0.5, 2.0), Polynomial((1.0, 0.0, -0.25)),
+    Table((0.0, 1.0, 3.0), (1.0, 2.0, 0.5)),
+    ComplexParts(Harmonic(0.1, 0.2, 3.0), Table((0.0, 3.0), (0.0, 1.0))),
+    ComplexParts(Constant(0.5 - 2j), math.sin)], ids=lambda profile: type(profile).__name__)
+def test_profiles_are_values_of_their_fields(profile):
+    # equal and hashable by their fields, rebuilt by replace and by pickle,
+    # and evaluated the same by each copy
+    twin = dataclasses.replace(profile)
+    assert twin == profile and hash(twin) == hash(profile) and twin is not profile
+    copy = pickle.loads(pickle.dumps(profile))
+    assert copy == profile
+    for t in (0.0, 0.7, 2.5):
+        assert repr(twin(t)) == repr(copy(t)) == repr(profile(t))
+
+
+def test_float_profiles_coerce_their_parameters():
+    # ints and numpy numbers become floats; the profiles equal their float twins
+    assert Harmonic(1, np.int64(2), np.float32(0.5)) == Harmonic(1.0, 2.0, 0.5)
+    harmonic = Harmonic(1, np.int64(2), 3)
+    assert {type(harmonic.offset), type(harmonic.amplitude), type(harmonic.omega)} == {float}
+    table = Table(np.array([0, 1, 2]), [1, 2, 3])
+    assert table.times == (0.0, 1.0, 2.0) and table.values == (1.0, 2.0, 3.0)
+    assert Polynomial([1, 2]).coeffs == (1.0, 2.0)
+    assert type(Constant(1).value) is float and type(Constant(1 + 0j).value) is complex
+    # non-finite floats are admitted; validate names them
+    schedule = _PHYSICAL(m=1.0, k=Polynomial((math.inf,)))
+    assert validate(schedule, 1.0) == ["k: non-finite value inf at t=0"]

@@ -263,7 +263,7 @@ def test_constant_table_matches_closed_form():
     times = (0.0, 0.5, 0.8, 1.7, 2.0)  # 0.5 on the grid, 0.8 and 1.7 off it
     flat = lambda v: Table(times, (v,) * len(times))  # noqa: E731
     sched = CoefficientSchedule.algebraic(
-        UNITS, alpha=flat(alg.alpha), beta=flat(alg.beta),
+        UNITS, alpha=ComplexParts(flat(alg.alpha.real), flat(alg.alpha.imag)), beta=flat(alg.beta),
         gamma=ComplexParts(flat(alg.gamma.real), flat(alg.gamma.imag)), delta=flat(alg.delta))
     init = InitialConditions(f0=math.cosh(0.4), g0=-math.sinh(0.4), varphi0=0.1j)
     for fr in evolve(sched, init, np.linspace(0.0, 2.0, 9), TIGHT)[1:]:

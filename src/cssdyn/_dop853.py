@@ -25,12 +25,13 @@ derivatives.  The phase never feeds back, so stage states are built for f,
 g and varphi only.  Every stage sum is written out on named scalars, as
 dop853.f writes it, with no numpy call inside a step.
 
-integrate does not evaluate the dense output itself.  It returns a step
-record, one row per accepted step that holds requested times, and
-grid_states evaluates the interpolant of every such step at all of its
-times in one numpy pass, in the scalar expression's order and on real and
-imaginary parts, so each state is the one Python complex arithmetic gives,
-bit for bit.
+integrate does not form the dense output.  It returns a step record, one
+row per accepted step that holds requested times, with the step's ends and
+the stage derivatives its interpolant reads.  grid_states alone forms the
+interpolant's rows, d3..d6 through the table _D of the named D literals,
+and evaluates them at all the times in one numpy pass, in the scalar
+expressions' order and on real and imaginary parts, so each state is the
+one Python arithmetic on the scalars gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -219,9 +220,16 @@ D714 = 0.96324553959188282948394950600e+2
 D715 = -0.39177261675615439165231486172e+2
 D716 = -0.14972683625798562581422125276e+3
 
+# the rows d3..d6 of the interpolant (D4..D7 above) at the stages a step
+# record keeps, 1 and 6..16
+_D = np.array([
+    (D41, D46, D47, D48, D49, D410, D411, D412, D413, D414, D415, D416),
+    (D51, D56, D57, D58, D59, D510, D511, D512, D513, D514, D515, D516),
+    (D61, D66, D67, D68, D69, D610, D611, D612, D613, D614, D615, D616),
+    (D71, D76, D77, D78, D79, D710, D711, D712, D713, D714, D715, D716)])
 
-# the dense-output rows of a step whose only time is its end
-_NO_ROWS = (0j,) * 28
+# the factors of the cross terms of a float times a complex (_times)
+_CROSS = np.array([-0.0, 0.0])
 
 
 def integrate(rhs, t0: float, t1: float, y: tuple, times: list, rtol: float,
@@ -230,16 +238,15 @@ def integrate(rhs, t0: float, t1: float, y: tuple, times: list, rtol: float,
 
     y and every state are tuples (f, g, varphi, p) of complex.  times is an
     increasing list inside (t0, t1].  The record has one row per accepted
-    step that holds times, in order, each a tuple of 38 numbers:
+    step that holds times, in order, each a tuple of 58 numbers:
 
-        t, t_new, f, g, varphi, p, f1, g1, varphi1, p1, d0 (4), ..., d6 (4)
+        t, t_new, f, g, varphi, p, f1, g1, varphi1, p1, k1 (4), k6 (4), ..., k16 (4)
 
-    the step's ends, its start and end states, and the rows d0..d6 of its
-    7th-order interpolant, four components each (all zero for a step whose
-    only time is its end).  The interpolant at a time s in (t, t_new) is
-    y + x (d0 + w (d1 + x (d2 + w (d3 + x (d4 + w (d5 + x d6)))))) with
-    x = (s - t) / (t_new - t) and w = 1 - x; a time equal to t_new gets the
-    end state itself.  grid_states evaluates both.
+    the step's ends, its start and end states, and the derivatives at its
+    stages 1 and 6..16, four components each, the ones its 7th-order
+    interpolant reads (k14..k16 are zero for a step whose only time is its
+    end, which needs no interpolant).  The phase's derivatives are floats.
+    grid_states forms the interpolant from them and evaluates it.
 
     Raises NumericalError, with the time where the step failed, once the
     step size falls below 10 ulps of t, and at t0 when the derivative there
@@ -407,72 +414,18 @@ def integrate(rhs, t0: float, t1: float, y: tuple, times: list, rtol: float,
                          + A1613 * kg13 + A1614 * kg14 + A1615 * kg15),
                 v + h * (A161 * kv1 + A166 * kv6 + A167 * kv7 + A168 * kv8 + A169 * kv9
                          + A1613 * kv13 + A1614 * kv14 + A1615 * kv15))
-            d3f = h * (D41 * kf1 + D46 * kf6 + D47 * kf7 + D48 * kf8 + D49 * kf9
-                       + D410 * kf10 + D411 * kf11 + D412 * kf12 + D413 * kf13 + D414 * kf14
-                       + D415 * kf15 + D416 * kf16)
-            d3g = h * (D41 * kg1 + D46 * kg6 + D47 * kg7 + D48 * kg8 + D49 * kg9
-                       + D410 * kg10 + D411 * kg11 + D412 * kg12 + D413 * kg13 + D414 * kg14
-                       + D415 * kg15 + D416 * kg16)
-            d3v = h * (D41 * kv1 + D46 * kv6 + D47 * kv7 + D48 * kv8 + D49 * kv9
-                       + D410 * kv10 + D411 * kv11 + D412 * kv12 + D413 * kv13 + D414 * kv14
-                       + D415 * kv15 + D416 * kv16)
-            d3p = h * (D41 * kp1 + D46 * kp6 + D47 * kp7 + D48 * kp8 + D49 * kp9
-                       + D410 * kp10 + D411 * kp11 + D412 * kp12 + D413 * kp13 + D414 * kp14
-                       + D415 * kp15 + D416 * kp16)
-            d4f = h * (D51 * kf1 + D56 * kf6 + D57 * kf7 + D58 * kf8 + D59 * kf9
-                       + D510 * kf10 + D511 * kf11 + D512 * kf12 + D513 * kf13 + D514 * kf14
-                       + D515 * kf15 + D516 * kf16)
-            d4g = h * (D51 * kg1 + D56 * kg6 + D57 * kg7 + D58 * kg8 + D59 * kg9
-                       + D510 * kg10 + D511 * kg11 + D512 * kg12 + D513 * kg13 + D514 * kg14
-                       + D515 * kg15 + D516 * kg16)
-            d4v = h * (D51 * kv1 + D56 * kv6 + D57 * kv7 + D58 * kv8 + D59 * kv9
-                       + D510 * kv10 + D511 * kv11 + D512 * kv12 + D513 * kv13 + D514 * kv14
-                       + D515 * kv15 + D516 * kv16)
-            d4p = h * (D51 * kp1 + D56 * kp6 + D57 * kp7 + D58 * kp8 + D59 * kp9
-                       + D510 * kp10 + D511 * kp11 + D512 * kp12 + D513 * kp13 + D514 * kp14
-                       + D515 * kp15 + D516 * kp16)
-            d5f = h * (D61 * kf1 + D66 * kf6 + D67 * kf7 + D68 * kf8 + D69 * kf9
-                       + D610 * kf10 + D611 * kf11 + D612 * kf12 + D613 * kf13 + D614 * kf14
-                       + D615 * kf15 + D616 * kf16)
-            d5g = h * (D61 * kg1 + D66 * kg6 + D67 * kg7 + D68 * kg8 + D69 * kg9
-                       + D610 * kg10 + D611 * kg11 + D612 * kg12 + D613 * kg13 + D614 * kg14
-                       + D615 * kg15 + D616 * kg16)
-            d5v = h * (D61 * kv1 + D66 * kv6 + D67 * kv7 + D68 * kv8 + D69 * kv9
-                       + D610 * kv10 + D611 * kv11 + D612 * kv12 + D613 * kv13 + D614 * kv14
-                       + D615 * kv15 + D616 * kv16)
-            d5p = h * (D61 * kp1 + D66 * kp6 + D67 * kp7 + D68 * kp8 + D69 * kp9
-                       + D610 * kp10 + D611 * kp11 + D612 * kp12 + D613 * kp13 + D614 * kp14
-                       + D615 * kp15 + D616 * kp16)
-            d6f = h * (D71 * kf1 + D76 * kf6 + D77 * kf7 + D78 * kf8 + D79 * kf9
-                       + D710 * kf10 + D711 * kf11 + D712 * kf12 + D713 * kf13 + D714 * kf14
-                       + D715 * kf15 + D716 * kf16)
-            d6g = h * (D71 * kg1 + D76 * kg6 + D77 * kg7 + D78 * kg8 + D79 * kg9
-                       + D710 * kg10 + D711 * kg11 + D712 * kg12 + D713 * kg13 + D714 * kg14
-                       + D715 * kg15 + D716 * kg16)
-            d6v = h * (D71 * kv1 + D76 * kv6 + D77 * kv7 + D78 * kv8 + D79 * kv9
-                       + D710 * kv10 + D711 * kv11 + D712 * kv12 + D713 * kv13 + D714 * kv14
-                       + D715 * kv15 + D716 * kv16)
-            d6p = h * (D71 * kp1 + D76 * kp6 + D77 * kp7 + D78 * kp8 + D79 * kp9
-                       + D710 * kp10 + D711 * kp11 + D712 * kp12 + D713 * kp13 + D714 * kp14
-                       + D715 * kp15 + D716 * kp16)
-            # the interpolant's first three rows, from the step's ends
-            d0f, d0g, d0v, d0p = f1 - f, g1 - g, v1 - v, p1 - p
-            d1f, d1g, d1v, d1p = h * kf1 - d0f, h * kg1 - d0g, h * kv1 - d0v, h * kp1 - d0p
-            d2f = 2.0 * d0f - h * (kf13 + kf1)
-            d2g = 2.0 * d0g - h * (kg13 + kg1)
-            d2v = 2.0 * d0v - h * (kv13 + kv1)
-            d2p = 2.0 * d0p - h * (kp13 + kp1)
-            rows = (d0f, d0g, d0v, d0p, d1f, d1g, d1v, d1p, d2f, d2g, d2v, d2p,
-                    d3f, d3g, d3v, d3p, d4f, d4g, d4v, d4p, d5f, d5g, d5v, d5p,
-                    d6f, d6g, d6v, d6p)
+            late = (kf14, kg14, kv14, kp14, kf15, kg15, kv15, kp15, kf16, kg16, kv16, kp16)
             i = bisect.bisect_left(times, t_new, i)
         else:
-            rows = _NO_ROWS
+            late = (0.0,) * 12
         ends = i < n and times[i] == t_new
         if ends:
             i += 1
         if dense or ends:
-            record.append((t, t_new, f, g, v, p, f1, g1, v1, p1, *rows))
+            record.append((t, t_new, f, g, v, p, f1, g1, v1, p1, kf1, kg1, kv1, kp1,
+                           kf6, kg6, kv6, kp6, kf7, kg7, kv7, kp7, kf8, kg8, kv8, kp8,
+                           kf9, kg9, kv9, kp9, kf10, kg10, kv10, kp10, kf11, kg11, kv11, kp11,
+                           kf12, kg12, kv12, kp12, kf13, kg13, kv13, kp13, *late))
         t, f, g, v, p = t_new, f1, g1, v1, p1
         kf1, kg1, kv1, kp1 = kf13, kg13, kv13, kp13
     return record, (f, g, v, p)
@@ -484,21 +437,44 @@ def grid_states(record: list, times: np.ndarray) -> np.ndarray:
 
     times is increasing, and each entry lies in (t, t_new] of one row; the
     records of consecutive spans may be joined.  A time that ends a step
-    gets that step's end state unchanged, signed zeros included.  Any other
-    gets the step's interpolant, evaluated as Python evaluates the scalar
-    expression: every complex product x z as (x z.re - 0.0 z.im,
-    x z.im + 0.0 z.re) and every sum part by part.  The phase's d3..d6 are
-    floats in the record; read as complex with imaginary part +0 they give
-    the same value (nan in both where a float product is not finite).  A
-    state that overflows comes out inf or nan, with no warning.
+    gets that step's end state unchanged, signed zeros included.  A time s
+    inside a step gets the step's 7th-order interpolant
+
+        y + x (d0 + w (d1 + x (d2 + w (d3 + x (d4 + w (d5 + x d6))))))
+
+    with h = t_new - t, x = (s - t) / h and w = 1 - x, whose rows are
+    d0 = y1 - y, d1 = h k1 - d0, d2 = 2 d0 - h (k13 + k1) and, for d3..d6,
+    h times the rows of _D (D4..D7) against the stages, summed in stage
+    order.  This is the only code that forms it: the rows of every step in
+    one numpy pass, then the nested form at every time.  Each operation is
+    the one Python performs on the scalars: a float times a complex as
+    (x z.re - 0.0 z.im, x z.im + 0.0 z.re) (_times), every sum part by part
+    and, over the stages, left to right (np.add.accumulate, where np.sum
+    would pair the terms).  The phase's derivatives are floats, so its
+    products with h and D are formed in floats, as the stepper formed them,
+    with imaginary part +0.  So each state is the one the scalar expression
+    gives, bit for bit.  A state that overflows comes out inf or nan, with
+    no warning.
     """
     rows = np.array(record, dtype=complex)
     t, t_new = rows[:, 0].real, rows[:, 1].real
-    k = np.searchsorted(t_new, times)  # the row whose (t, t_new] holds each time
-    # per time: start state, end state, d0..d6, four components of (re, im)
-    parts = rows[k, 2:].view(float).reshape(len(times), 9, 4, 2)
+    h = t_new - t
+    # per row: start and end states, stages 1 and 6..16, four components of (re, im)
+    parts = rows[:, 2:].view(float).reshape(len(rows), 14, 4, 2)
+    k = parts[:, 2:]
     with np.errstate(all="ignore"):
-        x = (times - t[k]) / (t_new - t)[k]
+        # the terms D k of d3..d6 stage by stage along the first axis, and
+        # h times k1, k13 + k1 and the sums of the terms
+        terms = _times(_D.T[:, :, None, None, None], k.swapaxes(0, 1)[:, None])
+        hk = _times(h[:, None, None, None], np.concatenate(
+            [k[:, :1], k[:, 8:9] + k[:, :1], np.add.accumulate(terms)[-1].swapaxes(0, 1)], 1))
+        d0 = parts[:, 1:2] - parts[:, :1]
+        d2 = _times(2.0, d0, real_phase=False) - hk[:, 1:2]
+        # per row: start and end states, d0..d6
+        parts = np.concatenate([parts[:, :2], d0, hk[:, :1] - d0, d2, hk[:, 2:]], 1)
+        i = np.searchsorted(t_new, times)  # the row whose (t, t_new] holds each time
+        parts = parts[i]
+        x = (times - t[i]) / h[i]
         w = 1.0 - x
         x, w = x[:, None, None], w[:, None, None]
         acc = parts[:, 8].copy()
@@ -507,8 +483,21 @@ def grid_states(record: list, times: np.ndarray) -> np.ndarray:
             np.subtract(scaled[..., 0], zero[..., 1], out=acc[..., 0])
             np.add(scaled[..., 1], zero[..., 0], out=acc[..., 1])
             acc += parts[:, addend]
-    ends = (times == t_new[k])[:, None, None]
+    ends = (times == t_new[i])[:, None, None]
     return np.where(ends, parts[:, 1], acc).view(complex).reshape(len(times), 4)
+
+
+def _times(x, z, real_phase=True):
+    """x z for real x and the parts z (..., 4, 2) of (f, g, varphi, phase),
+    as Python multiplies a float and a complex: (x z.re - 0.0 z.im,
+    x z.im + 0.0 z.re), written as x z + (z.im * -0.0, z.re * 0.0), whose
+    cross terms are formed on z alone.  With real_phase the phase is a
+    float, as in the stepper, and its imaginary part +0: the cross term's
+    imaginary part is left out, so that the product is (x z.re, +0)."""
+    cross = z[..., ::-1] * _CROSS
+    if real_phase:
+        cross[..., 3, 1] = 0.0
+    return x * z + cross
 
 
 def _squares(e5, e3, old, new, rtol, atol):

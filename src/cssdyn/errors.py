@@ -4,6 +4,8 @@ The CLI maps these onto process exit codes, so library code should raise
 the most specific type that applies rather than bare ValueError/RuntimeError.
 """
 
+import reprlib
+
 
 class CssdynError(Exception):
     """Base class for all package errors."""
@@ -34,3 +36,13 @@ class ConvergenceError(NumericalError):
 
 class ConfigError(CssdynError, ValueError):
     """Run configuration is missing, malformed, or inconsistent."""
+
+
+def _converted(convert, name: str, value, **options):
+    """convert(value, **options), with the OverflowError that float, complex
+    and numpy raise for an int past the floats turned into a DomainError
+    that names the argument."""
+    try:
+        return convert(value, **options)
+    except OverflowError:
+        raise DomainError(f"{name} = {reprlib.repr(value)} lies past the floats") from None

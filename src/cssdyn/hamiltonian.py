@@ -49,6 +49,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import reprlib
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
@@ -527,7 +528,7 @@ def _compile(schedule: CoefficientSchedule) -> tuple:
     distinct Table times over the profiles.
     """
     profiles = [(key, schedule.profiles[key]) for key in _KEYS[schedule.parameterization]]
-    checked = [_checked(_READ[key], profile) for key, profile in profiles]
+    checked = [_checked(key, profile) for key, profile in profiles]
     closures = [profile._value if _direct(profile, _KIND[key]) else reading
                 for (key, profile), reading in zip(profiles, checked)]
     knots = tuple(sorted({t for _, profile in profiles for t in _knots(profile)}))
@@ -565,9 +566,19 @@ def _compile(schedule: CoefficientSchedule) -> tuple:
     return lambda t: amap(*physical(t)), physical, knots
 
 
-def _checked(read, profile):
-    """t -> the checked reading of profile(t)."""
-    return lambda t: read(profile(t))
+def _checked(key: str, profile):
+    """t -> the checked reading of profile(t) as coefficient key.  A time or
+    a value past the floats, whose conversion raises OverflowError, raises
+    DomainError naming key instead."""
+    read = _READ[key]
+
+    def checked(t):
+        try:
+            return read(profile(t))
+        except OverflowError as exc:
+            raise DomainError(f"{key} has no float value at t={reprlib.repr(t)}: {exc}") from None
+
+    return checked
 
 
 def _knots(profile) -> tuple:

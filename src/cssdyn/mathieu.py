@@ -76,7 +76,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, _converted
 from .hamiltonian import CoefficientSchedule, Harmonic, UnitContext
 from .motion import InitialConditions, _check_grid, _frames
 from .states import N_MAX, TAIL_TOLERANCE, transition_probabilities
@@ -485,6 +485,6 @@ def transition_snapshot(cfg: DrivenOscillatorConfig, tau: float,
     if tau < 0:
         raise DomainError(f"tau must be nonnegative, got {tau!r}")
     # just [0.0] when tau is 0, or when t underflows to 0
-    grid = np.unique([0.0, 2.0 * float(tau) / cfg.omega0])
+    grid = np.unique([0.0, 2.0 * _converted(float, "tau", tau) / cfg.omega0])
     frame = frames(cfg, grid)[-1]
     return transition_probabilities(frame, tail_tolerance=tail_tolerance, n_max=n_max)

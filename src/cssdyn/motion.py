@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _dop853
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, _converted
 from .hamiltonian import AlgebraicCoefficients, CoefficientSchedule, UnitContext
 
 # |f0|^2 - |g0|^2 = 1 must hold to this tolerance relative to |f0|^2 + |g0|^2
@@ -94,9 +94,8 @@ class InitialConditions:
     varphi0: complex = 0j
 
     def __post_init__(self):
-        object.__setattr__(self, "f0", complex(self.f0))
-        object.__setattr__(self, "g0", complex(self.g0))
-        object.__setattr__(self, "varphi0", complex(self.varphi0))
+        for name in ("f0", "g0", "varphi0"):
+            object.__setattr__(self, name, _converted(complex, name, getattr(self, name)))
         defect = _hyperboloid_defect(self.f0, self.g0)
         size = (self.f0 * self.f0.conjugate()).real + (self.g0 * self.g0.conjugate()).real
         if not defect <= _INIT_TOL * size < math.inf:
@@ -167,6 +166,7 @@ class IntegratorSettings:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and v > 0):
                 raise DomainError(f"{name} must be positive, got {v!r}")
+            _converted(float, name, v)  # an int past the floats would fail inside evolve
 
 
 def u_of(frame: MotionFrame) -> complex:
@@ -200,11 +200,13 @@ def from_initial_width(sigma_x0: float, theta: float, units: UnitContext) -> Ini
     l = units.l
     if not (isinstance(sigma_x0, (int, float)) and 0 < sigma_x0 < math.inf):
         raise DomainError(f"sigma_x0 must be positive and finite, got {sigma_x0!r}")
+    sigma_x0 = _converted(float, "sigma_x0", sigma_x0)
     denominator = 2.0 * sigma_x0 * sigma_x0
     if denominator == 0.0:
         raise DomainError(f"sigma_x0 = {sigma_x0!r} with l = {l!r}: 2 sigma_x0^2 underflows to 0")
     a = l * l / denominator
     scale = sigma_x0 / (l * math.sqrt(2.0))
+    theta = _converted(float, "theta", theta)
     phase = complex(math.cos(theta), math.sin(theta))
     try:
         return InitialConditions(f0=scale * (a + 1.0) * phase, g0=scale * (a - 1.0) * phase)
@@ -224,7 +226,7 @@ def _check_grid(grid) -> np.ndarray:
     Both routes take their grids through it: evolve's times and the Mathieu
     route's tau grids.
     """
-    ts = np.asarray(grid, dtype=float)
+    ts = _converted(np.asarray, "grid", grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise DomainError("grid must be a one-dimensional, nonempty array")
     if not np.all(np.isfinite(ts)):
@@ -424,7 +426,7 @@ def closed_form(alg: AlgebraicCoefficients, init: InitialConditions, t: float,
     Raises NumericalError carrying t once cosh(|Theta| t) overflows a float
     (Theta^2 < 0 and |Theta| t past about 710).
     """
-    t = float(t)
+    t = _converted(float, "t", t)
     theta2 = alg.beta * alg.beta - (alg.alpha * alg.alpha.conjugate()).real
     try:
         c, s, d = _entire_trig(theta2, t)

@@ -23,11 +23,12 @@ where the (x, p) form does not exist.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, _converted
 from .hamiltonian import AlgebraicCoefficients, CoefficientSchedule, UnitContext
 from .motion import MotionFrame, u_of
 from .states import _inverse_root
@@ -145,13 +146,14 @@ def wavefunction(frame: MotionFrame, x, units: UnitContext,
     Where the phase (pbar/(2 hbar))(2x - xbar) + phase_phi leaves the
     floats, Psi is 0 too if its Gaussian exp(-Re((f+g)/(f-g)) (x - xbar)^2
     / (2 l^2)) has underflowed to 0 there; elsewhere Psi has no value, and
-    NumericalError is raised.  DomainError is raised for the frames
-    normalization() refuses: a non-finite f, g or varphi, or |g| >= |f|.
+    NumericalError is raised.  DomainError is raised for the frames and
+    windings normalization() refuses (a non-finite f, g or varphi, |g| >=
+    |f|, a winding that is not an integer) and for an x past the floats.
     """
     l, hbar = units.l, units.hbar
     f, g = frame.f, frame.g
     xbar, pbar = means(frame, units)
-    xs = np.asarray(x, dtype=float)
+    xs = _converted(np.asarray, "x", x, dtype=float)
     # _inverse_root refuses the frame before g / f is formed
     pref = _inverse_root(frame, winding) / (np.sqrt(l * math.sqrt(math.pi)) * np.sqrt(1.0 - g / f))
     width = (f + g) / (f - g)
@@ -178,11 +180,13 @@ def fock_wavefunction(n: int, x, units: UnitContext) -> np.ndarray:
         psi_0 = (l sqrt(pi))^(-1/2) exp(-(x/l)^2 / 2)
         psi_{m+1} = sqrt(2/(m+1)) (x/l) psi_m - sqrt(m/(m+1)) psi_{m-1}
 
-    which stays bounded for any n, unlike raw Hermite values.
+    which stays bounded for any n, unlike raw Hermite values.  Raises
+    DomainError unless n is a nonnegative integer (a numbers.Integral), and
+    for an x past the floats.
     """
-    if n < 0:
-        raise DomainError(f"quantum number must be nonnegative, got {n!r}")
-    xs = np.asarray(x, dtype=float)
+    if not (isinstance(n, numbers.Integral) and n >= 0):
+        raise DomainError(f"quantum number must be a nonnegative integer, got {n!r}")
+    xs = _converted(np.asarray, "x", x, dtype=float)
     uu = xs / units.l
     prev = np.zeros_like(uu)
     cur = np.exp(-0.5 * uu * uu) / math.sqrt(units.l * math.sqrt(math.pi))

@@ -27,6 +27,7 @@ count of arg f, recoverable along a trajectory with branch_windings().
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -100,12 +101,15 @@ def _inverse_root(frame: MotionFrame, winding: int) -> complex:
     """f^(-1/2) of a frame on the sheet that winding selects: (-1)^winding
     times the principal value.
 
-    Raises DomainError for a frame whose f, g or varphi is not finite, and
+    Raises DomainError for a winding that is not an integer (a
+    numbers.Integral), for a frame whose f, g or varphi is not finite, and
     for one with |g| >= |f|, which has no normalizable state (|zeta| >= 1).
-    normalization and observables.wavefunction both take f^(-1/2) from
-    here, before any arithmetic that such a frame would break, so they
-    refuse the same frames.
+    normalization, the expansions, overlap and observables.wavefunction
+    all take f^(-1/2) from here, before any arithmetic that such a frame
+    would break, so they refuse the same windings and frames.
     """
+    if not isinstance(winding, numbers.Integral):
+        raise DomainError(f"winding must be an integer, got {winding!r}")
     f, g, varphi = frame.f, frame.g, frame.varphi
     if not all(math.isfinite(x) for v in (f, g, varphi) for x in (v.real, v.imag)):
         raise DomainError(f"frame at t = {frame.t!r} is not finite: "
@@ -126,8 +130,9 @@ def normalization(frame: MotionFrame, winding: int = 0) -> complex:
     branch (winding 0) is the documented, phase-ambiguous default; every
     modulus derived from Phi is branch-independent.
 
-    Raises DomainError for a frame whose f, g or varphi is not finite, and
-    for one with |g| >= |f|, which has no normalizable state (|zeta| >= 1).
+    Raises DomainError for a winding that is not an integer, for a frame
+    whose f, g or varphi is not finite, and for one with |g| >= |f|, which
+    has no normalizable state (|zeta| >= 1).
     """
     root = _inverse_root(frame, winding)
     f, g, varphi = frame.f, frame.g, frame.varphi
@@ -158,10 +163,11 @@ def fock_coefficients(frame: MotionFrame, tail_tolerance: float = TAIL_TOLERANCE
     pair, so P_{n_max-1} = P_{n_max} = 0.0 ends the expansion at n_max - 2.
     Near-unit |zeta| needs n_max of order 25/(1-|zeta|^2).
 
-    Raises ConvergenceError when no truncation up to n_max certifies, and
-    NumericalError when the weight |Phi|^2 is below the smallest normal
-    float and a certified level's unweighted probability overflowed, so
-    that its probability would be inf or NaN.
+    n_max must be an integer (a numbers.Integral) of at least 2; anything
+    else raises DomainError.  Raises ConvergenceError when no truncation up
+    to n_max certifies, and NumericalError when the weight |Phi|^2 is below
+    the smallest normal float and a certified level's unweighted
+    probability overflowed, so that its probability would be inf or NaN.
     """
     phi, d, p, top, bound = _expand(frame, tail_tolerance, n_max, winding, True)
     coefficients, probabilities = d[:top + 1], p[:top + 1]
@@ -203,8 +209,8 @@ def _expand(frame, tail_tolerance, n_max, winding, keep_coefficients):
     """
     if not (0.0 < tail_tolerance < 1.0):
         raise DomainError(f"tail_tolerance must lie in (0, 1), got {tail_tolerance!r}")
-    if n_max < 2:
-        raise DomainError(f"n_max must be at least 2, got {n_max!r}")
+    if not (isinstance(n_max, numbers.Integral) and n_max >= 2):
+        raise DomainError(f"n_max must be an integer of at least 2, got {n_max!r}")
     phi = normalization(frame, winding)  # refuses |zeta| >= 1 before any level
     par = parameters(frame)
     xi, zeta = complex(par.xi), complex(par.zeta)

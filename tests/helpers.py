@@ -1,10 +1,13 @@
 """Shared builders for the test suite."""
 
+import functools
 import math
+import operator
 from dataclasses import replace
 
 import numpy as np
 
+from cssdyn import _dop853
 from cssdyn import (AlgebraicCoefficients, CoefficientSchedule, ComplexParts, Constant,
                     DomainError, Harmonic, IntegratorSettings, MotionFrame, Polynomial, Table,
                     UnitContext, evolve, frames, from_initial_width, means)
@@ -123,9 +126,13 @@ def driven_frames(times):
 
 def scalar_grid_states(record, times):
     """The states (f, g, varphi, phase) at times from the rows of
-    _dop853.integrate's step records, one time at a time in Python complex
-    arithmetic: the per-time dense output the stepper evaluated before
-    _dop853.grid_states took its place, kept as the oracle for it."""
+    _dop853.integrate's step records, one time at a time in Python
+    arithmetic, the oracle for _dop853.grid_states.  Each step's rows
+    d0..d6 are formed from its ends and stage derivatives as the stepper
+    once formed them: d3..d6 by a loop over the named D literals in stage
+    order, the phase's in floats since its derivatives are floats.  Then
+    the per-time dense output, or the end state at a step's end."""
+    table = [[getattr(_dop853, f"D{i}{j}") for j in (1, *range(6, 17))] for i in range(4, 8)]
     states, rows = [], iter(record)
     row = next(rows, None)
     for s in times:
@@ -138,10 +145,17 @@ def scalar_grid_states(record, times):
         h = t_new - t
         x = (s - t) / h
         w = 1.0 - x
-        d = [row[10 + 4 * j:14 + 4 * j] for j in range(7)]
-        states.append(tuple(
-            y + x * (d0 + w * (d1 + x * (d2 + w * (d3 + x * (d4 + w * (d5 + x * d6))))))
-            for y, d0, d1, d2, d3, d4, d5, d6 in zip(row[2:6], *d)))
+        state = []
+        for c in range(4):
+            y, k = row[2 + c], row[10 + c::4]  # k: stages 1 and 6..16
+            d0 = row[6 + c] - y
+            d1 = h * k[0] - d0
+            d2 = 2.0 * d0 - h * (k[8] + k[0])
+            d3, d4, d5, d6 = (h * functools.reduce(operator.add, map(operator.mul, row_d, k))
+                              for row_d in table)
+            state.append(
+                y + x * (d0 + w * (d1 + x * (d2 + w * (d3 + x * (d4 + w * (d5 + x * d6)))))))
+        states.append(tuple(state))
     return states
 
 

@@ -475,6 +475,23 @@ def test_only_package_errors_leave_the_coefficient_api(call, message):
     assert type(caught.value) is DomainError and message in str(caught.value)
 
 
+@pytest.mark.parametrize("evaluator", ["compiled", "algebraic_at", "physical_at"])
+@pytest.mark.parametrize("key, schedule, t", [
+    ("m", lambda: _PHYSICAL(m=Polynomial((1.0, 0.1)), k=1.0), _HUGE_INT),
+    ("k", lambda: _PHYSICAL(m=1.0, k=Harmonic(1.0, 0.5, 2.0)), _HUGE_INT),
+    ("k", lambda: _PHYSICAL(m=1.0, k=lambda t: _HUGE_INT), 0.5),
+    ("alpha", lambda: CoefficientSchedule.algebraic(UNITS, alpha=lambda t: _HUGE_INT), 0.5),
+], ids=["polynomial at an int time", "harmonic at an int time", "foreign real value",
+        "foreign complex value"])
+def test_evaluators_past_the_floats_raise_domain_errors(key, schedule, t, evaluator):
+    # the closure's OverflowError sends the call to the checked reading,
+    # which names the coefficient
+    schedule = schedule()
+    call = schedule.compiled() if evaluator == "compiled" else getattr(schedule, evaluator)
+    with pytest.raises(DomainError, match=f"^{key} has no float value at t="):
+        call(t)
+
+
 @pytest.mark.parametrize("profile", [
     Constant(0.5), Constant(0.5 - 2j), Harmonic(1.0, -0.5, 2.0), Polynomial((1.0, 0.0, -0.25)),
     Table((0.0, 1.0, 3.0), (1.0, 2.0, 0.5)),

@@ -12,10 +12,10 @@ from scipy.integrate import quad, solve_ivp
 
 import cssdyn._dop853
 from cssdyn import (AlgebraicCoefficients, CoefficientSchedule, ComplexParts,
-                    Constant, DomainError, Harmonic, InitialConditions,
+                    Constant, DomainError, DrivenOscillatorConfig, Harmonic, InitialConditions,
                     IntegratorSettings, MotionFrame, NumericalError, Polynomial, Table,
-                    UnitContext, closed_form, deviations, evolve,
-                    from_initial_width, u_of)
+                    UnitContext, closed_form, deviations, evolve, fock_wavefunction, frames,
+                    from_initial_width, transition_snapshot, u_of, wavefunction)
 
 from helpers import (DRIVEN_SCHEDULE, DRIVEN_UNITS, constant_draws, driven_frames, hidden,
                      kinked_schedule, scalar_grid_states)
@@ -494,20 +494,26 @@ def test_frames_are_the_scalar_dense_output_bit_for_bit(family, records):
 
 def test_grid_states_keep_signed_zeros_and_non_finite_parts():
     # step records with parts that test complex arithmetic's corners: +-0,
-    # subnormals, +-1e308, +-inf and nan; the phase's rows d3..d6 are floats,
-    # as the stepper forms them from a real derivative
+    # subnormals, +-1e308, +-inf and nan, in the states and in the stage
+    # derivatives; the phase's derivatives are floats, as the stepper's rhs
+    # returns them.  A step draws its corners at one of three rates, so that
+    # some interpolants stay finite, or draws mostly or only signed zeros and
+    # subnormals, so that the signs of zero products can reach the states.
     rng = np.random.default_rng(2024)
     corners = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan]
+    draws = [(0.01, corners), (0.1, corners), (0.4, corners), (0.9, corners[:4]),
+             (1.0, corners[:2])]
 
     def part():
-        return corners[rng.integers(len(corners))] if rng.uniform() < 0.4 else rng.normal()
+        return pool[rng.integers(len(pool))] if rng.uniform() < rate else rng.normal()
 
     record, times, t = [], [], 0.0
-    for _ in range(60):
+    for _ in range(120):
         t_new = t + rng.uniform(0.1, 1.0)
+        rate, pool = draws[rng.integers(len(draws))]
         ends = [complex(part(), part()) for _ in range(8)]
-        rows = [part() if j >= 12 and j % 4 == 3 else complex(part(), part()) for j in range(28)]
-        record.append((t, t_new, *ends, *rows))
+        stages = [part() if j % 4 == 3 else complex(part(), part()) for j in range(48)]
+        record.append((t, t_new, *ends, *stages))
         inside = sorted(rng.uniform(t, t_new, rng.integers(0, 4)).tolist())
         times += [s for s in inside if t < s < t_new] + [t_new] * bool(rng.integers(2))
         t = t_new
@@ -599,12 +605,41 @@ def test_stepper_reads_scipys_tableau_entry_for_entry():
         check(f"E3_{j + 1}", e, DOP853.B[j] if j < DOP853.B.size else 0.0)
     tableau = {name for name in names if re.fullmatch(r"(A|B|C|D|ER|E3_)\d+", name)}
     assert tableau == seen and len(seen) == 155
+    # the dense output's table, at the stages a step record keeps
+    assert cssdyn._dop853._D.tolist() == DOP853.D[:, [0, *range(5, 16)]].tolist()
 
 
 def test_max_step_reaches_the_stepper(evaluations):
     settings = IntegratorSettings(max_step=0.05)
     evolve(constant_schedule(alpha=0.3, beta=1.0), KINKED_INIT, [0.0, 2.0], settings)
     assert len(evaluations) >= 12 * 40
+
+
+_PAST = 10**400
+_OSCILLATOR = CoefficientSchedule.physical(UNITS, m=1.0, k=1.0)
+_GROUND = MotionFrame(t=0.0, f=1.0 + 0j, g=0j, varphi=0j)
+
+# entry points that raised OverflowError on an int past the floats: (call,
+# the argument the DomainError names)
+_PAST_THE_FLOATS = {
+    "evolve": (lambda: evolve(_OSCILLATOR, InitialConditions(), [0, _PAST]), "grid"),
+    "mathieu.frames": (lambda: frames(DrivenOscillatorConfig(), [0, _PAST]), "grid"),
+    "closed_form": (lambda: closed_form(AlgebraicCoefficients(beta=1.0), InitialConditions(),
+                                        _PAST), "t"),
+    "transition_snapshot": (lambda: transition_snapshot(DrivenOscillatorConfig(), _PAST), "tau"),
+    "InitialConditions": (lambda: InitialConditions(f0=_PAST), "f0"),
+    "from_initial_width sigma_x0": (lambda: from_initial_width(_PAST, 0.0, UNITS), "sigma_x0"),
+    "from_initial_width theta": (lambda: from_initial_width(1.0, _PAST, UNITS), "theta"),
+    "IntegratorSettings": (lambda: IntegratorSettings(rtol=_PAST), "rtol"),
+    "wavefunction": (lambda: wavefunction(_GROUND, [_PAST], UNITS), "x"),
+    "fock_wavefunction": (lambda: fock_wavefunction(1, [0.0, _PAST], UNITS), "x"),
+}
+
+
+@pytest.mark.parametrize("call, name", _PAST_THE_FLOATS.values(), ids=_PAST_THE_FLOATS.keys())
+def test_arguments_past_the_floats_are_domain_errors(call, name):
+    with pytest.raises(DomainError, match=f"^{name} "):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from numpy.polynomial.hermite import hermval
 import cssdyn.states
 from cssdyn import (CoefficientSchedule, ConvergenceError, DomainError,
                     InitialConditions, MotionFrame, NumericalError, UnitContext, branch_windings,
-                    evolve, fock_coefficients, normalization, overlap,
-                    parameters, transition_probabilities)
+                    evolve, fock_coefficients, fock_wavefunction, normalization, overlap,
+                    parameters, transition_probabilities, wavefunction)
 
 from helpers import DRIVEN_SCHEDULE, driven_frames, hyperboloid_frame, poisson_reference
 
@@ -579,3 +579,28 @@ def test_driven_coefficients_obey_the_schroedinger_equation():
     residual = (1j * (after - before) / (2.0 * h)
                 - ladder_hamiltonian(now, DRIVEN_SCHEDULE.algebraic_at(t)))
     assert np.max(np.abs(residual[:50])) < 1e-6
+
+
+_FRAME = MotionFrame(t=0.0, f=math.cosh(0.3) + 0j, g=math.sinh(0.3) * 1j, varphi=0.2 - 0.1j)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: overlap(_FRAME, _FRAME, 0, 0.5),
+    lambda: normalization(_FRAME, 1.5),
+    lambda: fock_coefficients(_FRAME, winding=0.5),
+    lambda: wavefunction(_FRAME, [0.0], UnitContext(), winding=2.0),
+    lambda: fock_coefficients(_FRAME, n_max=10.5),
+    lambda: transition_probabilities(_FRAME, n_max=100.0),
+    lambda: fock_wavefunction(3.5, [0.0], UnitContext()),
+], ids=["overlap", "normalization", "fock_coefficients", "wavefunction", "n_max",
+        "transition_probabilities", "fock_wavefunction"])
+def test_windings_and_level_counts_must_be_integers(call):
+    # a winding of 0.5 flipped the sign of f^(-1/2) (overlap(fr, fr, 0, 0.5)
+    # was -1.03), and a level count of 10.5 raised TypeError
+    with pytest.raises(DomainError, match="integer"):
+        call()
+
+
+def test_numpy_integer_windings_and_level_counts_are_integers():
+    assert overlap(_FRAME, _FRAME, np.int64(3), 1) == pytest.approx(1.0, abs=1e-14)
+    assert fock_coefficients(_FRAME, n_max=np.int64(64), winding=np.int32(1)).truncation < 64

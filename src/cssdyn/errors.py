@@ -1,10 +1,25 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the intake of numbers.
 
 The CLI maps these onto process exit codes, so library code should raise
 the most specific type that applies rather than bare ValueError/RuntimeError.
+
+Every number the library takes in passes one intake: _read for a real or a
+complex number, _read_fields for the number fields of a frozen dataclass,
+and _array for grids and x points.  A value is admitted when it is a
+numbers.Real (a numbers.Complex where a complex number is meant: numpy
+scalars, Fraction and bool included) that converts to a float (a complex
+number) without overflow, and meets the bound of its site.  Anything else,
+a string, None, or an int past the floats such as 10**400, raises a
+DomainError that starts with the argument's name:
+
+    <name> must be <bound>, got <value>
 """
 
+import math
+import numbers
 import reprlib
+
+import numpy as np
 
 
 class CssdynError(Exception):
@@ -38,11 +53,59 @@ class ConfigError(CssdynError, ValueError):
     """Run configuration is missing, malformed, or inconsistent."""
 
 
-def _converted(convert, name: str, value, **options):
-    """convert(value, **options), with the OverflowError that float, complex
-    and numpy raise for an int past the floats turned into a DomainError
-    that names the argument."""
+# the bounds of _read and their tests of the converted number; "real" and
+# "complex" admit every number of their kind within the floats
+_BOUNDS = {"real": None, "complex": None, "finite": math.isfinite, "positive": lambda x: x > 0.0,
+           "positive and finite": lambda x: 0.0 < x < math.inf,
+           "finite and nonnegative": lambda x: 0.0 <= x < math.inf,
+           "in (0, 1)": lambda x: 0.0 < x < 1.0}
+
+
+def _read(name: str, value, bound: str = "real"):
+    """value as a float, or as a complex number for the bound "complex",
+    when it is a number of that kind within the floats that meets bound (a
+    key of _BOUNDS); else DomainError naming name."""
+    kind, number = (complex, numbers.Complex) if bound == "complex" else (float, numbers.Real)
     try:
-        return convert(value, **options)
-    except OverflowError:
-        raise DomainError(f"{name} = {reprlib.repr(value)} lies past the floats") from None
+        x = kind(value) if isinstance(value, number) else None
+    except OverflowError:  # an int or a fraction past the floats
+        x = None
+    test = _BOUNDS[bound]
+    if x is not None and (test is None or test(x)):
+        return x
+    wanted = bound if test else f"a {bound} number within the floats"
+    raise DomainError(f"{name} must be {wanted}, got {_shown(value)}")
+
+
+def _read_fields(record, bounds: dict) -> None:
+    """Replace each named field of a frozen dataclass by its reading.
+
+    bounds maps a field name to a bound of _read, or to a function
+    value -> reading that does its own checks.
+    """
+    for name, bound in bounds.items():
+        v = getattr(record, name)
+        object.__setattr__(record, name, bound(v) if callable(bound) else _read(name, v, bound))
+
+
+def _array(name: str, value) -> np.ndarray:
+    """value as a float array, with numpy's own conversion; DomainError
+    naming name unless every entry is a real number within the floats:
+    strings, None, complex entries, ragged nesting and ints past the floats
+    are refused."""
+    try:
+        raw = np.asarray(value)
+        if raw.dtype.kind in "biuf" or all(isinstance(v, numbers.Real) for v in raw.flat):
+            return np.asarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, or an int past the floats
+        pass
+    raise DomainError(f"{name} must be real numbers within the floats, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """A short repr of value for a message, or its type where repr raises
+    (an int too long for str does)."""
+    try:
+        return reprlib.repr(value)
+    except ValueError:
+        return f"a {type(value).__name__} too long to show"

@@ -32,16 +32,18 @@ written once, as a function of the coefficient values built from the unit
 constants; to_algebraic, to_physical and the schedule's evaluators all
 call it.  The hermiticity and mass checks are written once too, as the
 checked reading of each coefficient's value, which the records, the
-evaluators and validate share.
+evaluators and validate share.  Every number enters through the package's
+one intake (errors._read), the unit constants and the profiles' parameters
+included.
 A schedule is evaluated through one compiled function t -> (alpha, beta,
-gamma, delta), the same at every t: each package profile's value is one
-closure, built once from its parameters, which the function calls
-directly where the coefficient's type allows it, and a call whose values
-did not all come out finite, with a nonzero mass, is read again through
-the checked reading.  validate alone decides each profile over an interval,
-exactly, and samples only what it cannot decide.  The schedule also
-lists its knots, the sample times of its tables, where the coefficients may
-have a kink: integrators put step edges there.
+gamma, delta), the same at every t, which calls each profile once: each
+package profile's value is one closure, built once from its parameters,
+which the function calls directly where the coefficient's type allows it.
+It tests only the mass, and reads the checked readings again only where a
+time past the floats raises OverflowError.  validate alone decides each
+profile over an interval, exactly, and samples only what it cannot decide.
+The schedule also lists its knots, the sample times of its tables, where
+the coefficients may have a kink: integrators put step edges there.
 """
 
 from __future__ import annotations
@@ -49,8 +51,6 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-import reprlib
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -58,7 +58,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _read, _read_fields, _shown
 
 # ---------------------------------------------------------------------------
 # units
@@ -76,10 +76,7 @@ class UnitContext:
     l: float = 1.0
 
     def __post_init__(self):
-        for name in ("hbar", "l"):
-            v = getattr(self, name)  # an int past the floats fails the comparison too
-            if not (isinstance(v, (int, float)) and 0 < v <= sys.float_info.max):
-                raise DomainError(f"{name} must be a positive finite real, got {v!r}")
+        _read_fields(self, {"hbar": "positive and finite", "l": "positive and finite"})
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +97,7 @@ class AlgebraicCoefficients:
     delta: float = 0.0
 
     def __post_init__(self):
-        _read_fields(self, _ALGEBRAIC_KEYS)
+        _read_fields(self, {key: _READ[key] for key in _ALGEBRAIC_KEYS})
 
 
 @dataclass(frozen=True)
@@ -119,7 +116,7 @@ class PhysicalCoefficients:
     E: float = 0.0
 
     def __post_init__(self):
-        _read_fields(self, _PHYSICAL_KEYS)
+        _read_fields(self, {key: _READ[key] for key in _PHYSICAL_KEYS})
 
 
 _ALGEBRAIC_KEYS = ("alpha", "beta", "gamma", "delta")
@@ -131,16 +128,18 @@ def _reading(name: str):
     """The checked reading of coefficient name: a profile's or a record's
     value -> the coefficient.
 
-    alpha and gamma read as complex.  Hermiticity makes every other
-    coefficient real: it reads as a float, and a nonzero imaginary part
-    raises DomainError.  The mass must also be finite and nonzero.
+    The value enters as a complex number through the intake (errors._read),
+    which refuses anything else naming the coefficient.  alpha and gamma
+    stay complex.  Hermiticity makes every other coefficient real: it reads
+    as a float, and a nonzero imaginary part raises DomainError.  The mass
+    must also be finite and nonzero.
     """
     if name in _COMPLEX_KEYS:
-        return complex
+        return lambda value: _read(name, value, "complex")
     mass = name == "m"
 
     def read(value):
-        z = complex(value)
+        z = _read(name, value, "complex")
         if z.imag:
             raise DomainError(f"{name} must be real (hermiticity), got {z!r}")
         if mass and (z.real == 0.0 or not math.isfinite(z.real)):
@@ -151,12 +150,6 @@ def _reading(name: str):
 
 
 _READ = {name: _reading(name) for name in _ALGEBRAIC_KEYS + _PHYSICAL_KEYS}
-
-
-def _read_fields(record, keys: Sequence[str]) -> None:
-    """Replace each field of a record by its checked reading."""
-    for key in keys:
-        object.__setattr__(record, key, _READ[key](getattr(record, key)))
 
 
 def _trusted(cls, keys: Sequence[str], values: Sequence) -> object:
@@ -245,23 +238,12 @@ class _Profile:
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-def _float(profile, name: str, value) -> float:
-    """value as a float; DomainError naming the class and the field unless
-    value is a real number within the floats (inf and NaN are admitted)."""
-    if isinstance(value, numbers.Real):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise DomainError(f"{type(profile).__name__}.{name}: {value!r} is not a real number "
-                      f"within the floats")
-
-
-def _floats(profile, name: str) -> tuple:
+def _reals(profile, name: str) -> tuple:
     """The sequence field name of profile as a tuple of floats, set back on
-    it; DomainError unless it is a nonempty sequence of real numbers."""
-    given = getattr(profile, name)
-    values = tuple(_float(profile, name, v) for v in given) if hasattr(given, "__iter__") else ()
+    it; DomainError unless it is a nonempty sequence of real numbers within
+    the floats, each read by the intake (errors._read)."""
+    given, label = getattr(profile, name), f"{type(profile).__name__}.{name}"
+    values = tuple(_read(label, v) for v in given) if hasattr(given, "__iter__") else ()
     if not values:
         raise DomainError(f"{type(profile).__name__}.{name} must be a nonempty sequence of "
                           f"real numbers, got {given!r}")
@@ -276,9 +258,8 @@ class Constant(_Profile):
     value: complex = 0.0
 
     def __post_init__(self):
-        complex_value = isinstance(self.value, numbers.Complex) and not isinstance(
-            self.value, numbers.Real)
-        value = complex(self.value) if complex_value else _float(self, "value", self.value)
+        real = isinstance(self.value, numbers.Real) or not isinstance(self.value, numbers.Complex)
+        value = _read("Constant.value", self.value, "real" if real else "complex")
         self.__dict__.update(value=value, _value=lambda t: value)
 
 
@@ -294,7 +275,7 @@ class Harmonic(_Profile):
     omega: float = 0.0
 
     def __post_init__(self):
-        o, a, w = (_float(self, f.name, getattr(self, f.name)) for f in fields(Harmonic))
+        o, a, w = (_read(f"Harmonic.{f.name}", getattr(self, f.name)) for f in fields(Harmonic))
         self.__dict__.update(offset=o, amplitude=a, omega=w)
         cos = math.cos
 
@@ -315,7 +296,7 @@ class Polynomial(_Profile):
     coeffs: tuple = (0.0,)
 
     def __post_init__(self):
-        backwards = _floats(self, "coeffs")[::-1]
+        backwards = _reals(self, "coeffs")[::-1]
 
         def polynomial(t):
             acc, t = 0.0, float(t)
@@ -344,7 +325,7 @@ class Table(_Profile):
     values: tuple = (0.0,)
 
     def __post_init__(self):
-        ts, ys = _floats(self, "times"), _floats(self, "values")
+        ts, ys = _reals(self, "times"), _reals(self, "values")
         if len(ys) != len(ts):
             raise DomainError("table needs equally many times and values")
         if not all(a < b for a, b in zip(ts, ts[1:])):
@@ -443,11 +424,12 @@ class CoefficientSchedule:
     type allows it (_direct): a float-valued profile for a real coefficient,
     a ComplexParts or a complex Constant for alpha and gamma.  Any other
     profile, a foreign callable for one, is read through its checked
-    reading.  A call returns those values when nothing raised,
-    their sum is finite and the mass is nonzero, and otherwise reads every
-    profile checked.  So compiled(), algebraic_at and physical_at return
-    the checked values, or raise the checked reading's first error, at
-    every t, from the one evaluator the schedule compiles.  The other
+    reading.  A call reads each profile once and tests only the mass; there
+    is no second pass, except that a time past the floats, where a closure
+    raises OverflowError, is read again checked, which names the
+    coefficient.  So compiled(), algebraic_at and physical_at return the
+    checked values, or raise the checked reading's first error, at every t,
+    from the one evaluator the schedule compiles.  The other
     parameterization is the unit map applied to that evaluator.
 
     The knots (knots()) are compiled with the evaluators: the union of the
@@ -517,13 +499,16 @@ def _compile(schedule: CoefficientSchedule) -> tuple:
 
     algebraic is t -> (alpha, beta, gamma, delta) and physical is
     t -> (m, k, Omega, F, V, E).  The schedule's own form calls each
-    profile's own closure where the coefficient's type allows it (_direct),
-    and reads every other profile through its checked reading.  It returns
-    those values when nothing raised, their sum is finite and, for a
-    physical schedule, m is nonzero; in every other case it returns the
-    checked reading of every profile in key order, which gives the same
-    values or raises the first error.  The other form applies the unit map
-    to it, so both equal the records' route (to_algebraic or to_physical of
+    profile once: its own closure where the coefficient's type allows it
+    (_direct), its checked reading otherwise.  A closure's value already
+    has the type the checked reading returns, and the checked reading
+    refuses no other non-finite value than the mass, so the values are the
+    checked ones and a raising closure raises the checked reading's error.
+    Two cases are left.  A physical schedule reads m first, and a direct
+    mass that is 0 or not finite is refused by the mass's reading.  A time
+    past the floats, where a closure raises OverflowError, is read checked,
+    which names the coefficient.  The other form applies the unit map to
+    it, so both equal the records' route (to_algebraic or to_physical of
     the authoritative record) by construction.  knots is the sorted tuple of
     distinct Table times over the profiles.
     """
@@ -534,49 +519,51 @@ def _compile(schedule: CoefficientSchedule) -> tuple:
     knots = tuple(sorted({t for _, profile in profiles for t in _knots(profile)}))
     if schedule.parameterization == "algebraic":
         a, b, g, d = closures
-        ca, cb, cg, cd = checked
-        finite = cmath.isfinite
 
         def algebraic(t):
             try:
-                values = a(t), b(t), g(t), d(t)
-                if finite(sum(values)):
-                    return values
-            except Exception:  # the checked reading raises its first error
-                pass
-            return ca(t), cb(t), cg(t), cd(t)
+                return a(t), b(t), g(t), d(t)
+            except OverflowError:  # a time past the floats
+                return tuple(read(t) for read in checked)
 
         pmap = _physical_map(schedule.units)
         return algebraic, lambda t: pmap(*algebraic(t)), knots
 
     m, k, O, F, V, E = closures
-    cm, ck, cO, cF, cV, cE = checked
-    finite = math.isfinite
+    finite, read_m = math.isfinite, _READ["m"]
 
     def physical(t):
         try:
-            values = m(t), k(t), O(t), F(t), V(t), E(t)
-            if values[0] and finite(sum(values)):
-                return values
-        except Exception:  # the checked reading raises its first error
-            pass
-        return cm(t), ck(t), cO(t), cF(t), cV(t), cE(t)
+            mass = m(t)
+            if not (mass and finite(mass)):
+                read_m(mass)  # raises the mass's error
+            return mass, k(t), O(t), F(t), V(t), E(t)
+        except OverflowError:  # a time past the floats
+            return tuple(read(t) for read in checked)
 
     amap = _algebraic_map(schedule.units)
     return lambda t: amap(*physical(t)), physical, knots
 
 
 def _checked(key: str, profile):
-    """t -> the checked reading of profile(t) as coefficient key.  A time or
-    a value past the floats, whose conversion raises OverflowError, raises
-    DomainError naming key instead."""
+    """t -> the checked reading of profile(t) as coefficient key.
+
+    A time past the floats, where the profile raises OverflowError, and a
+    value the intake refuses (a non-number, or a number past the floats)
+    raise DomainError naming key and t.
+    """
     read = _READ[key]
 
     def checked(t):
         try:
-            return read(profile(t))
-        except OverflowError as exc:
-            raise DomainError(f"{key} has no float value at t={reprlib.repr(t)}: {exc}") from None
+            value = profile(t)
+        except OverflowError as exc:  # a time past the floats
+            raise DomainError(f"{key} has no float value at t={_shown(t)}: {exc}") from None
+        try:
+            value = _read("its value", value, "complex")
+        except DomainError as exc:
+            raise DomainError(f"{key} has no float value at t={_shown(t)}: {exc}") from None
+        return read(value)
 
     return checked
 
@@ -796,14 +783,16 @@ def validate(schedule: CoefficientSchedule, horizon: float) -> list:
     Each coefficient gets at most one diagnostic.  No exception escapes;
     problems become diagnostics.
     """
-    if not 0.0 <= horizon <= sys.float_info.max:  # NaN and ints past the floats fail too
-        return [f"horizon must be finite and nonnegative, got {horizon!r}"]
+    try:
+        horizon = _read("horizon", horizon, "finite and nonnegative")
+    except DomainError as exc:
+        return [str(exc)]
     grid = np.linspace(0.0, horizon, _VALIDATE_SAMPLES).tolist()
     diagnostics = []
     for key in _KEYS[schedule.parameterization]:
         profile = schedule.profiles[key]
         proved, zero = _decision(profile, horizon, _KIND[key])
-        problem = None if proved else _scan(key, _READ[key], profile, grid)
+        problem = None if proved else _scan(key, _checked(key, profile), grid)
         if problem is None and zero is not None:
             problem = f"{key}: reaches zero near t={zero:.6g}, between two samples"
         if problem is not None:
@@ -811,13 +800,13 @@ def validate(schedule: CoefficientSchedule, horizon: float) -> list:
     return diagnostics
 
 
-def _scan(key: str, read, profile, grid: list) -> Optional[str]:
-    """The first problem of profile, read as coefficient key, at the grid
-    times, else None."""
+def _scan(key: str, checked, grid: list) -> Optional[str]:
+    """The first problem of coefficient key, read by its checked reading
+    (_checked), at the grid times, else None."""
     last = None  # the time and sign of the mass's previous sample
     for t in grid:
         try:
-            value = read(profile(t))
+            value = checked(t)
         except Exception as exc:  # a foreign callable may raise anything
             return f"{key}: evaluation failed at t={t:.6g}: {exc}"
         if not cmath.isfinite(value):

@@ -69,14 +69,13 @@ that the generic `evolve` takes; `fundamental_solutions` and
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, _converted
+from .errors import DomainError, NumericalError, _read, _read_fields
 from .hamiltonian import CoefficientSchedule, Harmonic, UnitContext
 from .motion import InitialConditions, _check_grid, _frames
 from .states import N_MAX, TAIL_TOLERANCE, transition_probabilities
@@ -107,11 +106,12 @@ class DrivenOscillatorConfig:
     starts from the coherent state f0 = 1, g0 = 0, varphi0 = -i, which puts
     the mean at xbar(0) = 0, pbar(0) = sqrt(20).
 
-    The parameters are checked here, exactly, so that the schedule needs no
-    sampled check: m0, omega0, hbar and m0 omega0^2 are finite positive
-    floats, and |epsilon0| + |eta0| is finite, which keeps
-    k = epsilon0 - eta0 cos(omega0 t) finite wherever omega0 t is.  A
-    violation raises DomainError.
+    The parameters are read as floats through the package's intake
+    (errors._read), so any real number type is admitted, and checked here,
+    exactly, so that the schedule needs no sampled check: m0, omega0, hbar
+    and m0 omega0^2 are finite positive floats, and |epsilon0| + |eta0| is
+    finite, which keeps k = epsilon0 - eta0 cos(omega0 t) finite wherever
+    omega0 t is.  A violation raises DomainError.
     """
 
     m0: float = 1.0
@@ -124,19 +124,10 @@ class DrivenOscillatorConfig:
         default_factory=lambda: InitialConditions(f0=1.0, g0=0.0, varphi0=complex(0.0, -1.0)))
 
     def __post_init__(self):
-        # comparisons, not math.isfinite, so that an int past the floats fails
-        # them instead of raising OverflowError
-        top = sys.float_info.max
-        for name in ("m0", "omega0", "hbar"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and 0 < v <= top):
-                raise DomainError(f"{name} must be positive and finite, got {v!r}")
-        for name in ("epsilon0", "eta0"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and abs(v) <= top):
-                raise DomainError(f"{name} must be finite, got {v!r}")
+        _read_fields(self, {"m0": "positive and finite", "epsilon0": "finite", "eta0": "finite",
+                            "omega0": "positive and finite", "hbar": "positive and finite"})
         # bounds |k| for every finite omega0 t, so the preset needs no sampled scan
-        if not abs(self.epsilon0) + abs(self.eta0) <= top:
+        if not math.isfinite(abs(self.epsilon0) + abs(self.eta0)):
             raise DomainError(f"epsilon0 = {self.epsilon0!r} and eta0 = {self.eta0!r}: "
                               f"|epsilon0| + |eta0| is not a finite float")
         # a and q divide by m0 omega0^2, computed as mathieu_parameters does
@@ -476,15 +467,15 @@ def transition_snapshot(cfg: DrivenOscillatorConfig, tau: float,
     The state is that of frames at t = 2 tau / omega0, whose basis is
     solved at omega0 t / 2: tau to within an ulp.  A tau past 2^63 periods
     (about 2.9e19) raises NumericalError, as in fundamental_solutions; like
-    every NumericalError of frames, it carries that t, not tau.
+    every NumericalError of frames, it carries that t, not tau.  A tau that
+    is not a finite nonnegative real number (NaN, a string, None) raises
+    DomainError naming tau.
 
     settings is accepted and never read: the Mathieu route takes no
     integration setting.  The parameter stays only because the fock_deep
     workload of perfbench (FockDeep.run) passes one positionally.
     """
-    if tau < 0:
-        raise DomainError(f"tau must be nonnegative, got {tau!r}")
     # just [0.0] when tau is 0, or when t underflows to 0
-    grid = np.unique([0.0, 2.0 * _converted(float, "tau", tau) / cfg.omega0])
+    grid = np.unique([0.0, 2.0 * _read("tau", tau, "finite and nonnegative") / cfg.omega0])
     frame = frames(cfg, grid)[-1]
     return transition_probabilities(frame, tail_tolerance=tail_tolerance, n_max=n_max)

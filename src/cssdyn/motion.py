@@ -41,12 +41,12 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import _dop853
-from .errors import DomainError, NumericalError, _converted
+from .errors import DomainError, NumericalError, _array, _read, _read_fields
 from .hamiltonian import AlgebraicCoefficients, CoefficientSchedule, UnitContext
 
 # |f0|^2 - |g0|^2 = 1 must hold to this tolerance relative to |f0|^2 + |g0|^2
@@ -85,8 +85,9 @@ def _hyperboloid_defect(f, g):
 class InitialConditions:
     """Starting point (f0, g0, varphi0) on the hyperboloid |f0|^2 - |g0|^2 = 1.
 
-    The hyperboloid must hold to 1e-12 relative to |f0|^2 + |g0|^2, which
-    must be finite; anything else raises DomainError.
+    The three are stored as complex numbers, read through the package's
+    intake (errors._read).  The hyperboloid must hold to 1e-12 relative to
+    |f0|^2 + |g0|^2, which must be finite; anything else raises DomainError.
     """
 
     f0: complex = 1.0 + 0j
@@ -94,8 +95,7 @@ class InitialConditions:
     varphi0: complex = 0j
 
     def __post_init__(self):
-        for name in ("f0", "g0", "varphi0"):
-            object.__setattr__(self, name, _converted(complex, name, getattr(self, name)))
+        _read_fields(self, {"f0": "complex", "g0": "complex", "varphi0": "complex"})
         defect = _hyperboloid_defect(self.f0, self.g0)
         size = (self.f0 * self.f0.conjugate()).real + (self.g0 * self.g0.conjugate()).real
         if not defect <= _INIT_TOL * size < math.inf:
@@ -110,7 +110,10 @@ class MotionFrame:
     """State of the integral of motion at one time.
 
     phase_phi is the accumulated phase of the state, zero at t = 0, and
-    phase_vartheta = -hbar phase_phi its action-valued form.
+    phase_vartheta = -hbar phase_phi its action-valued form.  A frame built
+    by hand reads t and the phases as floats, and f, g and varphi as
+    complex numbers, through the package's intake (errors._read), which
+    refuses anything else with a DomainError naming the field.
     """
 
     t: float
@@ -120,6 +123,10 @@ class MotionFrame:
     phase_phi: float = 0.0
     phase_vartheta: float = 0.0
 
+    def __post_init__(self):
+        _read_fields(self, {"t": "real", "f": "complex", "g": "complex", "varphi": "complex",
+                            "phase_phi": "real", "phase_vartheta": "real"})
+
     @property
     def unitarity_defect(self) -> float:
         """| |f|^2 - |g|^2 - 1 |, zero in exact arithmetic."""
@@ -127,20 +134,22 @@ class MotionFrame:
 
 
 def _frames(ts, fs, gs, varphis, phis, varthetas) -> list:
-    """MotionFrames from equal columns of Python numbers, one per row.
+    """MotionFrames from equal columns of Python floats and complex numbers,
+    one per row.
 
     The fields go straight into each frame's __dict__, which is where the
     frozen dataclass's __init__ puts them one object.__setattr__ at a time,
     so equality, hashing and dataclasses.replace treat these frames as
-    constructed ones.  The columns are not checked or converted.
+    constructed ones.  The columns are not checked or converted: they
+    already hold what the constructor's reading would store.
     """
     frames = []
     append, new = frames.append, object.__new__
     for t, f, g, varphi, phi, vartheta in zip(ts, fs, gs, varphis, phis, varthetas):
         frame = new(MotionFrame)
-        fields = frame.__dict__
-        fields["t"], fields["f"], fields["g"], fields["varphi"] = t, f, g, varphi
-        fields["phase_phi"], fields["phase_vartheta"] = phi, vartheta
+        row = frame.__dict__
+        row["t"], row["f"], row["g"], row["varphi"] = t, f, g, varphi
+        row["phase_phi"], row["phase_vartheta"] = phi, vartheta
         append(frame)
     return frames
 
@@ -153,7 +162,8 @@ class IntegratorSettings:
     drift_threshold bounds the unitarity defect of every frame.  The
     Mathieu route (mathieu.fundamental_solutions) reads none; it always
     solves at the rounding floor and checks the Wronskian against a fixed
-    1e-9.
+    1e-9.  Each is stored as a float and must be positive (inf included);
+    the intake (errors._read) admits any real number type.
     """
 
     rtol: float = 1e-10
@@ -162,11 +172,7 @@ class IntegratorSettings:
     drift_threshold: float = 1e-8
 
     def __post_init__(self):
-        for name in ("rtol", "atol", "max_step", "drift_threshold"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and v > 0):
-                raise DomainError(f"{name} must be positive, got {v!r}")
-            _converted(float, name, v)  # an int past the floats would fail inside evolve
+        _read_fields(self, {f.name: "positive" for f in fields(self)})
 
 
 def u_of(frame: MotionFrame) -> complex:
@@ -185,7 +191,7 @@ def from_initial_width(sigma_x0: float, theta: float, units: UnitContext) -> Ini
         about 1e-162) or when the start it gives is off the hyperboloid
         in floating point.
     theta : float
-        Phase of f0.  g0 is a real multiple of the same phase, negative
+        Phase of f0, finite.  g0 is a real multiple of the same phase, negative
         when sigma_x0 > l/sqrt(2), which makes the initial state
         minimum-uncertainty: sigma_xp(0) = 0 and sigma_p0 = hbar/(2 sigma_x0).
     units : UnitContext
@@ -198,15 +204,13 @@ def from_initial_width(sigma_x0: float, theta: float, units: UnitContext) -> Ini
         and can be set on the returned record via dataclasses.replace.
     """
     l = units.l
-    if not (isinstance(sigma_x0, (int, float)) and 0 < sigma_x0 < math.inf):
-        raise DomainError(f"sigma_x0 must be positive and finite, got {sigma_x0!r}")
-    sigma_x0 = _converted(float, "sigma_x0", sigma_x0)
+    sigma_x0 = _read("sigma_x0", sigma_x0, "positive and finite")
+    theta = _read("theta", theta, "finite")
     denominator = 2.0 * sigma_x0 * sigma_x0
     if denominator == 0.0:
         raise DomainError(f"sigma_x0 = {sigma_x0!r} with l = {l!r}: 2 sigma_x0^2 underflows to 0")
     a = l * l / denominator
     scale = sigma_x0 / (l * math.sqrt(2.0))
-    theta = _converted(float, "theta", theta)
     phase = complex(math.cos(theta), math.sin(theta))
     try:
         return InitialConditions(f0=scale * (a + 1.0) * phase, g0=scale * (a - 1.0) * phase)
@@ -220,13 +224,14 @@ def from_initial_width(sigma_x0: float, theta: float, units: UnitContext) -> Ini
 
 
 def _check_grid(grid) -> np.ndarray:
-    """grid as a float array, refused with DomainError unless it is
+    """grid as a float array, refused with DomainError unless its entries
+    are real numbers within the floats (errors._array) and it is
     one-dimensional, nonempty, finite, strictly increasing and starts at 0.
 
     Both routes take their grids through it: evolve's times and the Mathieu
     route's tau grids.
     """
-    ts = _converted(np.asarray, "grid", grid, dtype=float)
+    ts = _array("grid", grid)
     if ts.ndim != 1 or ts.size == 0:
         raise DomainError("grid must be a one-dimensional, nonempty array")
     if not np.all(np.isfinite(ts)):
@@ -424,9 +429,10 @@ def closed_form(alg: AlgebraicCoefficients, init: InitialConditions, t: float,
     stepping, which keeps this route fully independent of evolve.
 
     Raises NumericalError carrying t once cosh(|Theta| t) overflows a float
-    (Theta^2 < 0 and |Theta| t past about 710).
+    (Theta^2 < 0 and |Theta| t past about 710), and DomainError naming t
+    unless t is a finite real number.
     """
-    t = _converted(float, "t", t)
+    t = _read("t", t, "finite")
     theta2 = alg.beta * alg.beta - (alg.alpha * alg.alpha.conjugate()).real
     try:
         c, s, d = _entire_trig(theta2, t)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, _converted
+from .errors import DomainError, NumericalError, _array
 from .hamiltonian import AlgebraicCoefficients, CoefficientSchedule, UnitContext
 from .motion import MotionFrame, u_of
 from .states import _inverse_root
@@ -148,12 +148,13 @@ def wavefunction(frame: MotionFrame, x, units: UnitContext,
     / (2 l^2)) has underflowed to 0 there; elsewhere Psi has no value, and
     NumericalError is raised.  DomainError is raised for the frames and
     windings normalization() refuses (a non-finite f, g or varphi, |g| >=
-    |f|, a winding that is not an integer) and for an x past the floats.
+    |f|, a winding that is not an integer) and for an x whose entries are
+    not real numbers within the floats (strings, None, ints past them).
     """
     l, hbar = units.l, units.hbar
     f, g = frame.f, frame.g
     xbar, pbar = means(frame, units)
-    xs = _converted(np.asarray, "x", x, dtype=float)
+    xs = _array("x", x)
     # _inverse_root refuses the frame before g / f is formed
     pref = _inverse_root(frame, winding) / (np.sqrt(l * math.sqrt(math.pi)) * np.sqrt(1.0 - g / f))
     width = (f + g) / (f - g)
@@ -182,11 +183,11 @@ def fock_wavefunction(n: int, x, units: UnitContext) -> np.ndarray:
 
     which stays bounded for any n, unlike raw Hermite values.  Raises
     DomainError unless n is a nonnegative integer (a numbers.Integral), and
-    for an x past the floats.
+    for an x whose entries are not real numbers within the floats.
     """
     if not (isinstance(n, numbers.Integral) and n >= 0):
         raise DomainError(f"quantum number must be a nonnegative integer, got {n!r}")
-    xs = _converted(np.asarray, "x", x, dtype=float)
+    xs = _array("x", x)
     uu = xs / units.l
     prev = np.zeros_like(uu)
     cur = np.exp(-0.5 * uu * uu) / math.sqrt(units.l * math.sqrt(math.pi))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NumericalError
+from .errors import ConvergenceError, DomainError, NumericalError, _read
 from .motion import MotionFrame
 
 # Default truncation control of every number-basis expansion: the certified
@@ -117,7 +117,7 @@ def _inverse_root(frame: MotionFrame, winding: int) -> complex:
     if not math.hypot(g.real, g.imag) < math.hypot(f.real, f.imag):
         raise DomainError(f"frame at t = {frame.t!r} has |g| >= |f| (f = {f!r}, g = {g!r}): "
                           "no normalizable state")
-    root = 1.0 / np.sqrt(complex(f))
+    root = 1.0 / np.sqrt(f)
     return -root if winding % 2 else root
 
 
@@ -163,8 +163,9 @@ def fock_coefficients(frame: MotionFrame, tail_tolerance: float = TAIL_TOLERANCE
     pair, so P_{n_max-1} = P_{n_max} = 0.0 ends the expansion at n_max - 2.
     Near-unit |zeta| needs n_max of order 25/(1-|zeta|^2).
 
-    n_max must be an integer (a numbers.Integral) of at least 2; anything
-    else raises DomainError.  Raises ConvergenceError when no truncation up
+    n_max must be an integer (a numbers.Integral) of at least 2, and
+    tail_tolerance a real number in (0, 1); anything else raises
+    DomainError.  Raises ConvergenceError when no truncation up
     to n_max certifies, and NumericalError when the weight |Phi|^2 is below
     the smallest normal float and a certified level's unweighted
     probability overflowed, so that its probability would be inf or NaN.
@@ -207,13 +208,12 @@ def _expand(frame, tail_tolerance, n_max, winding, keep_coefficients):
     zero wins.  The rule reads p_raw alone, so keep_coefficients changes
     what is stored, never where the expansion ends.
     """
-    if not (0.0 < tail_tolerance < 1.0):
-        raise DomainError(f"tail_tolerance must lie in (0, 1), got {tail_tolerance!r}")
+    tail_tolerance = _read("tail_tolerance", tail_tolerance, "in (0, 1)")
     if not (isinstance(n_max, numbers.Integral) and n_max >= 2):
         raise DomainError(f"n_max must be an integer of at least 2, got {n_max!r}")
     phi = normalization(frame, winding)  # refuses |zeta| >= 1 before any level
     par = parameters(frame)
-    xi, zeta = complex(par.xi), complex(par.zeta)
+    xi, zeta = par.xi, par.zeta
     weight = abs(phi) ** 2
     zeta2 = zeta.real * zeta.real + zeta.imag * zeta.imag
 

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 import re
+import reprlib
 import struct
 
 import numpy as np
@@ -331,11 +332,13 @@ def test_schedule_cross_parameterization_sampling():
     assert back.k == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("horizon", [-1.0, math.nan, 10**400], ids=["-1.0", "nan", "10**400"])
+@pytest.mark.parametrize("horizon", [-1.0, math.nan, 10**400, "1", None],
+                         ids=["-1.0", "nan", "10**400", "'1'", "None"])
 def test_validate_refuses_a_horizon_off_the_nonnegative_floats(horizon):
+    # a diagnostic, never an exception, whatever the horizon is
     sched = CoefficientSchedule.physical(UNITS, m=1.0, k=1.0)
     assert validate(sched, horizon) == [
-        f"horizon must be finite and nonnegative, got {horizon!r}"]
+        f"horizon must be finite and nonnegative, got {reprlib.repr(horizon)}"]
 
 
 def test_validate_accepts_real_constant():
@@ -393,7 +396,9 @@ def test_validate_flags_non_finite_values():
 
 @pytest.mark.parametrize("k, message", [
     (lambda t: 1.0 / (t - t), "float division by zero"),
-    (lambda t: 10**400, "int too large to convert to float")])
+    (lambda t: 10**400, "k has no float value at t=0.0: its value must be a complex number "
+                        f"within the floats, got {reprlib.repr(10**400)}")],
+    ids=["<lambda>-float division by zero", "<lambda>-int too large to convert to float"])
 def test_validate_names_what_a_foreign_callable_raises(k, message):
     # validate returns a diagnostic, whatever a callable raises or returns
     sched = CoefficientSchedule.physical(UNITS, m=1.0, k=k)
@@ -424,8 +429,8 @@ def test_harmonic_past_overflow_is_a_domain_error():
 def test_int_parameter_past_the_floats_is_a_domain_error(field):
     # 10**400 has no float: the profile is refused when it is built, by
     # class and field, and so is the schedule that would hold it
-    with pytest.raises(DomainError, match=f"^Harmonic.{field}: 1000.* is not a real number "
-                                          f"within the floats$"):
+    with pytest.raises(DomainError, match=f"^Harmonic.{field} must be a real number within "
+                                          f"the floats, got 1000.*0$"):
         Harmonic(**{field: 10**400})
     with pytest.raises(DomainError, match="Constant.value"):
         CoefficientSchedule.physical(UNITS, m=1.0, k=10**400)
@@ -439,15 +444,15 @@ _HUGE_INT = 10**400
 _FOREIGN_EXCEPTION_CASES = {
     "complex harmonic under validate": (
         lambda: validate(_PHYSICAL(m=1, k=Harmonic(1, 0.5, 1j)), 1),
-        "Harmonic.omega: 1j is not a real number"),
+        "Harmonic.omega must be a real number within the floats, got 1j"),
     "complex harmonic under compiled": (
         lambda: _PHYSICAL(m=1, k=Harmonic(1, 0.5, 1j)).compiled()(0.1), "Harmonic.omega"),
     "empty polynomial mass under validate": (
         lambda: validate(_PHYSICAL(m=Polynomial(()), k=1), 1),
         "Polynomial.coeffs must be a nonempty sequence of real numbers, got ()"),
-    "table of strings": (lambda: Table((0, 1), ("a", "b")), "Table.values: 'a' is not"),
+    "table of strings": (lambda: Table((0, 1), ("a", "b")), "Table.values must be a real"),
     "table of one number": (lambda: Table(0.0, 1.0), "Table.times must be a nonempty sequence"),
-    "ragged table": (lambda: Table(((0, 1), 2), (1, 2)), "Table.times: (0, 1) is not a real"),
+    "ragged table": (lambda: Table(((0, 1), 2), (1, 2)), "Table.times must be a real number"),
     "polynomial past the floats": (lambda: Polynomial((_HUGE_INT,)), "Polynomial.coeffs"),
     "table value past the floats": (lambda: Table((0, 1), (_HUGE_INT, 1)), "Table.values"),
     "table time past the floats": (lambda: Table((0, _HUGE_INT), (1, 1)), "Table.times"),
@@ -455,9 +460,10 @@ _FOREIGN_EXCEPTION_CASES = {
         lambda: validate(_PHYSICAL(m=1, k=Constant(_HUGE_INT)), 1), "Constant.value"),
     "physical number past the floats": (lambda: _PHYSICAL(k=_HUGE_INT), "Constant.value"),
     "complex parts past the floats": (lambda: ComplexParts(1.0, _HUGE_INT), "Constant.value"),
-    "constant of a string": (lambda: Constant("1"), "Constant.value: '1' is not"),
-    "hbar past the floats": (lambda: UnitContext(hbar=_HUGE_INT), "hbar must be a positive"),
-    "l past the floats": (lambda: UnitContext(l=_HUGE_INT), "l must be a positive"),
+    "constant of a string": (lambda: Constant("1"), "Constant.value must be a real number "
+                                                    "within the floats, got '1'"),
+    "hbar past the floats": (lambda: UnitContext(hbar=_HUGE_INT), "hbar must be positive and finite"),
+    "l past the floats": (lambda: UnitContext(l=_HUGE_INT), "l must be positive and finite"),
     "preset offset past the floats": (lambda: DrivenOscillatorConfig(epsilon0=_HUGE_INT),
                                       "epsilon0 must be finite"),
     "preset mass past the floats": (lambda: DrivenOscillatorConfig(m0=_HUGE_INT),
@@ -490,6 +496,26 @@ def test_evaluators_past_the_floats_raise_domain_errors(key, schedule, t, evalua
     call = schedule.compiled() if evaluator == "compiled" else getattr(schedule, evaluator)
     with pytest.raises(DomainError, match=f"^{key} has no float value at t="):
         call(t)
+
+
+def test_each_profile_is_read_once_per_evaluation():
+    # the evaluator has no second pass: a value that is not finite, and a
+    # callable that raises, are read once
+    calls = []
+
+    def k(t):
+        calls.append(t)
+        if t > 1.0:
+            raise ZeroDivisionError("k")
+        return math.nan
+
+    for schedule in (_PHYSICAL(m=1.0, k=k), CoefficientSchedule.algebraic(UNITS, beta=k)):
+        evaluate = schedule.compiled()
+        calls.clear()
+        assert math.isnan(evaluate(0.5)[1])
+        with pytest.raises(ZeroDivisionError):
+            evaluate(2.0)
+        assert calls == [0.5, 2.0]
 
 
 @pytest.mark.parametrize("profile", [

@@ -1,10 +1,12 @@
 """Evolution of the invariant-operator coefficients (f, g, varphi)."""
 
 import math
+import numbers
 import re
 import subprocess
 import sys
 from dataclasses import astuple, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,9 +15,10 @@ from scipy.integrate import quad, solve_ivp
 import cssdyn._dop853
 from cssdyn import (AlgebraicCoefficients, CoefficientSchedule, ComplexParts,
                     Constant, DomainError, DrivenOscillatorConfig, Harmonic, InitialConditions,
-                    IntegratorSettings, MotionFrame, NumericalError, Polynomial, Table,
-                    UnitContext, closed_form, deviations, evolve, fock_wavefunction, frames,
-                    from_initial_width, transition_snapshot, u_of, wavefunction)
+                    IntegratorSettings, MotionFrame, NumericalError, PhysicalCoefficients,
+                    Polynomial, Table, UnitContext, closed_form, deviations, evolve,
+                    fock_coefficients, fock_wavefunction, frames, from_initial_width,
+                    transition_snapshot, u_of, wavefunction)
 
 from helpers import (DRIVEN_SCHEDULE, DRIVEN_UNITS, constant_draws, driven_frames, hidden,
                      kinked_schedule, scalar_grid_states)
@@ -636,10 +639,76 @@ _PAST_THE_FLOATS = {
 }
 
 
-@pytest.mark.parametrize("call, name", _PAST_THE_FLOATS.values(), ids=_PAST_THE_FLOATS.keys())
+# arguments that are not numbers, or not the numbers the call means, which
+# each entry point admitted, raised TypeError or ValueError, or refused
+# under another name before every number entered through one intake
+_REFUSED = {
+    "AlgebraicCoefficients string": (lambda: AlgebraicCoefficients(beta="2"), "beta"),
+    "AlgebraicCoefficients None": (lambda: AlgebraicCoefficients(beta=None), "beta"),
+    "AlgebraicCoefficients past the floats": (lambda: AlgebraicCoefficients(beta=_PAST), "beta"),
+    "PhysicalCoefficients past the floats": (lambda: PhysicalCoefficients(m=_PAST), "m"),
+    "InitialConditions string": (lambda: InitialConditions(f0="1"), "f0"),
+    "closed_form string": (lambda: closed_form(AlgebraicCoefficients(beta=1.0),
+                                               InitialConditions(), "1.5"), "t"),
+    "closed_form word": (lambda: closed_form(AlgebraicCoefficients(beta=1.0),
+                                             InitialConditions(), "x"), "t"),
+    "closed_form None": (lambda: closed_form(AlgebraicCoefficients(beta=1.0),
+                                             InitialConditions(), None), "t"),
+    "from_initial_width NaN theta": (lambda: from_initial_width(1.0, math.nan, UNITS), "theta"),
+    "evolve string grid": (lambda: evolve(_OSCILLATOR, InitialConditions(), ["0", "1"]), "grid"),
+    "evolve word grid": (lambda: evolve(_OSCILLATOR, InitialConditions(), ["x"]), "grid"),
+    "mathieu.frames word grid": (lambda: frames(DrivenOscillatorConfig(), ["x"]), "grid"),
+    "wavefunction string x": (lambda: wavefunction(_GROUND, ["0", "1"], UNITS), "x"),
+    "fock_wavefunction word x": (lambda: fock_wavefunction(1, ["x"], UNITS), "x"),
+    "transition_snapshot None": (lambda: transition_snapshot(DrivenOscillatorConfig(), None),
+                                 "tau"),
+    "transition_snapshot NaN": (lambda: transition_snapshot(DrivenOscillatorConfig(), math.nan),
+                                "tau"),
+    "transition_snapshot string": (lambda: transition_snapshot(DrivenOscillatorConfig(), "1"),
+                                   "tau"),
+    "fock_coefficients None": (lambda: fock_coefficients(_GROUND, None), "tail_tolerance"),
+    "MotionFrame past the floats": (lambda: MotionFrame(0.0, _PAST, 0j, 0j), "f"),
+    "MotionFrame string": (lambda: MotionFrame(0.0, "1", 0j, 0j), "f"),
+}
+
+
+@pytest.mark.parametrize("call, name", [*_PAST_THE_FLOATS.values(), *_REFUSED.values()],
+                         ids=[*_PAST_THE_FLOATS, *_REFUSED])
 def test_arguments_past_the_floats_are_domain_errors(call, name):
     with pytest.raises(DomainError, match=f"^{name} "):
         call()
+
+
+# every real number type within the floats is admitted, and stored as a
+# Python float or complex number
+_ADMITTED = {
+    "UnitContext Fraction": lambda: UnitContext(hbar=Fraction(1, 2)),
+    "IntegratorSettings float32": lambda: IntegratorSettings(rtol=np.float32(1e-6)),
+    "DrivenOscillatorConfig float32": lambda: DrivenOscillatorConfig(m0=np.float32(1.0)),
+    "InitialConditions complex64": lambda: InitialConditions(f0=np.complex64(1)),
+    "closed_form float64": lambda: closed_form(AlgebraicCoefficients(beta=1.0),
+                                               InitialConditions(), np.float64(1.5)),
+}
+
+
+@pytest.mark.parametrize("call", _ADMITTED.values(), ids=_ADMITTED.keys())
+def test_real_number_types_are_admitted(call):
+    stored = [v for v in vars(call()).values() if isinstance(v, numbers.Number)]
+    assert stored and all(type(v) in (float, complex) for v in stored)
+
+
+def test_hand_built_frames_hold_floats():
+    # MotionFrame reads its fields at construction (its refusals are in
+    # _REFUSED): any number type is stored as a Python float or complex
+    frame = MotionFrame(np.float64(0.5), np.complex128(1.0), 0, Fraction(1, 4), 1, True)
+    assert astuple(frame) == (0.5, 1.0, 0.0, 0.25, 1.0, 1.0)
+    assert [type(v) for v in astuple(frame)] == [float, complex, complex, complex, float, float]
+    # closed_form's frames keep their bits through the constructor
+    alg = AlgebraicCoefficients(alpha=0.3 - 0.2j, beta=1.1, gamma=0.4 + 0.1j, delta=0.2)
+    ref = closed_form(alg, InitialConditions(varphi0=0.5j), 2.5)
+    assert [type(v) for v in astuple(ref)] == [float, complex, complex, complex, float, float]
+    assert repr(replace(ref)) == repr(ref)
+
 
 
 # ---------------------------------------------------------------------------

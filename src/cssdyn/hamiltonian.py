@@ -54,7 +54,7 @@ import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -150,13 +150,6 @@ def _reading(name: str):
 
 
 _READ = {name: _reading(name) for name in _ALGEBRAIC_KEYS + _PHYSICAL_KEYS}
-
-
-def _trusted(cls, keys: Sequence[str], values: Sequence) -> object:
-    """A coefficient record from values the compiled evaluator already checked."""
-    record = object.__new__(cls)
-    record.__dict__.update(zip(keys, values))
-    return record
 
 
 def _algebraic_map(units: UnitContext):
@@ -353,15 +346,18 @@ class Table(_Profile):
 def _direct(profile, kind: str) -> bool:
     """Whether the evaluator calls profile's own closure for a coefficient
     read as kind, "real", "mass" or "complex": a float-valued package
-    profile for a real one, a ComplexParts or a complex Constant for a
-    complex one.  The closure is the profile's value, already of the type
-    the checked reading returns, so the reading would only check it.  A
-    subclass of a package class, and any other callable, is read checked.
+    profile for a real one, a complex Constant or a ComplexParts of two
+    float-valued package profiles for a complex one.  The closure is the
+    profile's value, already of the type the checked reading returns, so
+    the reading would only check it.  A subclass of a package class, a
+    ComplexParts with any other part, and any other callable, is read
+    checked.
     """
     if type(profile) is Constant:
         return type(profile.value) is (complex if kind == "complex" else float)
-    classes = (ComplexParts,) if kind == "complex" else (Harmonic, Polynomial, Table)
-    return type(profile) in classes
+    if type(profile) is ComplexParts:
+        return kind == "complex" and _direct(profile.real, "real") and _direct(profile.imag, "real")
+    return kind != "complex" and type(profile) in (Harmonic, Polynomial, Table)
 
 
 @dataclass(frozen=True)
@@ -369,9 +365,14 @@ class ComplexParts(_Profile):
     """Complex profile assembled from independent real and imaginary profiles.
 
     Bare numbers are coerced to Constant profiles, as as_profile() does.
-    The value is complex(real(t)) + 1j * complex(imag(t)); for two
-    float-valued package profiles it is formed as complex(x + 0.0 * y,
-    y + 0.0), which is the same bit for bit at every float.
+    The value is real(t) + 1j * imag(t), each part read as a complex
+    number by the package's intake (errors._read): a part whose value is
+    not a number within the floats, a string say, raises DomainError naming
+    ComplexParts.real or ComplexParts.imag, and a schedule's evaluator
+    names the coefficient and the time instead.  For two float-valued
+    package profiles the parts need no reading, and the value is formed as
+    complex(x + 0.0 * y, y + 0.0), which is the same bit for bit at every
+    float.
     """
 
     real: object = Constant(0.0)
@@ -388,7 +389,8 @@ class ComplexParts(_Profile):
                 return complex(a + 0.0 * b, b + 0.0)
         else:
             def parts(t):
-                return complex(real(t)) + 1j * complex(imag(t))
+                return (_read("ComplexParts.real", real(t), "complex")
+                        + 1j * _read("ComplexParts.imag", imag(t), "complex"))
 
         self.__dict__["_value"] = parts
 
@@ -422,12 +424,12 @@ class CoefficientSchedule:
     and nonzero, with the records' errors.  A package profile is read
     through its own closure without per-call checks where the coefficient's
     type allows it (_direct): a float-valued profile for a real coefficient,
-    a ComplexParts or a complex Constant for alpha and gamma.  Any other
-    profile, a foreign callable for one, is read through its checked
-    reading.  A call reads each profile once and tests only the mass; there
-    is no second pass, except that a time past the floats, where a closure
-    raises OverflowError, is read again checked, which names the
-    coefficient.  So compiled(), algebraic_at and physical_at return the
+    a complex Constant or a ComplexParts of two float-valued profiles for
+    alpha and gamma.  Any other profile, a foreign callable for one, is
+    read through its checked reading.  A call reads each profile once and
+    tests only the mass; there is no second pass, except that a time past
+    the floats, where a closure raises OverflowError, is read again
+    checked, which names the coefficient.  So compiled(), algebraic_at and physical_at return the
     checked values, or raise the checked reading's first error, at every t,
     from the one evaluator the schedule compiles.  The other
     parameterization is the unit map applied to that evaluator.
@@ -482,11 +484,22 @@ class CoefficientSchedule:
         """Sorted distinct times of every Table profile, as floats."""
         return self._compiled()[2]
 
+    # The records below hold values the compiled evaluator already checked:
+    # they are filled straight through their __dict__, where the frozen
+    # dataclass's __init__ puts them one object.__setattr__ at a time, so
+    # they equal and hash like constructed ones.
+
     def algebraic_at(self, t: float) -> AlgebraicCoefficients:
-        return _trusted(AlgebraicCoefficients, _ALGEBRAIC_KEYS, self._compiled()[0](t))
+        record = object.__new__(AlgebraicCoefficients)
+        row = record.__dict__
+        row["alpha"], row["beta"], row["gamma"], row["delta"] = self._compiled()[0](t)
+        return record
 
     def physical_at(self, t: float) -> PhysicalCoefficients:
-        return _trusted(PhysicalCoefficients, _PHYSICAL_KEYS, self._compiled()[1](t))
+        record = object.__new__(PhysicalCoefficients)
+        row = record.__dict__
+        row["m"], row["k"], row["Omega"], row["F"], row["V"], row["E"] = self._compiled()[1](t)
+        return record
 
 
 # what each coefficient reads as: "complex", "mass" or "real"
@@ -550,22 +563,34 @@ def _checked(key: str, profile):
 
     A time past the floats, where the profile raises OverflowError, and a
     value the intake refuses (a non-number, or a number past the floats)
-    raise DomainError naming key and t.
+    raise DomainError naming key and t.  A ComplexParts the evaluator does
+    not call directly (_direct) is read part by part, so that the value of
+    either part is held to the same rule.
     """
     read = _READ[key]
+    if type(profile) is ComplexParts and not _direct(profile, "complex"):
+        real = _intake(key, profile.real, "its real part")
+        imag = _intake(key, profile.imag, "its imaginary part")
+        return lambda t: read(real(t) + 1j * imag(t))
+    value = _intake(key, profile)
+    return lambda t: read(value(t))
 
-    def checked(t):
+
+def _intake(key: str, profile, what: str = "its value"):
+    """t -> profile(t) as a complex number, read by the intake as what; its
+    refusals and a time past the floats raise DomainError naming key and t."""
+
+    def value(t):
         try:
-            value = profile(t)
+            v = profile(t)
         except OverflowError as exc:  # a time past the floats
             raise DomainError(f"{key} has no float value at t={_shown(t)}: {exc}") from None
         try:
-            value = _read("its value", value, "complex")
+            return _read(what, v, "complex")
         except DomainError as exc:
             raise DomainError(f"{key} has no float value at t={_shown(t)}: {exc}") from None
-        return read(value)
 
-    return checked
+    return value
 
 
 def _knots(profile) -> tuple:

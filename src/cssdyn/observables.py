@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, _array
+from .errors import DomainError, NumericalError, _array, _shown
 from .hamiltonian import AlgebraicCoefficients, CoefficientSchedule, UnitContext
-from .motion import MotionFrame, u_of
+from .motion import MotionFrame
 from .states import _inverse_root
 
 
@@ -49,23 +49,57 @@ class ObservableRecord:
     energy: float
 
 
+# the coefficients of the means, deviations and uncertainty, whose energy
+# is not read
+_AT_REST = AlgebraicCoefficients()
+_SQRT2 = math.sqrt(2.0)
+
+
+def _moments(frame: MotionFrame, alg: AlgebraicCoefficients, units: UnitContext) -> tuple:
+    """(xbar, pbar, sigma_x, sigma_p, sigma_xp, heisenberg, sr, energy) of
+    a frame under alg: every scalar observable, each formula written here
+    once and each shared quantity (u, the deviations) formed once.
+
+    A quantity that leaves the floats comes out inf or nan.  |f -+ g| past
+    the floats is inf.  sr is inf once (hbar/2)^2 (|f|^2 - |g|^2)^2 is past
+    the floats; where |f|^2 or |g|^2 is, the difference is taken in plain
+    floats, inf or nan, instead of math.fsum, which raises there.
+    """
+    f, g, varphi = frame.f, frame.g, frame.varphi
+    hbar, l = units.hbar, units.l
+    u = g * varphi.conjugate() - f.conjugate() * varphi
+    try:
+        dx, dp = abs(f - g), abs(f + g)
+    except OverflowError:  # a modulus past the floats
+        dx, dp = (math.hypot(z.real, z.imag) for z in (f - g, f + g))
+    fr, fi, gr, gi = f.real, f.imag, g.real, g.imag
+    try:
+        delta = math.fsum([fr * fr, fi * fi, -gr * gr, -gi * gi])
+    except (OverflowError, ValueError):  # |f|^2 or |g|^2 past the floats
+        delta = (fr * fr + fi * fi) - (gr * gr + gi * gi)
+    try:
+        sr = (0.5 * hbar * delta) ** 2
+    except OverflowError:
+        sr = math.inf
+    alpha, gamma = alg.alpha, alg.gamma
+    energy = (2.0 * gamma.conjugate() * u
+              + alpha.conjugate() * u * u
+              - alpha * f * g.conjugate()
+              + alg.beta * ((g * g.conjugate()).real + (u * u.conjugate()).real)
+              + alg.delta)
+    sx, sp = (l / _SQRT2) * dx, (hbar / (l * _SQRT2)) * dp
+    return (_SQRT2 * l * u.real, _SQRT2 * (hbar / l) * u.imag, sx, sp,
+            hbar * (f * g.conjugate()).imag, sx * sp, sr, hbar * energy.real)
+
+
 def means(frame: MotionFrame, units: UnitContext):
     """(xbar, pbar) of the state attached to a frame."""
-    return _means(u_of(frame), units)
-
-
-def _means(u: complex, units: UnitContext):
-    return (math.sqrt(2.0) * units.l * u.real,
-            math.sqrt(2.0) * (units.hbar / units.l) * u.imag)
+    return _moments(frame, _AT_REST, units)[:2]
 
 
 def deviations(frame: MotionFrame, units: UnitContext):
     """(sigma_x, sigma_p, sigma_xp)."""
-    l, hbar = units.l, units.hbar
-    f, g = frame.f, frame.g
-    return ((l / math.sqrt(2.0)) * abs(f - g),
-            (hbar / (l * math.sqrt(2.0))) * abs(f + g),
-            hbar * (f * g.conjugate()).imag)
+    return _moments(frame, _AT_REST, units)[2:5]
 
 
 def uncertainty(frame: MotionFrame, units: UnitContext):
@@ -79,46 +113,38 @@ def uncertainty(frame: MotionFrame, units: UnitContext):
 
     because the literal difference of products cancels to ~|f|^4 eps, which
     swamps the invariant once |f| grows past a few hundred (parametric
-    resonance reaches |f| ~ 1e3 within a few drive periods).
+    resonance reaches |f| ~ 1e3 within a few drive periods).  |f|^2 - |g|^2
+    is summed exactly (math.fsum) from the squared parts.  Past the floats
+    both come out inf or nan, as every observable does (see observe).
     """
-    sx, sp, _ = deviations(frame, units)
-    return sx * sp, _sr(frame, units)
-
-
-def _sr(frame: MotionFrame, units: UnitContext) -> float:
-    f, g = frame.f, frame.g
-    delta = math.fsum([f.real * f.real, f.imag * f.imag,
-                       -g.real * g.real, -g.imag * g.imag])
-    return (0.5 * units.hbar * delta) ** 2
+    return _moments(frame, _AT_REST, units)[5:7]
 
 
 def mean_energy(frame: MotionFrame, alg: AlgebraicCoefficients,
                 units: UnitContext) -> float:
     """<H> for the state attached to a frame under the given coefficients."""
-    return _energy(frame, u_of(frame), alg, units)
-
-
-def _energy(frame: MotionFrame, u: complex, alg: AlgebraicCoefficients,
-            units: UnitContext) -> float:
-    f, g = frame.f, frame.g
-    val = (2.0 * alg.gamma.conjugate() * u
-           + alg.alpha.conjugate() * u * u
-           - alg.alpha * f * g.conjugate()
-           + alg.beta * ((g * g.conjugate()).real + (u * u.conjugate()).real)
-           + alg.delta)
-    return units.hbar * val.real
+    return _moments(frame, alg, units)[7]
 
 
 def observe(frame: MotionFrame, alg: AlgebraicCoefficients,
             units: UnitContext) -> ObservableRecord:
-    """Bundle every scalar observable of a frame into one record; each
-    quantity (u, the deviations) is computed once."""
-    u = u_of(frame)
-    xbar, pbar = _means(u, units)
-    sx, sp, sxp = deviations(frame, units)
-    return ObservableRecord(t=frame.t, xbar=xbar, pbar=pbar, sigma_x=sx,
-                            sigma_p=sp, sigma_xp=sxp, heisenberg=sx * sp,
-                            sr=_sr(frame, units), energy=_energy(frame, u, alg, units))
+    """Every scalar observable of a frame in one record.
+
+    The values are those of means, deviations, uncertainty and mean_energy,
+    bit for bit: one call of their shared core, which forms u and the
+    deviations once.  A quantity that leaves the floats comes out inf or
+    nan instead of raising, as sr does once (hbar/2)^2 |f|^4 is past them
+    on the hyperboloid.  The record is filled straight through its
+    __dict__, where the frozen dataclass's __init__ puts the fields one
+    object.__setattr__ at a time, so it equals and hashes like a
+    constructed one.
+    """
+    record = object.__new__(ObservableRecord)
+    row = record.__dict__
+    row["t"] = frame.t
+    (row["xbar"], row["pbar"], row["sigma_x"], row["sigma_p"], row["sigma_xp"],
+     row["heisenberg"], row["sr"], row["energy"]) = _moments(frame, alg, units)
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +212,7 @@ def fock_wavefunction(n: int, x, units: UnitContext) -> np.ndarray:
     for an x whose entries are not real numbers within the floats.
     """
     if not (isinstance(n, numbers.Integral) and n >= 0):
-        raise DomainError(f"quantum number must be a nonnegative integer, got {n!r}")
+        raise DomainError(f"quantum number must be a nonnegative integer, got {_shown(n)}")
     xs = _array("x", x)
     uu = xs / units.l
     prev = np.zeros_like(uu)

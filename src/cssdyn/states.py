@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NumericalError, _read
+from .errors import ConvergenceError, DomainError, NumericalError, _read, _shown
 from .motion import MotionFrame
 
 # Default truncation control of every number-basis expansion: the certified
@@ -78,8 +78,17 @@ class FockDistribution:
 
 
 def parameters(frame: MotionFrame) -> SqueezeDisplace:
-    """(xi, zeta) of a frame; |f| >= 1 makes the divisions safe."""
-    return SqueezeDisplace(xi=frame.varphi / frame.f, zeta=frame.g / frame.f)
+    """(xi, zeta) of a frame; |f| >= 1 makes the divisions safe.
+
+    The pair is filled straight through its __dict__, as the frozen
+    dataclass's __init__ would fill it, so it equals and hashes like a
+    constructed one.
+    """
+    f = frame.f
+    pair = object.__new__(SqueezeDisplace)
+    row = pair.__dict__
+    row["xi"], row["zeta"] = frame.varphi / f, frame.g / f
+    return pair
 
 
 def branch_windings(frames) -> list:
@@ -87,14 +96,24 @@ def branch_windings(frames) -> list:
 
     The n-th entry counts signed crossings of the branch cut up to frame n;
     feed it to normalization()/overlap() to keep f^(-1/2) continuous in time.
-    The first entry is always 0 (principal branch at the anchor).
+    The first entry is always 0 (principal branch at the anchor).  Each
+    entry is a Python int, the unwrapped turn of arg f in units of 2 pi
+    rounded half to even, as round() does.  A frame whose f is not finite
+    has no arg f to unwrap: DomainError names its t.
     """
-    args = np.angle(np.array([fr.f for fr in frames], dtype=complex))
-    if args.size == 0:
+    frames = list(frames)
+    fs = np.array([fr.f for fr in frames], dtype=complex)
+    finite = np.isfinite(fs)
+    if not finite.all():
+        frame = frames[int(np.argmin(finite))]
+        raise DomainError(f"frame at t = {frame.t!r} has a non-finite f = {frame.f!r}: "
+                          "arg f has no winding")
+    if fs.size == 0:
         return []
+    args = np.angle(fs)
     unwrapped = np.unwrap(args)
     unwrapped += args[0] - unwrapped[0]  # anchor at the principal sheet
-    return [int(round(w)) for w in (unwrapped - args) / (2.0 * np.pi)]
+    return np.rint((unwrapped - args) / (2.0 * np.pi)).astype(int).tolist()
 
 
 def _inverse_root(frame: MotionFrame, winding: int) -> complex:
@@ -210,7 +229,7 @@ def _expand(frame, tail_tolerance, n_max, winding, keep_coefficients):
     """
     tail_tolerance = _read("tail_tolerance", tail_tolerance, "in (0, 1)")
     if not (isinstance(n_max, numbers.Integral) and n_max >= 2):
-        raise DomainError(f"n_max must be an integer of at least 2, got {n_max!r}")
+        raise DomainError(f"n_max must be an integer of at least 2, got {_shown(n_max)}")
     phi = normalization(frame, winding)  # refuses |zeta| >= 1 before any level
     par = parameters(frame)
     xi, zeta = par.xi, par.zeta

@@ -199,3 +199,56 @@ def physical_residual(records, schedule):
         res_x = max(res_x, abs(dx - (pb[i] / phys.m + phys.Omega * xb[i] + phys.V)))
         res_p = max(res_p, abs(dp + phys.k * xb[i] + phys.Omega * pb[i] + phys.F))
     return res_x, res_p
+
+
+def _harmonic(rng, offset, amplitude, omega):
+    return Harmonic(rng.uniform(*offset), rng.uniform(*amplitude), rng.uniform(*omega))
+
+
+def _table(rng, t_max, lo, hi, knots=9):
+    return Table(times=tuple(np.linspace(0.0, t_max, knots)),
+                 values=tuple(rng.uniform(lo, hi, knots)))
+
+
+def family_schedule(family, rng, units, t_max):
+    """A seeded schedule of one of six families: harmonic, polynomial and
+    table profiles in the physical form, harmonic and table parts in the
+    algebraic form, and constant coefficients in each form."""
+    if family == "harmonic_physical":
+        return CoefficientSchedule.physical(
+            units, m=rng.uniform(0.8, 1.2), k=_harmonic(rng, (0.8, 1.5), (0.2, 0.6), (1.0, 3.0)),
+            Omega=rng.uniform(-0.2, 0.2), F=_harmonic(rng, (-0.2, 0.2), (0.1, 0.5), (0.5, 2.0)),
+            E=rng.uniform(-0.5, 0.5))
+    if family == "polynomial_physical":
+        return CoefficientSchedule.physical(
+            units, m=Polynomial((rng.uniform(0.8, 1.2), rng.uniform(0.0, 0.05))),
+            k=Polynomial((rng.uniform(0.8, 1.5), rng.uniform(-0.05, 0.05), rng.uniform(0.0, 0.01))),
+            V=_harmonic(rng, (-0.2, 0.2), (0.1, 0.3), (0.5, 2.0)), F=rng.uniform(-0.3, 0.3))
+    if family == "table_physical":
+        return CoefficientSchedule.physical(
+            units, m=rng.uniform(0.8, 1.2), k=_table(rng, t_max, 0.5, 2.0),
+            F=_table(rng, t_max, -0.4, 0.4), Omega=rng.uniform(-0.1, 0.1))
+    if family == "harmonic_algebraic":
+        return CoefficientSchedule.algebraic(
+            units, beta=_harmonic(rng, (1.4, 1.8), (0.1, 0.3), (1.0, 3.0)),
+            alpha=ComplexParts(_harmonic(rng, (-0.1, 0.1), (0.2, 0.5), (1.5, 3.5)),
+                               Constant(rng.uniform(-0.2, 0.2))),
+            gamma=ComplexParts(_table(rng, t_max, -0.3, 0.3),
+                               _harmonic(rng, (-0.1, 0.1), (0.1, 0.3), (0.5, 2.0))),
+            delta=Polynomial((rng.uniform(-0.5, 0.5), rng.uniform(-0.1, 0.1))))
+    if family == "constant_algebraic":
+        return CoefficientSchedule.algebraic(
+            units, alpha=complex(rng.uniform(0.2, 0.7) * np.exp(1j * rng.uniform(0.0, 6.0))),
+            beta=rng.uniform(1.0, 1.6),
+            gamma=complex(rng.uniform(0.0, 0.4) * np.exp(1j * rng.uniform(0.0, 6.0))),
+            delta=rng.uniform(-0.5, 0.5))
+    if family == "constant_physical":
+        return CoefficientSchedule.physical(
+            units, m=rng.uniform(0.7, 1.3), k=rng.uniform(-0.3, 1.5),
+            Omega=rng.uniform(-0.3, 0.3), F=rng.uniform(-0.3, 0.3),
+            V=rng.uniform(-0.3, 0.3), E=rng.uniform(-0.5, 0.5))
+    raise ValueError(family)
+
+
+FAMILIES = ("harmonic_physical", "polynomial_physical", "table_physical",
+            "harmonic_algebraic", "constant_algebraic", "constant_physical")

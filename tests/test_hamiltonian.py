@@ -481,6 +481,25 @@ def test_only_package_errors_leave_the_coefficient_api(call, message):
     assert type(caught.value) is DomainError and message in str(caught.value)
 
 
+def test_complex_parts_read_a_foreign_part_through_the_intake():
+    # complex('1') used to admit a part that returns a string as alpha = 1
+    schedule = CoefficientSchedule.algebraic(UNITS, alpha=ComplexParts(lambda t: "1", 0.0),
+                                             beta=1.0)
+    refused = ("alpha has no float value at t={}: its real part must be a complex number "
+               "within the floats, got '1'")
+    for evaluate in (schedule.compiled(), schedule.algebraic_at, schedule.physical_at):
+        with pytest.raises(DomainError, match=f"^{re.escape(refused.format(0.5))}$"):
+            evaluate(0.5)
+    assert validate(schedule, 1.0) == [f"alpha: evaluation failed at t=0: {refused.format(0.0)}"]
+    with pytest.raises(DomainError, match="^ComplexParts.imag must be a complex number"):
+        ComplexParts(0.0, lambda t: "1")(0.5)
+    # a foreign part that returns a number keeps its value, signed zeros included
+    schedule = CoefficientSchedule.algebraic(UNITS, alpha=ComplexParts(lambda t: 0.5 * t, -0.0),
+                                             beta=1.0)
+    for profile in (schedule.profiles["alpha"], lambda t: schedule.compiled()(t)[0]):
+        assert repr(profile(0.5)) == repr(complex(0.25) + 1j * complex(-0.0))
+
+
 @pytest.mark.parametrize("evaluator", ["compiled", "algebraic_at", "physical_at"])
 @pytest.mark.parametrize("key, schedule, t", [
     ("m", lambda: _PHYSICAL(m=Polynomial((1.0, 0.1)), k=1.0), _HUGE_INT),

@@ -669,6 +669,11 @@ _REFUSED = {
     "fock_coefficients None": (lambda: fock_coefficients(_GROUND, None), "tail_tolerance"),
     "MotionFrame past the floats": (lambda: MotionFrame(0.0, _PAST, 0j, 0j), "f"),
     "MotionFrame string": (lambda: MotionFrame(0.0, "1", 0j, 0j), "f"),
+    # ints too long for repr are shown by their type
+    "fock_wavefunction quantum number past repr": (
+        lambda: fock_wavefunction(-10**5000, 0.0, UNITS), "quantum number"),
+    "fock_coefficients n_max past repr": (
+        lambda: fock_coefficients(MotionFrame(0.0, 1.0, 0.0, 0.0), n_max=-10**5000), "n_max"),
 }
 
 

@@ -7,14 +7,14 @@ import pytest
 
 from cssdyn import (AlgebraicCoefficients, CoefficientSchedule, ComplexParts,
                     DomainError, DrivenOscillatorConfig, Harmonic,
-                    InitialConditions, IntegratorSettings, MotionFrame,
-                    Polynomial, Table, UnitContext, deviations, evolve,
-                    fock_coefficients, fock_wavefunction, from_initial_width,
-                    hamilton_residual, mean_energy, means, normalization, observe,
-                    uncertainty, wavefunction)
+                    InitialConditions, IntegratorSettings, MotionFrame, ObservableRecord,
+                    PhysicalCoefficients, Polynomial, SqueezeDisplace, Table, UnitContext,
+                    branch_windings, deviations, evolve, fock_coefficients, fock_wavefunction,
+                    from_initial_width, hamilton_residual, mean_energy, means, normalization,
+                    observe, parameters, uncertainty, wavefunction)
 
-from helpers import (DRIVEN_UNITS, driven_frames, hidden, hyperboloid_frame, kinked_schedule,
-                     physical_residual)
+from helpers import (DRIVEN_UNITS, FAMILIES, driven_frames, family_schedule, hidden,
+                     hyperboloid_frame, kinked_schedule, physical_residual)
 
 UNITS = UnitContext()
 VACUUM = MotionFrame(t=0.0, f=1.0, g=0.0, varphi=0.0)
@@ -160,6 +160,100 @@ def test_observe_record_is_consistent():
     assert rec.sr == pytest.approx((sx * sp) ** 2 - sxp ** 2, rel=1e-12)
     assert rec.energy == mean_energy(fr, alg, UNITS)
     assert (rec.xbar, rec.pbar) == means(fr, UNITS)
+
+
+def _record_oracle(frame, alg, units):
+    """The observables of a frame, each formula written out on its own and
+    the record built by its constructor: the oracle of observe's single
+    pass."""
+    l, hbar = units.l, units.hbar
+    f, g, varphi = frame.f, frame.g, frame.varphi
+    u = g * varphi.conjugate() - f.conjugate() * varphi
+    sx = (l / math.sqrt(2.0)) * abs(f - g)
+    sp = (hbar / (l * math.sqrt(2.0))) * abs(f + g)
+    delta = math.fsum([f.real * f.real, f.imag * f.imag, -g.real * g.real, -g.imag * g.imag])
+    val = (2.0 * alg.gamma.conjugate() * u
+           + alg.alpha.conjugate() * u * u
+           - alg.alpha * f * g.conjugate()
+           + alg.beta * ((g * g.conjugate()).real + (u * u.conjugate()).real)
+           + alg.delta)
+    return ObservableRecord(
+        t=frame.t, xbar=math.sqrt(2.0) * l * u.real, pbar=math.sqrt(2.0) * (hbar / l) * u.imag,
+        sigma_x=sx, sigma_p=sp, sigma_xp=hbar * (f * g.conjugate()).imag, heisenberg=sx * sp,
+        sr=(0.5 * hbar * delta) ** 2, energy=hbar * val.real)
+
+
+def _family_runs():
+    """(schedule, frames) of each of six schedule families, over a few
+    periods, plus hand-built frames with signed zeros under a schedule whose
+    coefficients are signed zeros too."""
+    rng = np.random.default_rng(2510)
+    for family in FAMILIES * 2:
+        units = UnitContext(hbar=rng.uniform(0.8, 1.2), l=rng.uniform(0.8, 1.2))
+        t_max = rng.uniform(3.0, 5.0)
+        schedule = family_schedule(family, rng, units, t_max)
+        width = from_initial_width(rng.uniform(0.3, 0.6) * units.l, rng.uniform(0.0, 6.0), units)
+        init = InitialConditions(width.f0, width.g0, complex(rng.normal(), rng.normal()))
+        yield schedule, evolve(schedule, init, np.linspace(0.0, t_max, 61))
+    zeros = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+    signed = CoefficientSchedule.algebraic(UNITS, alpha=-0.0j, beta=-0.0, gamma=complex(-0.0, 0.0),
+                                           delta=-0.0)
+    yield signed, [MotionFrame(t, complex(1.0, -0.0) if t else complex(-1.0, 0.0), g, varphi)
+                   for t, (g, varphi) in enumerate((g, varphi) for g in zeros for varphi in zeros)]
+
+
+def test_per_frame_readers_are_their_oracles_bit_for_bit():
+    # observe, the schedule's records, parameters and branch_windings build
+    # their results without constructors; each equals the constructed one
+    # from the formulas written out, compared by repr so that signed zeros
+    # count
+    for schedule, frames in _family_runs():
+        units, evaluate = schedule.units, schedule.compiled()
+        for fr in frames:
+            alg = schedule.algebraic_at(fr.t)
+            assert repr(alg) == repr(AlgebraicCoefficients(*evaluate(fr.t)))
+            if schedule.parameterization == "physical":
+                phys = schedule.physical_at(fr.t)
+                assert repr(phys) == repr(PhysicalCoefficients(*schedule._compiled()[1](fr.t)))
+            rec = observe(fr, alg, units)
+            want = _record_oracle(fr, alg, units)
+            assert repr(rec) == repr(want) and rec == want and hash(rec) == hash(want)
+            helpers = (*means(fr, units), *deviations(fr, units), *uncertainty(fr, units),
+                       mean_energy(fr, alg, units))
+            assert repr(helpers) == repr(tuple(vars(rec).values())[1:])
+            pair = parameters(fr)
+            assert repr(pair) == repr(SqueezeDisplace(fr.varphi / fr.f, fr.g / fr.f))
+            assert pair == SqueezeDisplace(fr.varphi / fr.f, fr.g / fr.f)
+        args = np.array([np.angle(fr.f) for fr in frames])
+        unwrapped = np.unwrap(args)
+        unwrapped += args[0] - unwrapped[0]
+        want = [int(round(w)) for w in (unwrapped - args) / (2.0 * np.pi)]
+        windings = branch_windings(frames)
+        assert windings == want and all(type(w) is int for w in windings)
+
+
+# frames whose observables leave the floats: |f|^2 past them, |f|^2 and
+# |g|^2 both past them, and |f - g| past them
+_PAST_THE_FLOATS = [MotionFrame(0.0, 1e100, 0j, 0j), MotionFrame(0.0, 1e200, 1e200, 0j),
+                    MotionFrame(0.0, complex(1.5e308, 1.5e308), 0j, 0j)]
+
+
+@pytest.mark.parametrize("frame", _PAST_THE_FLOATS, ids=["f 1e100", "f = g = 1e200", "f 1.5e308"])
+def test_observables_past_the_floats_are_inf_or_nan(frame):
+    # these raised OverflowError or ValueError from inside the package
+    rec = observe(frame, AlgebraicCoefficients(beta=1.0), UNITS)
+    assert all(type(v) is float for v in vars(rec).values())
+    assert not math.isfinite(rec.sr)
+    assert repr(uncertainty(frame, UNITS)) == repr((rec.heisenberg, rec.sr))
+
+
+def test_observables_past_the_floats_values():
+    alg = AlgebraicCoefficients(beta=1.0)
+    huge, equal, wide = (observe(fr, alg, UNITS) for fr in _PAST_THE_FLOATS)
+    assert huge.sr == math.inf and huge.sigma_x == 1e100 / math.sqrt(2.0) and huge.energy == 0.0
+    assert math.isnan(equal.sr) and equal.sigma_x == 0.0 and equal.energy == math.inf
+    assert math.isnan(uncertainty(_PAST_THE_FLOATS[1], UNITS)[1])
+    assert wide.sigma_x == wide.sigma_p == wide.heisenberg == math.inf
 
 
 # ---------------------------------------------------------------------------

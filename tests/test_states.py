@@ -105,6 +105,16 @@ def test_windings_are_the_unwrap_of_each_frames_angle():
     assert max(want) >= 3
 
 
+@pytest.mark.parametrize("f", [complex("nan"), complex(math.inf, 0.0)], ids=["nan", "inf"])
+def test_windings_refuse_a_non_finite_f(f):
+    # a NaN raised a bare ValueError from int(round(w)); an infinite f, whose
+    # np.angle is finite, got a winding
+    frames = [MotionFrame(0.0, 1.0, 0j, 0j), MotionFrame(1.0, f, 0j, 0j),
+              MotionFrame(2.0, 1.0, 0j, 0j)]
+    with pytest.raises(DomainError, match=r"^frame at t = 1\.0 has a non-finite f"):
+        branch_windings(frames)
+
+
 # ---------------------------------------------------------------------------
 # number-basis coefficients
 

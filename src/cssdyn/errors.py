@@ -3,14 +3,15 @@
 The CLI maps these onto process exit codes, so library code should raise
 the most specific type that applies rather than bare ValueError/RuntimeError.
 
-Every number the library takes in passes one intake: _read for a real or a
-complex number, _read_fields for the number fields of a frozen dataclass,
-and _array for grids and x points.  A value is admitted when it is a
-numbers.Real (a numbers.Complex where a complex number is meant: numpy
-scalars, Fraction and bool included) that converts to a float (a complex
-number) without overflow, and meets the bound of its site.  Anything else,
-a string, None, or an int past the floats such as 10**400, raises a
-DomainError that starts with the argument's name:
+Every number the library takes in passes one intake: _read for a real or
+a complex number or an integer, _read_fields for the number fields of a
+frozen dataclass, and _array for grids and x points.  A value is admitted
+when it is a numbers.Real (a numbers.Complex where a complex number is
+meant, a numbers.Integral where an integer is: numpy scalars, Fraction and
+bool included) that converts to a float (a complex number, an int) without
+overflow, and meets the bound of its site.  Anything else, a string, None,
+or an int past the floats such as 10**400, raises a DomainError that
+starts with the argument's name:
 
     <name> must be <bound>, got <value>
 """
@@ -53,19 +54,24 @@ class ConfigError(CssdynError, ValueError):
     """Run configuration is missing, malformed, or inconsistent."""
 
 
-# the bounds of _read and their tests of the converted number; "real" and
-# "complex" admit every number of their kind within the floats
+# the bounds of _read and their tests of the converted number (None: none
+# past its kind); "real" and "complex" admit every number of their kind
+# within the floats, and the bounds that name an integer a numbers.Integral
 _BOUNDS = {"real": None, "complex": None, "finite": math.isfinite, "positive": lambda x: x > 0.0,
            "positive and finite": lambda x: 0.0 < x < math.inf,
            "finite and nonnegative": lambda x: 0.0 <= x < math.inf,
-           "in (0, 1)": lambda x: 0.0 < x < 1.0}
+           "in (0, 1)": lambda x: 0.0 < x < 1.0,
+           "an integer": None, "a nonnegative integer": lambda n: n >= 0,
+           "an integer of at least 2": lambda n: n >= 2}
 
 
 def _read(name: str, value, bound: str = "real"):
-    """value as a float, or as a complex number for the bound "complex",
-    when it is a number of that kind within the floats that meets bound (a
-    key of _BOUNDS); else DomainError naming name."""
-    kind, number = (complex, numbers.Complex) if bound == "complex" else (float, numbers.Real)
+    """value as a float, as a complex number for the bound "complex", or as
+    an int for a bound that names an integer, when it is a number of that
+    kind (within the floats) that meets bound (a key of _BOUNDS); else
+    DomainError naming name."""
+    kind, number = ((int, numbers.Integral) if "integer" in bound else
+                    (complex, numbers.Complex) if bound == "complex" else (float, numbers.Real))
     try:
         x = kind(value) if isinstance(value, number) else None
     except OverflowError:  # an int or a fraction past the floats
@@ -73,7 +79,7 @@ def _read(name: str, value, bound: str = "real"):
     test = _BOUNDS[bound]
     if x is not None and (test is None or test(x)):
         return x
-    wanted = bound if test else f"a {bound} number within the floats"
+    wanted = f"a {bound} number within the floats" if bound in ("real", "complex") else bound
     raise DomainError(f"{name} must be {wanted}, got {_shown(value)}")
 
 

@@ -23,12 +23,11 @@ where the (x, p) form does not exist.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, _array, _shown
+from .errors import DomainError, NumericalError, _array, _read
 from .hamiltonian import AlgebraicCoefficients, CoefficientSchedule, UnitContext
 from .motion import MotionFrame
 from .states import _inverse_root
@@ -211,8 +210,7 @@ def fock_wavefunction(n: int, x, units: UnitContext) -> np.ndarray:
     DomainError unless n is a nonnegative integer (a numbers.Integral), and
     for an x whose entries are not real numbers within the floats.
     """
-    if not (isinstance(n, numbers.Integral) and n >= 0):
-        raise DomainError(f"quantum number must be a nonnegative integer, got {_shown(n)}")
+    n = _read("quantum number", n, "a nonnegative integer")
     xs = _array("x", x)
     uu = xs / units.l
     prev = np.zeros_like(uu)

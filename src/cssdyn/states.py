@@ -27,13 +27,12 @@ count of arg f, recoverable along a trajectory with branch_windings().
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NumericalError, _read, _shown
+from .errors import ConvergenceError, DomainError, NumericalError, _read
 from .motion import MotionFrame
 
 # Default truncation control of every number-basis expansion: the certified
@@ -82,12 +81,17 @@ def parameters(frame: MotionFrame) -> SqueezeDisplace:
 
     The pair is filled straight through its __dict__, as the frozen
     dataclass's __init__ would fill it, so it equals and hashes like a
-    constructed one.
+    constructed one.  A hand-built frame with f = 0 has neither: DomainError
+    names its t.
     """
     f = frame.f
     pair = object.__new__(SqueezeDisplace)
     row = pair.__dict__
-    row["xi"], row["zeta"] = frame.varphi / f, frame.g / f
+    try:
+        row["xi"], row["zeta"] = frame.varphi / f, frame.g / f
+    except ZeroDivisionError:
+        raise DomainError(f"frame at t = {frame.t!r} has f = 0: "
+                          "no xi = varphi / f or zeta = g / f") from None
     return pair
 
 
@@ -127,8 +131,7 @@ def _inverse_root(frame: MotionFrame, winding: int) -> complex:
     all take f^(-1/2) from here, before any arithmetic that such a frame
     would break, so they refuse the same windings and frames.
     """
-    if not isinstance(winding, numbers.Integral):
-        raise DomainError(f"winding must be an integer, got {winding!r}")
+    winding = _read("winding", winding, "an integer")
     f, g, varphi = frame.f, frame.g, frame.varphi
     if not all(math.isfinite(x) for v in (f, g, varphi) for x in (v.real, v.imag)):
         raise DomainError(f"frame at t = {frame.t!r} is not finite: "
@@ -180,6 +183,9 @@ def fock_coefficients(frame: MotionFrame, tail_tolerance: float = TAIL_TOLERANCE
     expansion at its last nonzero level with tail bound 0: what lies past
     it has underflowed.  An even n_max leaves its last level without a
     pair, so P_{n_max-1} = P_{n_max} = 0.0 ends the expansion at n_max - 2.
+    The rule reads the levels in one pass from the first pair, and again
+    from the first pair whenever the buffer grows, so where the expansion
+    ends depends on the levels alone, never on how they were filled.
     Near-unit |zeta| needs n_max of order 25/(1-|zeta|^2).
 
     n_max must be an integer (a numbers.Integral) of at least 2, and
@@ -203,7 +209,8 @@ def transition_probabilities(frame: MotionFrame, tail_tolerance: float = TAIL_TO
 
     The same expansion, truncation rule and errors as fock_coefficients,
     whose probabilities it reproduces bit for bit, but without the coefficient
-    array: the rule reads probabilities alone, so nothing is rerun, and a
+    array: the rule reads probabilities alone, in one pass over the filled
+    levels (again after a buffer growth), so nothing is rerun, and a
     level costs 8 bytes instead of 24, which matters for strongly
     squeezed frames where the certified truncation runs into millions.
     The result is a view into the engine's buffer, which may run a few
@@ -221,15 +228,16 @@ def _expand(frame, tail_tolerance, n_max, winding, keep_coefficients):
     p_raw holds |d_n|^2 without the |phi|^2 weight; both arrays may run past
     top, and only [:top + 1] is meaningful.  The buffers are allocated once
     at the depth _predict_depth expects and grown by _GROW only when that
-    depth does not certify, never past n_max.  _march fills them, and
-    _Certifier applies the truncation rule of fock_coefficients to each
-    filled range in order, so the first pair that certifies or is exactly
-    zero wins.  The rule reads p_raw alone, so keep_coefficients changes
-    what is stored, never where the expansion ends.
+    depth does not certify, never past n_max.  _march fills them, and after
+    each march _certify applies the truncation rule of fock_coefficients to
+    all the filled levels in one pass from the first pair, so the first
+    pair that certifies or is exactly zero wins.  After a growth it reads
+    from the first pair again: no rule state lives between marches.  The
+    rule reads p_raw alone, so keep_coefficients changes what is stored,
+    never where the expansion ends.
     """
     tail_tolerance = _read("tail_tolerance", tail_tolerance, "in (0, 1)")
-    if not (isinstance(n_max, numbers.Integral) and n_max >= 2):
-        raise DomainError(f"n_max must be an integer of at least 2, got {_shown(n_max)}")
+    n_max = _read("n_max", n_max, "an integer of at least 2")
     phi = normalization(frame, winding)  # refuses |zeta| >= 1 before any level
     par = parameters(frame)
     xi, zeta = par.xi, par.zeta
@@ -243,7 +251,6 @@ def _expand(frame, tail_tolerance, n_max, winding, keep_coefficients):
     p[:2] = [1.0, xi.real * xi.real + xi.imag * xi.imag]
     if keep_coefficients:
         d[:2] = edge
-    certifier = _Certifier(weight, zeta2, tail_tolerance)
     filled = 1
     # a state too wide for float64 overflows to inf and nan, which the rule
     # never certifies; that ends in ConvergenceError, not in warnings
@@ -251,7 +258,7 @@ def _expand(frame, tail_tolerance, n_max, winding, keep_coefficients):
         while True:
             edge = _march(xi, zeta, edge, filled, size - 1, p, d)
             filled = size - 1
-            outcome = certifier.scan(p, filled)
+            outcome = _certify(p, filled, weight, zeta2, tail_tolerance)
             if outcome is not None:
                 break
             if filled == n_max:
@@ -259,10 +266,11 @@ def _expand(frame, tail_tolerance, n_max, winding, keep_coefficients):
                 if n_max % 2 == 0 and p[n_max - 1] == p[n_max] == 0.0:
                     outcome = n_max - 2, 0.0
                     break
+                last = (n_max - 1) // 2 * 2  # the last complete pair
                 raise ConvergenceError(
                     f"tail not certified below {tail_tolerance:g} within n_max={n_max} "
                     f"(|zeta| = {abs(zeta):.8f}, last pair mass "
-                    f"{weight * certifier.prev_pair:.3e})")
+                    f"{weight * (p[last] + p[last + 1]):.3e})")
             size = min(int(size * _GROW), n_max + 1)
             p = _grown(p, size)
             if keep_coefficients:
@@ -444,38 +452,23 @@ def _store(p, d, where, values):
         d[where] = values
 
 
-class _Certifier:
-    """The truncation rule of fock_coefficients, applied range by range.
+def _certify(p, top, weight, zeta2, tail_tolerance):
+    """The truncation rule of fock_coefficients on levels 0..top.
 
-    Pairs E_k = P_2k + P_2k+1 are scanned in chunks of at most _CHUNK; the
-    last pair whose ratio E_k/E_{k-1} was not below 1 and the last
-    _WINDOW - 1 ratios carry from one chunk and one call to the next.
-    scan() returns None while nothing has happened, (2k + 1, bound) when
-    E_k is the first pair to certify, and (top, 0.0) when E_k is the first
-    pair that is exactly zero, where top, 2k - 1 or 2k - 2, is the last
-    nonzero level.  A zero pair wins a tie with a certified one.
+    Pairs E_k = P_2k + P_2k+1 are read from the first in chunks of at most
+    _CHUNK; the last pair whose ratio E_k/E_{k-1} was not below 1 and the
+    last _WINDOW - 1 ratios carry from one chunk to the next, and nothing
+    outlives the call.  Returns None while nothing has happened, (2k + 1,
+    bound) when E_k is the first pair to certify, and (top, 0.0) when E_k is
+    the first pair that is exactly zero, where top, 2k - 1 or 2k - 2, is the
+    last nonzero level.  A zero pair wins a tie with a certified one, and a
+    lone last level (an even top) belongs to no pair.
     """
-
-    def __init__(self, weight, zeta2, tail_tolerance):
-        self.weight = weight
-        self.zeta2 = zeta2
-        self.tol = tail_tolerance
-        self.pair = 1            # next pair to test for certification
-        self.last_bad = 0        # pair 0 has no ratio
-        self.window = np.zeros(_WINDOW - 1)
-        self.prev_pair = 0.0
-
-    def scan(self, p, top):
-        end = (top + 1) // 2     # pairs below `end` are complete
-        while self.pair < end:
-            hit = self._first_certified(p, min(end, self.pair + _CHUNK))
-            if hit is not None:
-                return hit
-        self.prev_pair = p[2 * end - 2] + p[2 * end - 1]
-        return None
-
-    def _first_certified(self, p, k1):
-        k0 = self.pair
+    last_bad = 0                 # pair 0 has no ratio
+    window = np.zeros(_WINDOW - 1)
+    end = (top + 1) // 2         # pairs below `end` are complete
+    for k0 in range(1, end, _CHUNK):
+        k1 = min(end, k0 + _CHUNK)
         sums = p[2 * k0 - 2:2 * k1:2] + p[2 * k0 - 1:2 * k1:2]  # E_{k0-1} .. E_{k1-1}
         pair, before = sums[1:], sums[:-1]
         # p >= 0, so E_k/E_{k-1} < 1 in floating point exactly when
@@ -483,30 +476,30 @@ class _Certifier:
         good = pair < before
         # ratios outside a streak never reach a certifying window
         ratio = np.divide(pair, before, out=np.zeros(pair.size), where=good)
-        window = np.concatenate([self.window, ratio])
-        self.window = window[-(_WINDOW - 1):]
+        window = np.concatenate([window, ratio])
         index = np.arange(k0, k1)
-        last_bad = np.maximum.accumulate(np.where(good, self.last_bad, index))
-        self.last_bad = int(last_bad[-1])
-        self.pair = k1
-        mass = self.weight * pair
-        ready = (index - last_bad >= _WINDOW) & (mass <= self.tol)
+        bad = np.maximum.accumulate(np.where(good, last_bad, index))
+        last_bad = int(bad[-1])
+        mass = weight * pair
+        ready = (index - bad >= _WINDOW) & (mass <= tail_tolerance)
         # the first zero pair ends the expansion unless a pair before it certifies
         zero = np.flatnonzero(pair == 0.0)
-        end = int(zero[0]) if zero.size else pair.size
-        if self.zeta2 < 1.0 and ready[:end].any():  # rho >= 1 certifies nothing
+        stop = int(zero[0]) if zero.size else pair.size
+        if zeta2 < 1.0 and ready[:stop].any():  # rho >= 1 certifies nothing
+            rho = window
             for shift in (1, 2, 4, 8):  # running max over the last 16 = _WINDOW ratios
-                window = np.maximum(window[shift:], window[:-shift])
-            rho = np.maximum(window[:end], self.zeta2)
-            bound = mass[:end] * rho / (1.0 - rho)
-            ok = np.flatnonzero(ready[:end] & (bound <= self.tol))
+                rho = np.maximum(rho[shift:], rho[:-shift])
+            rho = np.maximum(rho[:stop], zeta2)
+            bound = mass[:stop] * rho / (1.0 - rho)
+            ok = np.flatnonzero(ready[:stop] & (bound <= tail_tolerance))
             if ok.size:
                 i = int(ok[0])
                 return 2 * (k0 + i) + 1, float(bound[i])
-        if not zero.size:
-            return None
-        k = k0 + end             # E_{k-1} > 0, so P_{2k-2} or P_{2k-1} is the last nonzero
-        return (2 * k - 1 if p[2 * k - 1] else 2 * k - 2), 0.0
+        if zero.size:
+            k = k0 + stop        # E_{k-1} > 0, so P_{2k-2} or P_{2k-1} is the last nonzero
+            return (2 * k - 1 if p[2 * k - 1] else 2 * k - 2), 0.0
+        window = window[-(_WINDOW - 1):]
+    return None
 
 
 def overlap(frame1: MotionFrame, frame2: MotionFrame,

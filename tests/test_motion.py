@@ -18,7 +18,8 @@ from cssdyn import (AlgebraicCoefficients, CoefficientSchedule, ComplexParts,
                     IntegratorSettings, MotionFrame, NumericalError, PhysicalCoefficients,
                     Polynomial, Table, UnitContext, closed_form, deviations, evolve,
                     fock_coefficients, fock_wavefunction, frames, from_initial_width,
-                    transition_snapshot, u_of, wavefunction)
+                    normalization, overlap, parameters, transition_snapshot, u_of,
+                    wavefunction)
 
 from helpers import (DRIVEN_SCHEDULE, DRIVEN_UNITS, constant_draws, driven_frames, hidden,
                      kinked_schedule, scalar_grid_states)
@@ -621,6 +622,7 @@ def test_max_step_reaches_the_stepper(evaluations):
 _PAST = 10**400
 _OSCILLATOR = CoefficientSchedule.physical(UNITS, m=1.0, k=1.0)
 _GROUND = MotionFrame(t=0.0, f=1.0 + 0j, g=0j, varphi=0j)
+_LONG = Fraction(10**5000, 3)
 
 # entry points that raised OverflowError on an int past the floats: (call,
 # the argument the DomainError names)
@@ -674,6 +676,15 @@ _REFUSED = {
         lambda: fock_wavefunction(-10**5000, 0.0, UNITS), "quantum number"),
     "fock_coefficients n_max past repr": (
         lambda: fock_coefficients(MotionFrame(0.0, 1.0, 0.0, 0.0), n_max=-10**5000), "n_max"),
+    # a winding that is not an integer, shown by its type where repr raises
+    "normalization winding past repr": (lambda: normalization(_GROUND, _LONG), "winding"),
+    "overlap winding past repr": (lambda: overlap(_GROUND, _GROUND, _LONG, 0), "winding"),
+    "wavefunction winding past repr": (
+        lambda: wavefunction(_GROUND, [0.0], UNITS, winding=_LONG), "winding"),
+    "fock_coefficients winding past repr": (
+        lambda: fock_coefficients(_GROUND, winding=_LONG), "winding"),
+    # a hand-built frame with f = 0 has no xi = varphi / f or zeta = g / f
+    "parameters at f = 0": (lambda: parameters(MotionFrame(0.0, 0j, 0j, 0j)), "frame"),
 }
 
 

@@ -373,6 +373,152 @@ def test_growth_and_chunking_keep_the_rule(monkeypatch):
         assert_same_expansion(frame, 1e-12, 200_000, 0)
 
 
+def scalar_rule(p, top, weight, zeta2, tail_tolerance):
+    """The truncation rule that scalar_reference runs inline, reading the
+    pairs of levels 0..top of a given array: None, (2k + 1, bound) for the
+    first pair that certifies, or (last nonzero level, 0.0) for the first
+    pair that is exactly zero.  A lone last level (an even top) belongs to
+    no pair; the even-n_max clause of scalar_reference is _expand's."""
+    p = [float(x) for x in p[:top + 1]]
+    prev_pair = sum(p[:2])
+    ratios = deque(maxlen=16)
+    streak = 0
+    for k in range(1, (top + 1) // 2):
+        if p[2 * k] == 0.0 and p[2 * k + 1] == 0.0:
+            nz = np.nonzero(p[:2 * k + 2])[0]
+            return (int(nz[-1]) if nz.size else 0), 0.0
+        pair = p[2 * k] + p[2 * k + 1]
+        ratio = pair / prev_pair if prev_pair > 0.0 else math.inf
+        prev_pair = pair
+        ratios.append(ratio)
+        streak = streak + 1 if ratio < 1.0 else 0
+        if streak >= 16 and weight * pair <= tail_tolerance:
+            rho = max(max(ratios), zeta2)
+            if rho < 1.0:
+                bound = weight * pair * rho / (1.0 - rho)
+                if bound <= tail_tolerance:
+                    return 2 * k + 1, float(bound)
+    return None
+
+
+def falling(rng, pairs, n, lo=0.3, hi=0.95):
+    """Append n level pairs whose sums fall by ratios in [lo, hi]."""
+    for _ in range(n):
+        e = sum(pairs[-1]) * rng.uniform(lo, hi)
+        share = rng.uniform()
+        pairs.append((e * share, e - e * share))
+
+
+def sawtooth(rng, n):
+    """n level pairs, (P_2k, P_2k+1), that never hold a streak: runs of 1 to
+    15 falling pairs, each ended by a pair ratio of exactly 1 (the last
+    pair repeated) in about half the runs, then by a jump back to 1 or more."""
+    pairs = [(1.0, 0.5)]
+    while len(pairs) < n:
+        falling(rng, pairs, int(rng.integers(1, 16)))
+        if rng.uniform() < 0.5:
+            pairs.append(pairs[-1])
+        e, share = max(1.0, 1.01 * sum(pairs[-1])) * rng.uniform(1.0, 1.5), rng.uniform()
+        pairs.append((e * share, e - e * share))
+    return pairs[:n]
+
+
+def certifying_at(rng, k, tol, extra=20):
+    """(levels, weight) whose pair k is the first to certify at tail tol:
+    a sawtooth, a repeated pair k - 16, then falling pairs, so that the
+    streak reaches 16 at pair k; the weight puts the mass of pair k at
+    tol / 2."""
+    pairs = sawtooth(rng, k - 16)
+    pairs.append(pairs[-1])
+    falling(rng, pairs, 16 + extra, 0.3, 0.6)
+    p = np.array(pairs).ravel()
+    return p, 0.5 * tol / (p[2 * k] + p[2 * k + 1])
+
+
+def synthetic_cases(rng, chunk):
+    """(name, p, top, weight, zeta2, tol, expected) level arrays that hold
+    the rule's rare cases at the chunk boundaries of a chunk size; expected
+    is the outcome the case must reach: "certified", "zero", None, or the
+    certified truncation itself."""
+    tol = 1e-10
+    k = 1 + chunk * -(-16 // chunk)  # the first chunk opener with 16 pairs before it
+    p, weight = certifying_at(rng, k, tol)
+    yield "certifying pair opens a chunk", p, p.size - 1, weight, 0.25, tol, 2 * k + 1
+    yield "rho >= 1 certifies nothing", p, p.size - 1, weight, 1.0, tol, None
+    levels = np.array(sawtooth(rng, k + 10)).ravel()
+    for zero in (k - 1, k, k + 1):  # a zero pair just before, at, just after a boundary
+        q = levels.copy()
+        q[2 * zero:2 * zero + 2] = 0.0
+        if rng.uniform() < 0.5:
+            q[2 * zero - 1] = 0.0  # the last nonzero level is 2 zero - 2
+        yield f"zero pair {zero - k:+d} from a chunk opener", q, q.size - 1, 1.0, 0.25, tol, "zero"
+    tie = p.copy()
+    tie[2 * k:2 * k + 2] = 0.0
+    yield "zero pair tied with a certified one", tie, tie.size - 1, weight, 0.25, tol, "zero"
+    after = p.copy()
+    after[2 * k + 2:2 * k + 4] = 0.0
+    yield "certified pair before a zero pair", after, after.size - 1, weight, 0.25, tol, 2 * k + 1
+    yield "even top past the certified pair", p, 2 * k + 2, weight, 0.25, tol, 2 * k + 1
+    lone = p.copy()
+    lone[2 * k - 1] = lone[2 * k] = 0.0  # zero levels that straddle two pairs
+    lone[2 * k + 1:] = 0.0  # never read: with level 2k, a zero pair
+    yield "even top with a lone last level", lone, 2 * k, weight, 0.25, tol, None
+    broken = p.copy()
+    broken[2 * k - 9] = math.nan  # a NaN level in the streak
+    yield "NaN in the streak", broken, broken.size - 1, weight, 0.25, tol, "certified"
+    opened = p.copy()
+    opened[2 * k - 32] = math.inf  # the pair before the streak: then a ratio of 0
+    yield "inf before the streak", opened, opened.size - 1, weight, 0.25, tol, 2 * k + 1
+
+
+def random_cases(rng, count):
+    """Short seeded level arrays mixing sawtooths, geometric tails, ratios
+    of exactly 1, zero pairs, NaN and inf levels, and tops of both parities
+    with unread levels past them."""
+    for i in range(count):
+        pairs = sawtooth(rng, int(rng.integers(1, 60)))
+        # the weight puts tol near the mass of a pair of the geometric tail
+        at = len(pairs) - 1
+        if rng.uniform() < 0.7:
+            fall = int(rng.integers(10, 80))
+            falling(rng, pairs, fall, 0.3, rng.uniform(0.5, 1.0))
+            at += int(rng.integers(1, fall + 1))
+        weight = 1e-10 / sum(pairs[at]) * 10 ** rng.uniform(-1, 1)
+        p = np.array(pairs).ravel()
+        for value in (0.0, math.nan, math.inf):
+            if rng.uniform() < 0.25:
+                at = 2 * int(rng.integers(1, p.size // 2)) if p.size > 2 else 0
+                p[at:at + int(rng.integers(1, 3))] = value
+        top = p.size - 1 - int(rng.integers(0, min(4, p.size)))
+        p[top + 1:] = 0.0  # never read: they would make zero pairs
+        zeta2 = float(rng.choice([0.0, rng.uniform(0.0, 0.9), rng.uniform(0.9, 0.999), 1.0]))
+        yield f"random {i}", p, top, weight, zeta2, 1e-10, "any"
+
+
+def test_certify_is_the_scalar_rule_on_synthetic_levels(monkeypatch):
+    # frame-derived levels rarely reach these cases; the rule must not
+    # depend on where its chunks fall
+    rng = np.random.default_rng(26)
+    chunks = (1, 5, 16, cssdyn.states._CHUNK)
+    cases = [*random_cases(rng, 200)]
+    for chunk in chunks:
+        cases.extend(synthetic_cases(rng, chunk))
+    outcomes = set()
+    for name, p, top, weight, zeta2, tol, expected in cases:
+        want = scalar_rule(p, top, weight, zeta2, tol)
+        kind = None if want is None else "zero" if want[1] == 0.0 else "certified"
+        assert expected in ("any", kind) or (want and want[0] == expected), (name, want)
+        outcomes.add(kind)
+        for chunk in chunks:
+            if top > 4000 * chunk:  # keeps the test quick; every chunk size sees each case kind
+                continue
+            monkeypatch.setattr(cssdyn.states, "_CHUNK", chunk)
+            with np.errstate(over="ignore", invalid="ignore"):  # as in _expand
+                got = cssdyn.states._certify(p, top, weight, zeta2, tol)
+            assert repr(got) == repr(want), (name, chunk)
+    assert outcomes == {None, "zero", "certified"}
+
+
 @pytest.mark.parametrize("n_max", [2, 3, 40, 41, 64, 65])
 def test_refusal_matches_scalar_reference(n_max):
     for frame in (squeezed_frame(0.999, 0.0, 0.0, 1.0),

@@ -1,16 +1,18 @@
 """sha256 sums of everything the benchmark's output-producing workloads make.
 
-Runs every trajectory_sweep and cli_runs task of perfbench/workloads.py once
-with the cssdyn package found in SRC (a directory that holds cssdyn/, such
-as a checkout's src), and prints one line per output:
+Runs every fock_deep, trajectory_sweep and cli_runs task of
+perfbench/workloads.py once with the cssdyn package found in SRC (a
+directory that holds cssdyn/, such as a checkout's src), and prints one
+line per output:
 
     <workload> <seed> <task> <output> <sha256>
 
-For a trajectory_sweep task the outputs are its frames (all six fields, by
-repr), its observable records, the Hamilton residual and the picked frames,
-the number-basis expansions (coefficient and probability bits, truncation,
-tail bound) and the overlap grid (bits).  For a cli_runs task they are the
-CSV the command wrote and its exit code.  Two sources give the same
+For a fock_deep task the output is its probabilities (bits), named with
+their count.  For a trajectory_sweep task the outputs are its frames (all
+six fields, by repr), its observable records, the Hamilton residual and
+the picked frames, the number-basis expansions (coefficient and
+probability bits, truncation, tail bound) and the overlap grid (bits).
+For a cli_runs task they are the CSV the command wrote and its exit code.  Two sources give the same
 outputs, bit for bit, when their printouts are equal:
 
     python tools/same_outputs.py OLD/src > old.txt
@@ -35,6 +37,13 @@ def _sha(*parts) -> str:
     for part in parts:
         digest.update(part if isinstance(part, bytes) else repr(part).encode())
     return digest.hexdigest()
+
+
+def _fock(workloads, seed: int):
+    deep = workloads.FockDeep(seed, None)
+    for task, item in enumerate(deep.items):
+        probs = deep.run(item)
+        yield task, f"probabilities[{probs.size}]", _sha(probs.tobytes())
 
 
 def _sweep(workloads, seed: int):
@@ -71,7 +80,8 @@ def main(argv: list) -> int:
     import workloads
     print(f"cssdyn from {os.path.dirname(cssdyn.__file__)}", file=sys.stderr)
     for seed in args.seeds:
-        for name, outputs in (("trajectory_sweep", _sweep), ("cli_runs", _cli)):
+        for name, outputs in (("fock_deep", _fock), ("trajectory_sweep", _sweep),
+                              ("cli_runs", _cli)):
             for task, output, digest in outputs(workloads, seed):
                 print(name, seed, task, output, digest)
     return 0

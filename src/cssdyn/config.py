@@ -32,10 +32,13 @@ Sections and keys (INI syntax, keys are case-sensitive, # starts a comment):
       x_points, x_span_sigmas     density grid: points across xbar +/- span*sigma_x
 
 The numbers of [integration] and [output] other than the integrator's have
-their section, type, default and bound in the _NUMBERS table below.  The
-table also reads the command line's numbers with the same grammar: density's
---x-points and --x-span-sigmas by their keys' entries, and --time and each
---times entry by a time entry (finite, >= 0) that no file can set.
+their section, default and bound in the _NUMBERS table below; each bound is
+one of the library's intake (errors._BOUNDS), whose name says whether the
+number is an integer, so a key is held to the rule and the message of the
+argument it becomes.  The table also reads the command line's numbers with
+the same grammar: density's --x-points and --x-span-sigmas by their keys'
+entries, and --time and each --times entry by a time entry (finite and
+nonnegative) that no file can set.
 
 No other section exists: [DEFAULT] is not special here, so it is refused as
 an unknown section rather than merged into the others.
@@ -68,7 +71,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, _read
 from .hamiltonian import (_COMPLEX_KEYS, _KEYS, CoefficientSchedule, ComplexParts,
                           Constant, Harmonic, Polynomial, Table, UnitContext)
 from .mathieu import DrivenOscillatorConfig
@@ -106,7 +109,17 @@ class RunConfig:
     def time_grid(self) -> np.ndarray:
         if self.t_max is None:
             raise ConfigError("this command needs t_max in [integration]")
-        return np.linspace(0.0, self.t_max, self.num_points)
+        return _linspace(0.0, self.t_max, self.num_points, "[integration] num_points")
+
+
+def _linspace(start: float, stop: float, points: int, where: str) -> np.ndarray:
+    """np.linspace(start, stop, points); ConfigError naming where when numpy
+    cannot hold that many points (it refuses a count such as 1e300 before
+    allocating anything)."""
+    try:
+        return np.linspace(start, stop, points)
+    except (ValueError, MemoryError):
+        raise ConfigError(f"{where} = {points:.6g} is more points than numpy can hold") from None
 
 
 def _unquote(raw: str) -> str:
@@ -126,39 +139,34 @@ def _number(raw: str, where: str) -> float:
     return v
 
 
-def _integer(raw: str, where: str) -> int:
-    v = _number(raw, where)
-    if v != int(v):
-        raise ConfigError(f"{where}: expected an integer, got {raw!r}")
-    return int(v)
-
-
 # The other numbers of [integration] and [output], in the order they are
-# checked, and the command line's times: key -> (section, reader, default,
-# bound, test of the bound).  A key left out takes the default; t_max has
-# none, and only the commands that need its grid ask for it.  No file sets
-# time, which has no section.
+# checked, and the command line's times: key -> (section, default, bound of
+# errors._read).  A key left out takes the default; t_max has none, and only
+# the commands that need its grid ask for it.  No file sets time, which has
+# no section.
 _NUMBERS = {
-    "t_max": ("integration", _number, None, "positive and finite", lambda v: 0 < v < math.inf),
-    "num_points": ("integration", _integer, 1001, "at least 2", lambda v: v >= 2),
-    "tail_tolerance": ("output", _number, TAIL_TOLERANCE, "in (0, 1)", lambda v: 0 < v < 1),
-    "n_max": ("output", _integer, N_MAX, "at least 2", lambda v: v >= 2),
-    "x_points": ("output", _integer, 1025, "at least 2", lambda v: v >= 2),
-    "x_span_sigmas": ("output", _number, 8.0, "positive and finite",
-                      lambda v: 0 < v < math.inf),
-    "time": (None, _number, None, "at least 0", lambda v: v >= 0),
+    "t_max": ("integration", None, "positive and finite"),
+    "num_points": ("integration", 1001, "an integer of at least 2"),
+    "tail_tolerance": ("output", TAIL_TOLERANCE, "in (0, 1)"),
+    "n_max": ("output", N_MAX, "an integer of at least 2"),
+    "x_points": ("output", 1025, "an integer of at least 2"),
+    "x_span_sigmas": ("output", 8.0, "positive and finite"),
+    "time": (None, None, "finite and nonnegative"),
 }
 
 
 def read_number(key: str, raw: str, where: str):
-    """raw read by key's reader in _NUMBERS and held to its bound; else
-    ConfigError naming where.  The file's numbers, the command line's
-    overrides of [output] numbers and its times all pass here."""
-    _, read, _, bound, test = _NUMBERS[key]
-    value = read(raw, where)
-    if not test(value):
-        raise ConfigError(f"{where} must be {bound}, got {value!r}")
-    return value
+    """raw read as a number and held to key's bound in _NUMBERS by the
+    library's intake; else ConfigError naming where.  A number written as an
+    integral float (801.0, 8e2) is an integer.  The file's numbers, the
+    command line's overrides of [output] numbers and its times all pass here."""
+    bound = _NUMBERS[key][2]
+    value = _number(raw, where)
+    try:
+        return _read(where, int(value) if "integer" in bound and value.is_integer() else value,
+                     bound)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _profile(raw: str, where: str):
@@ -261,7 +269,7 @@ def load_config(path: str) -> RunConfig:
     settings = IntegratorSettings(**_numbers("integration", sections["integration"], _SETTINGS))
     numbers = {key: read_number(key, sections[section][key], f"[{section}] {key}")
                if key in sections[section] else default
-               for key, (section, _, default, _, _) in _NUMBERS.items() if section}
+               for key, (section, default, _) in _NUMBERS.items() if section}
     outp = sections["output"]
     out = _unquote(outp["out"]) if "out" in outp else None
 

@@ -60,6 +60,7 @@ class ConfigError(CssdynError, ValueError):
 _BOUNDS = {"real": None, "complex": None, "finite": math.isfinite, "positive": lambda x: x > 0.0,
            "positive and finite": lambda x: 0.0 < x < math.inf,
            "finite and nonnegative": lambda x: 0.0 <= x < math.inf,
+           "finite and nonzero": lambda x: x != 0.0 and math.isfinite(x),
            "in (0, 1)": lambda x: 0.0 < x < 1.0,
            "an integer": None, "a nonnegative integer": lambda n: n >= 0,
            "an integer of at least 2": lambda n: n >= 2}

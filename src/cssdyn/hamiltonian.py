@@ -132,7 +132,7 @@ def _reading(name: str):
     which refuses anything else naming the coefficient.  alpha and gamma
     stay complex.  Hermiticity makes every other coefficient real: it reads
     as a float, and a nonzero imaginary part raises DomainError.  The mass
-    must also be finite and nonzero.
+    is then read through the intake's bound "finite and nonzero".
     """
     if name in _COMPLEX_KEYS:
         return lambda value: _read(name, value, "complex")
@@ -142,9 +142,7 @@ def _reading(name: str):
         z = _read(name, value, "complex")
         if z.imag:
             raise DomainError(f"{name} must be real (hermiticity), got {z!r}")
-        if mass and (z.real == 0.0 or not math.isfinite(z.real)):
-            raise DomainError(f"mass must be finite and nonzero, got {z.real!r}")
-        return z.real
+        return _read("mass", z.real, "finite and nonzero") if mass else z.real
 
     return read
 

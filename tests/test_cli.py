@@ -430,6 +430,35 @@ def test_validate_compares_mass_with_the_frame_norm(tmp_path):
     assert "PASS normalization" in proc.stdout
 
 
+# Re(alpha) = 100 with beta = 0: |f| and |g| grow as cosh and sinh of 100 t,
+# so by t = 0.25 |g| has rounded up to |f| and the middle frame has no
+# number-basis expansion
+RUNAWAY_CONFIG = """\
+[hamiltonian]
+parameterization = algebraic
+alpha_re = 100
+beta = 0
+
+[integration]
+t_max = 0.5
+num_points = 21
+"""
+
+
+def test_validate_fails_normalization_on_a_frame_without_expansion(tmp_path):
+    # the expansion's refusal ended the command with exit 2 and no report
+    out = tmp_path / "report.csv"
+    proc = run_cli("validate", "--config", write(tmp_path, "run.ini", RUNAWAY_CONFIG),
+                   "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["unitarity", "sr_minimization",
+                                        "hamilton_convergence", "normalization"]
+    assert rows[0][3] == rows[3][3] == "FAIL"
+    assert rows[3][1] == "inf"
+    assert "FAIL normalization: measured=inf" in proc.stdout
+
+
 # A generated explicit run whose V follows a table: its kinks make the
 # central difference first order across them (halving ratio 0.97 when every
 # stencil counts).
@@ -711,6 +740,28 @@ def test_number_just_outside_its_bound_exits_two(tmp_path, capsys, section, key,
     cfg = write(tmp_path, "run.ini", text)
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "e.csv")]) == 2
     assert f"[{section}] {key}" in capsys.readouterr().err
+
+
+# counts numpy refuses before it allocates anything, which used to end in its
+# ValueError traceback
+_MANY = OSCILLATOR_CONFIG.replace("num_points = 101", "num_points = 1e300")
+
+
+@pytest.mark.parametrize("command, text, extra, named", [
+    ("evolve", _MANY, [], "[integration] num_points"),
+    ("validate", _MANY, [], "[integration] num_points"),
+    ("density", _MANY, ["--time", "0.5"], "[integration] num_points"),
+    ("overlap", _MANY, ["--config2", "run.ini", "--time", "0.5"], "[integration] num_points"),
+    ("density", OSCILLATOR_CONFIG + "[output]\nx_points = 1e300\n", ["--time", "0.5"],
+     "[output] x_points"),
+    ("density", OSCILLATOR_CONFIG, ["--time", "0.5", "--x-points", "1e300"], "--x-points"),
+], ids=["evolve", "validate", "density", "overlap", "x_points", "--x-points"])
+def test_more_points_than_numpy_holds_exits_two(tmp_path, monkeypatch, capsys, command, text,
+                                                extra, named):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "run.ini", text)
+    assert main([command, "--config", "run.ini", *extra, "--out", "o.csv"]) == 2
+    assert f"{named} = 1e+300 is more points than numpy can hold" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option, value", [

@@ -506,8 +506,10 @@ def test_complex_parts_read_a_foreign_part_through_the_intake():
     ("k", lambda: _PHYSICAL(m=1.0, k=Harmonic(1.0, 0.5, 2.0)), _HUGE_INT),
     ("k", lambda: _PHYSICAL(m=1.0, k=lambda t: _HUGE_INT), 0.5),
     ("alpha", lambda: CoefficientSchedule.algebraic(UNITS, alpha=lambda t: _HUGE_INT), 0.5),
+    ("beta", lambda: CoefficientSchedule.algebraic(UNITS, beta=Harmonic(1.0, 0.5, 2.0)),
+     _HUGE_INT),
 ], ids=["polynomial at an int time", "harmonic at an int time", "foreign real value",
-        "foreign complex value"])
+        "foreign complex value", "algebraic harmonic at an int time"])
 def test_evaluators_past_the_floats_raise_domain_errors(key, schedule, t, evaluator):
     # the closure's OverflowError sends the call to the checked reading,
     # which names the coefficient

@@ -657,6 +657,8 @@ _REFUSED = {
     "closed_form None": (lambda: closed_form(AlgebraicCoefficients(beta=1.0),
                                              InitialConditions(), None), "t"),
     "from_initial_width NaN theta": (lambda: from_initial_width(1.0, math.nan, UNITS), "theta"),
+    "from_initial_width width past the floats": (
+        lambda: from_initial_width(1e200, 0.0, UNITS), "sigma_x0"),
     "evolve string grid": (lambda: evolve(_OSCILLATOR, InitialConditions(), ["0", "1"]), "grid"),
     "evolve word grid": (lambda: evolve(_OSCILLATOR, InitialConditions(), ["x"]), "grid"),
     "mathieu.frames word grid": (lambda: frames(DrivenOscillatorConfig(), ["x"]), "grid"),

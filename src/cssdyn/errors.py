@@ -66,21 +66,37 @@ _BOUNDS = {"real": None, "complex": None, "finite": math.isfinite, "positive": l
            "an integer of at least 2": lambda n: n >= 2}
 
 
+# the kinds a bound reads as: (type, its numbers ABC, the exact built-in
+# types that are instances of that ABC)
+_KINDS = {"integer": (int, numbers.Integral, (int,)), "real": (float, numbers.Real, (int, float)),
+          "complex": (complex, numbers.Complex, (int, float, complex))}
+# each bound's reading, looked up once per read: (*its kind, its test, the
+# text of a refusal)
+_READINGS = {bound: (*_KINDS["integer" if "integer" in bound else "complex" if bound == "complex"
+                             else "real"],
+                     test, f"a {bound} number within the floats" if bound in _KINDS else bound)
+             for bound, test in _BOUNDS.items()}
+
+
 def _read(name: str, value, bound: str = "real"):
     """value as a float, as a complex number for the bound "complex", or as
     an int for a bound that names an integer, when it is a number of that
     kind (within the floats) that meets bound (a key of _BOUNDS); else
-    DomainError naming name."""
-    kind, number = ((int, numbers.Integral) if "integer" in bound else
-                    (complex, numbers.Complex) if bound == "complex" else (float, numbers.Real))
+    DomainError naming name.
+
+    Each bound's kind, ABC and test are looked up once (_READINGS).  A
+    value whose type is exactly int, float or complex and an instance of
+    the bound's ABC skips the ABC's isinstance check; any other type,
+    bool and the numpy scalars included, takes it, so the result and the
+    refusal are the same either way.
+    """
+    kind, number, exact, test, wanted = _READINGS[bound]
     try:
-        x = kind(value) if isinstance(value, number) else None
+        x = kind(value) if type(value) in exact or isinstance(value, number) else None
     except OverflowError:  # an int or a fraction past the floats
         x = None
-    test = _BOUNDS[bound]
     if x is not None and (test is None or test(x)):
         return x
-    wanted = f"a {bound} number within the floats" if bound in ("real", "complex") else bound
     raise DomainError(f"{name} must be {wanted}, got {_shown(value)}")
 
 

@@ -58,7 +58,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import DomainError, _read, _read_fields, _shown
+from .errors import _BOUNDS, DomainError, _read, _read_fields, _shown
 
 # ---------------------------------------------------------------------------
 # units
@@ -132,17 +132,18 @@ def _reading(name: str):
     which refuses anything else naming the coefficient.  alpha and gamma
     stay complex.  Hermiticity makes every other coefficient real: it reads
     as a float, and a nonzero imaginary part raises DomainError.  The mass
-    is then read through the intake's bound "finite and nonzero".
+    is then held to the test of the intake's bound "finite and nonzero",
+    and read through the intake a second time only to raise its refusal.
     """
     if name in _COMPLEX_KEYS:
         return lambda value: _read(name, value, "complex")
-    mass = name == "m"
+    mass = _BOUNDS["finite and nonzero"] if name == "m" else None
 
     def read(value):
         z = _read(name, value, "complex")
         if z.imag:
             raise DomainError(f"{name} must be real (hermiticity), got {z!r}")
-        return _read("mass", z.real, "finite and nonzero") if mass else z.real
+        return z.real if mass is None or mass(z.real) else _read("mass", z.real, "finite and nonzero")
 
     return read
 
@@ -427,10 +428,16 @@ class CoefficientSchedule:
     read through its checked reading.  A call reads each profile once and
     tests only the mass; there is no second pass, except that a time past
     the floats, where a closure raises OverflowError, is read again
-    checked, which names the coefficient.  So compiled(), algebraic_at and physical_at return the
-    checked values, or raise the checked reading's first error, at every t,
-    from the one evaluator the schedule compiles.  The other
-    parameterization is the unit map applied to that evaluator.
+    checked, which names the coefficient.  So compiled(), algebraic_at and
+    physical_at return the checked values, or raise the checked reading's
+    first error, at every t, from the one evaluator the schedule compiles.
+    The other parameterization is the unit map applied to that evaluator;
+    a physical schedule's two forms are one function body, which hands the
+    six values to the map or returns them.  A schedule of Constants read
+    directly has the same values at every t: each form's value is computed
+    once, by that form, and returned on every call, unless computing it
+    raises (a mass of 0, or Re(beta - alpha) = 0 for the physical form of
+    an algebraic schedule), in which case every call raises it.
 
     The knots (knots()) are compiled with the evaluators: the union of the
     times of every Table profile, those inside ComplexParts included.
@@ -520,7 +527,13 @@ def _compile(schedule: CoefficientSchedule) -> tuple:
     past the floats, where a closure raises OverflowError, is read checked,
     which names the coefficient.  The other form applies the unit map to
     it, so both equal the records' route (to_algebraic or to_physical of
-    the authoritative record) by construction.  knots is the sorted tuple of
+    the authoritative record) by construction.  For a physical schedule
+    both forms come from one body, fused(out), which reads the six
+    profiles and passes them to out: the unit map for algebraic, the tuple
+    for physical, with no call or tuple between.  When every profile is a
+    Constant read directly, whose closure returns its value at any t, each
+    form is folded (_folded): its value is computed once, by the form
+    itself, and returned on every call.  knots is the sorted tuple of
     distinct Table times over the profiles.
     """
     profiles = [(key, schedule.profiles[key]) for key in _KEYS[schedule.parameterization]]
@@ -538,22 +551,39 @@ def _compile(schedule: CoefficientSchedule) -> tuple:
                 return tuple(read(t) for read in checked)
 
         pmap = _physical_map(schedule.units)
-        return algebraic, lambda t: pmap(*algebraic(t)), knots
+        evaluators = algebraic, lambda t: pmap(*algebraic(t))
+    else:
+        m, k, O, F, V, E = closures
+        finite, read_m = math.isfinite, _READ["m"]
 
-    m, k, O, F, V, E = closures
-    finite, read_m = math.isfinite, _READ["m"]
+        def fused(out):  # t -> out(m, k, Omega, F, V, E), the body of both forms
+            def evaluate(t):
+                try:
+                    mass = m(t)
+                    if not (mass and finite(mass)):
+                        read_m(mass)  # raises the mass's error
+                    return out(mass, k(t), O(t), F(t), V(t), E(t))
+                except OverflowError:  # a time past the floats
+                    return out(*[read(t) for read in checked])
 
-    def physical(t):
-        try:
-            mass = m(t)
-            if not (mass and finite(mass)):
-                read_m(mass)  # raises the mass's error
-            return mass, k(t), O(t), F(t), V(t), E(t)
-        except OverflowError:  # a time past the floats
-            return tuple(read(t) for read in checked)
+            return evaluate
 
-    amap = _algebraic_map(schedule.units)
-    return lambda t: amap(*physical(t)), physical, knots
+        evaluators = fused(_algebraic_map(schedule.units)), fused(lambda *values: values)
+    if all(type(profile) is Constant and _direct(profile, _KIND[key]) for key, profile in profiles):
+        evaluators = tuple(map(_folded, evaluators))
+    return (*evaluators, knots)
+
+
+def _folded(evaluator):
+    """t -> evaluator's value at t = 0, computed once, for a schedule whose
+    every profile is a Constant read directly, which is the same at every
+    t; evaluator itself where that computation raises, so that each call
+    raises its error."""
+    try:
+        value = evaluator(0.0)
+    except (ArithmeticError, DomainError):  # each call raises it instead
+        return evaluator
+    return lambda t: value
 
 
 def _checked(key: str, profile):

@@ -405,14 +405,17 @@ def _barycentric(nodes, weights, values, s):
 def _powers(m: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """m^k for each of the nondecreasing nonnegative ks, stacked.
 
-    Steps from one k to the next by the binary digits of the gap, so a
-    repeated k costs no product, a dense run of periods one product each
-    and a sparse one about log2 of its gap.
+    Forms one power per distinct k, then gathers them.  Steps from one
+    distinct k to the next by the binary digits of the gap, so a dense run
+    of periods costs one product each and a sparse one about log2 of its
+    gap.  Each power is the same products, in the same order, as a loop
+    over every k would form: a repeated k adds none there either.
     """
-    out = np.empty((ks.size, 2, 2))
+    distinct, where = np.unique(ks, return_inverse=True)
+    out = np.empty((distinct.size, 2, 2))
     acc, done, squares = np.eye(2), 0, [m]
-    for i, k in enumerate(ks):
-        gap, bit = int(k) - done, 0
+    for i, k in enumerate(distinct.tolist()):
+        gap, bit = k - done, 0
         while gap:
             if bit == len(squares):
                 squares.append(squares[-1] @ squares[-1])
@@ -421,8 +424,8 @@ def _powers(m: np.ndarray, ks: np.ndarray) -> np.ndarray:
             gap >>= 1
             bit += 1
         out[i] = acc
-        done = int(k)
-    return out
+        done = k
+    return out[where]
 
 
 def frames(cfg: DrivenOscillatorConfig, grid) -> list:

@@ -241,6 +241,13 @@ def hamilton_residual(records, schedule: CoefficientSchedule):
     equations for xbar and pbar in the (x, p) form, but they need no mass,
     so an infinite mass (Re(beta - alpha) = 0) is checked like any other.
 
+    u is formed from two float columns, xbar / l and l pbar / hbar, set as
+    its real and imaginary parts and divided by sqrt(2); alpha, beta and
+    gamma are three columns of the evaluator's values at the interior
+    times.  Each holds the bits of the per-record complex numbers and of
+    the evaluator's tuples, so the residuals are those of the formula
+    written per record.
+
     Second-order accurate: halving the spacing should shrink both by ~4x.
     Across a schedule knot (a table's kink) the means' second derivative
     jumps and the central difference is only first order, so points whose
@@ -262,8 +269,11 @@ def hamilton_residual(records, schedule: CoefficientSchedule):
     if interior.size == 0:
         interior = np.arange(1, len(recs) - 1)
     l, hbar = schedule.units.l, schedule.units.hbar
-    u = np.array([complex(r.xbar / l, l * r.pbar / hbar) for r in recs]) / math.sqrt(2.0)
-    alpha, beta, gamma, _ = np.array(list(map(schedule.compiled(), ts[interior].tolist()))).T
+    u = np.empty(len(recs), dtype=complex)
+    u.real = np.array([r.xbar for r in recs]) / l
+    u.imag = l * np.array([r.pbar for r in recs]) / hbar
+    u /= math.sqrt(2.0)
+    alpha, beta, gamma, _ = map(np.array, zip(*map(schedule.compiled(), ts[interior].tolist())))
     r = ((u[interior + 1] - u[interior - 1]) / (2.0 * h)
          + 1j * (alpha * u[interior].conj() + beta * u[interior] + gamma))
     return (math.sqrt(2.0) * l * float(np.max(np.abs(r.real))),

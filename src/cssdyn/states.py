@@ -26,6 +26,7 @@ count of arg f, recoverable along a trajectory with branch_windings().
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -133,7 +134,7 @@ def _inverse_root(frame: MotionFrame, winding: int) -> complex:
     """
     winding = _read("winding", winding, "an integer")
     f, g, varphi = frame.f, frame.g, frame.varphi
-    if not all(math.isfinite(x) for v in (f, g, varphi) for x in (v.real, v.imag)):
+    if not (cmath.isfinite(f) and cmath.isfinite(g) and cmath.isfinite(varphi)):
         raise DomainError(f"frame at t = {frame.t!r} is not finite: "
                           f"f = {f!r}, g = {g!r}, varphi = {varphi!r}")
     if not math.hypot(g.real, g.imag) < math.hypot(f.real, f.imag):

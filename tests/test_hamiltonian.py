@@ -15,6 +15,8 @@ from cssdyn import (AlgebraicCoefficients, CoefficientSchedule, ComplexParts,
                     InitialConditions, IntegratorSettings, PhysicalCoefficients, Polynomial,
                     Table, UnitContext, evolve, to_algebraic, to_physical, validate)
 
+from helpers import family_schedule
+
 UNITS = UnitContext()
 
 
@@ -567,3 +569,61 @@ def test_float_profiles_coerce_their_parameters():
     # non-finite floats are admitted; validate names them
     schedule = _PHYSICAL(m=1.0, k=Polynomial((math.inf,)))
     assert validate(schedule, 1.0) == ["k: non-finite value inf at t=0"]
+
+
+# the times a folded schedule is read at: 0, inside the horizon, NaN and an
+# int past the floats; a Constant has the same value at each
+_FOLD_TIMES = (0.0, 1.3, math.nan, _HUGE_INT)
+
+
+@pytest.mark.parametrize("units", [UNITS, UnitContext(hbar=0.45, l=2.3)])
+def test_constant_schedules_fold_to_the_record_route_bit_for_bit(units):
+    phys = PhysicalCoefficients(m=1.2, k=-0.7, Omega=0.3, F=0.45, V=-0.35, E=0.8)
+    alg = AlgebraicCoefficients(alpha=0.3 - 0.4j, beta=1.4, gamma=-0.2 + 0.5j, delta=0.25)
+    for schedule, algebraic, physical in (
+            (CoefficientSchedule.physical(units, **vars(phys)), to_algebraic(phys, units), phys),
+            (CoefficientSchedule.algebraic(units, **vars(alg)), alg, to_physical(alg, units))):
+        evaluate = schedule.compiled()
+        for t in _FOLD_TIMES:
+            assert [_bits(v) for v in evaluate(t)] == [_bits(v) for v in vars(algebraic).values()]
+            assert _record_bits(schedule.algebraic_at(t)) == _record_bits(algebraic)
+            assert _record_bits(schedule.physical_at(t)) == _record_bits(physical)
+            # folded: every call returns the one value computed at compile time
+            assert evaluate(t) is evaluate(0.0)
+            assert schedule._compiled()[1](t) is schedule._compiled()[1](0.0)
+
+
+@pytest.mark.parametrize("family", ["harmonic_physical", "polynomial_physical", "table_physical"])
+def test_fused_physical_evaluator_matches_the_record_route_bit_for_bit(family):
+    # both forms of a physical schedule come from one body; each equals the
+    # profiles read through the record and to_algebraic
+    rng = np.random.default_rng(2801)
+    for _ in range(4):
+        units = UnitContext(hbar=rng.uniform(0.8, 1.2), l=rng.uniform(0.8, 1.2))
+        t_max = rng.uniform(3.0, 5.0)
+        schedule = family_schedule(family, rng, units, t_max)
+        evaluate = schedule.compiled()
+        for t in [0.0, t_max, *rng.uniform(0.0, t_max, 40)]:
+            phys = PhysicalCoefficients(**{key: schedule.profiles[key](t)
+                                           for key in _PHYSICAL_BASE})
+            alg = to_algebraic(phys, units)
+            assert _record_bits(schedule.physical_at(t)) == _record_bits(phys)
+            assert _record_bits(schedule.algebraic_at(t)) == _record_bits(alg)
+            assert [_bits(v) for v in evaluate(t)] == [_bits(v) for v in vars(alg).values()]
+
+
+def test_constant_schedules_that_raise_raise_at_every_call():
+    # a folded value that cannot be computed is not folded: each call raises
+    massless = CoefficientSchedule.physical(UNITS, m=0.0, k=1.0)
+    infinite_mass = CoefficientSchedule.algebraic(UNITS, alpha=0.5 + 0.3j, beta=0.5,
+                                                  gamma=0.3 - 0.2j, delta=0.7)
+    assert massless.knots() == () and infinite_mass.knots() == ()
+    evaluate = massless.compiled()
+    for t in _FOLD_TIMES:
+        for call in (evaluate, massless.algebraic_at, massless.physical_at):
+            with pytest.raises(DomainError, match=r"^mass must be finite and nonzero, got 0\.0$"):
+                call(t)
+        with pytest.raises(DomainError, match=r"^Re\(beta - alpha\) = 0: no finite-mass"):
+            infinite_mass.physical_at(t)
+        assert infinite_mass.algebraic_at(t) == AlgebraicCoefficients(0.5 + 0.3j, 0.5,
+                                                                      0.3 - 0.2j, 0.7)

@@ -433,3 +433,34 @@ def test_overflowing_monodromy_power_raises(monkeypatch):
     assert err.value.t == 3000.0
     assert str(err.value) == "Wronskian drift nan exceeds 1e-09"
     assert len(seen) == 1
+
+
+def _powers_per_sample(m, ks):
+    """m^k for each k, stepped from the previous sample's k by the binary
+    digits of the gap, one sample at a time."""
+    out = np.empty((ks.size, 2, 2))
+    acc, done, squares = np.eye(2), 0, [m]
+    for i, k in enumerate(ks):
+        gap, bit = int(k) - done, 0
+        while gap:
+            if bit == len(squares):
+                squares.append(squares[-1] @ squares[-1])
+            if gap & 1:
+                acc = acc @ squares[bit]
+            gap >>= 1
+            bit += 1
+        out[i] = acc
+        done = int(k)
+    return out
+
+
+def test_powers_are_the_per_sample_products_bit_for_bit():
+    # one power per distinct k, gathered, is the per-sample loop's products
+    rng = np.random.default_rng(2802)
+    for _ in range(200):
+        m = rng.normal(size=(2, 2)) * rng.uniform(0.5, 1.2)
+        steps = rng.choice([0, 0, 1, 1, 2, 5, 37, 1000], size=rng.integers(1, 60))
+        ks = np.cumsum(steps).astype(np.int64) + int(rng.integers(0, 3))
+        with np.errstate(over="ignore", invalid="ignore"):  # as fundamental_solutions calls it
+            got, want = mathieu._powers(m, ks), _powers_per_sample(m, ks)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -20,6 +20,7 @@ from cssdyn import (AlgebraicCoefficients, CoefficientSchedule, ComplexParts,
                     fock_coefficients, fock_wavefunction, frames, from_initial_width,
                     normalization, overlap, parameters, transition_snapshot, u_of,
                     wavefunction)
+from cssdyn.errors import _BOUNDS, _read, _shown
 
 from helpers import (DRIVEN_SCHEDULE, DRIVEN_UNITS, constant_draws, driven_frames, hidden,
                      kinked_schedule, scalar_grid_states)
@@ -687,6 +688,13 @@ _REFUSED = {
         lambda: fock_coefficients(_GROUND, winding=_LONG), "winding"),
     # a hand-built frame with f = 0 has no xi = varphi / f or zeta = g / f
     "parameters at f = 0": (lambda: parameters(MotionFrame(0.0, 0j, 0j, 0j)), "frame"),
+    # bool, numpy scalars and Fraction are held to their bounds as before
+    "UnitContext bool": (lambda: UnitContext(hbar=False), "hbar"),
+    "IntegratorSettings float64": (lambda: IntegratorSettings(rtol=np.float64(-1e-6)), "rtol"),
+    "fock_coefficients n_max int64": (lambda: fock_coefficients(_GROUND, n_max=np.int64(1)),
+                                      "n_max"),
+    "normalization winding float64": (lambda: normalization(_GROUND, np.float64(1.0)), "winding"),
+    "normalization winding Fraction": (lambda: normalization(_GROUND, Fraction(2, 1)), "winding"),
 }
 
 
@@ -706,6 +714,11 @@ _ADMITTED = {
     "InitialConditions complex64": lambda: InitialConditions(f0=np.complex64(1)),
     "closed_form float64": lambda: closed_form(AlgebraicCoefficients(beta=1.0),
                                                InitialConditions(), np.float64(1.5)),
+    "UnitContext bool": lambda: UnitContext(hbar=True),
+    "IntegratorSettings float64": lambda: IntegratorSettings(atol=np.float64(1e-9)),
+    "DrivenOscillatorConfig int64": lambda: DrivenOscillatorConfig(eta0=np.int64(-3)),
+    "closed_form Fraction": lambda: closed_form(AlgebraicCoefficients(beta=1.0),
+                                                InitialConditions(), Fraction(3, 2)),
 }
 
 
@@ -713,6 +726,43 @@ _ADMITTED = {
 def test_real_number_types_are_admitted(call):
     stored = [v for v in vars(call()).values() if isinstance(v, numbers.Number)]
     assert stored and all(type(v) in (float, complex) for v in stored)
+
+
+def _read_by_abc(name, value, bound="real"):
+    """errors._read with every value, of whatever type, held to the ABC of
+    its bound's kind."""
+    kind, number = ((int, numbers.Integral) if "integer" in bound else
+                    (complex, numbers.Complex) if bound == "complex" else (float, numbers.Real))
+    try:
+        x = kind(value) if isinstance(value, number) else None
+    except OverflowError:
+        x = None
+    test = _BOUNDS[bound]
+    if x is not None and (test is None or test(x)):
+        return x
+    wanted = f"a {bound} number within the floats" if bound in ("real", "complex") else bound
+    raise DomainError(f"{name} must be {wanted}, got {_shown(value)}")
+
+
+def test_the_intake_reads_every_type_as_the_abc_does():
+    # the exact types int, float and complex skip the ABC check; every
+    # value reads, or is refused, as the ABC check alone reads it
+    values = [True, False, 0, 1, -1, 2, 3, 10**400, -10**400, 0.0, -0.0, 0.5, 1.5, -2.0,
+              math.inf, -math.inf, math.nan, 2j, 1 + 0j, complex(math.nan, 0.0),
+              complex(0.5, math.inf), np.bool_(True), np.int64(3), np.int64(-1),
+              np.float64(0.5), np.float64(2.0), np.float32(0.25), np.complex128(1 - 1j),
+              Fraction(1, 3), Fraction(4, 2), Fraction(10**400), _LONG, "1", None, [1.0]]
+    for bound in _BOUNDS:
+        for value in values:
+            try:
+                want = _read_by_abc("x", value, bound)
+            except DomainError as exc:
+                with pytest.raises(DomainError) as got:
+                    _read("x", value, bound)
+                assert str(got.value) == str(exc)
+            else:
+                got = _read("x", value, bound)
+                assert type(got) is type(want) and repr(got) == repr(want), (bound, value)
 
 
 def test_hand_built_frames_hold_floats():

@@ -520,3 +520,31 @@ def test_residual_needs_enough_uniform_samples():
     short = records[:2]
     with pytest.raises(DomainError):
         hamilton_residual(short, sched)
+
+
+def _residual_formula(records, schedule):
+    """hamilton_residual written out as one complex row per record and one
+    array of 4-tuples of the evaluator's values."""
+    ts = np.array([r.t for r in records], dtype=float)
+    knots = np.asarray(schedule.knots(), dtype=float)
+    kinked = (np.searchsorted(knots, ts[2:], side="left")
+              > np.searchsorted(knots, ts[:-2], side="right"))
+    interior = np.flatnonzero(~kinked) + 1
+    if interior.size == 0:
+        interior = np.arange(1, len(records) - 1)
+    l, hbar = schedule.units.l, schedule.units.hbar
+    u = np.array([complex(r.xbar / l, l * r.pbar / hbar) for r in records]) / math.sqrt(2.0)
+    alpha, beta, gamma, _ = np.array(list(map(schedule.compiled(), ts[interior].tolist()))).T
+    r = ((u[interior + 1] - u[interior - 1]) / (2.0 * (ts[1] - ts[0]))
+         + 1j * (alpha * u[interior].conj() + beta * u[interior] + gamma))
+    return (math.sqrt(2.0) * l * float(np.max(np.abs(r.real))),
+            math.sqrt(2.0) * (hbar / l) * float(np.max(np.abs(r.imag))))
+
+
+def test_residual_is_its_written_out_formula_bit_for_bit():
+    # u from two float columns and (alpha, beta, gamma) as three columns give
+    # the bits of the complex rows and the array of 4-tuples
+    for schedule, frames in _family_runs():
+        records = [observe(fr, schedule.algebraic_at(fr.t), schedule.units) for fr in frames]
+        assert repr(hamilton_residual(records, schedule)) == repr(_residual_formula(records,
+                                                                                    schedule))

@@ -152,7 +152,11 @@ _READ = {name: _reading(name) for name in _ALGEBRAIC_KEYS + _PHYSICAL_KEYS}
 
 
 def _algebraic_map(units: UnitContext):
-    """(m, k, Omega, F, V, E) -> (alpha, beta, gamma, delta) at fixed units."""
+    """(m, k, Omega, F, V, E) -> (alpha, beta, gamma, delta) at fixed units.
+
+    Raises DomainError when l^4 m underflows to 0 for a nonzero mass, where
+    hbar^2 / (l^4 m) has no value.
+    """
     hbar, l = units.hbar, units.l
     hbar2, l4, ll, ihbar = hbar * hbar, l ** 4, l * l, 1j * hbar
     half = ll / (2.0 * hbar)
@@ -160,7 +164,11 @@ def _algebraic_map(units: UnitContext):
     gscale = l / (hbar * math.sqrt(2.0))
 
     def algebraic(m, k, Omega, F, V, E):
-        recip = hbar2 / (l4 * m)  # hbar^2 / (l^4 m)
+        try:
+            recip = hbar2 / (l4 * m)  # hbar^2 / (l^4 m)
+        except ZeroDivisionError:
+            raise DomainError(f"l^4 m underflows to 0 for mass {m!r} and l = {l!r}: "
+                              "hbar^2 / (l^4 m) has no float value") from None
         kr = k + recip
         return (half * (k - recip) + 1j * Omega, half * kr,
                 gscale * (F + ihbar * V / ll), E / hbar + quarter * kr)

@@ -231,9 +231,9 @@ def _expand(frame, tail_tolerance, n_max, winding, keep_coefficients):
     at the depth _predict_depth expects and grown by _GROW only when that
     depth does not certify, never past n_max.  _march fills them, and after
     each march _certify applies the truncation rule of fock_coefficients to
-    all the filled levels in one pass from the first pair, so the first
-    pair that certifies or is exactly zero wins.  After a growth it reads
-    from the first pair again: no rule state lives between marches.  The
+    all the filled levels from the first pair, so the first pair that
+    certifies or is exactly zero wins.  After a growth it reads from the
+    first pair again: no rule state lives between marches.  The
     rule reads p_raw alone, so keep_coefficients changes what is stored,
     never where the expansion ends.
     """
@@ -394,6 +394,17 @@ def _march(xi, zeta, edge, lo, hi, p, d):
       and writes the interior levels.
 
     B = 1 for short ranges, where everything is the single-step recurrence.
+
+    Both passes step with the coefficient mxi / root1 (mxi = -xi, root1 =
+    sqrt(n + 1) per block), formed without numpy's complex division.  That
+    loop divides by the real root1, cast to complex with imaginary part +0,
+    as ((re + im*0.0) * s, (im - re*0.0) * s) with s = 1.0 / root1: the two
+    parts (re + im*0.0, im - re*0.0) are formed once per march, and each
+    step writes their products with s into one complex buffer, the same
+    bits at about half the cost (tests/test_states.py holds numpy's
+    division to this form).  The scalar pass collects the pairs in two
+    lists, one per column of `pairs`, which numpy fills without the
+    conversion of a tuple per block.
     """
     m = hi - lo
     width = max(1, int(math.sqrt(m / _KAPPA)))
@@ -412,24 +423,35 @@ def _march(xi, zeta, edge, lo, hi, p, d):
         return x0, x1
 
     mxi, mzeta = -xi, -zeta
+    are, aim = mxi.real + mxi.imag * 0.0, mxi.imag - mxi.real * 0.0
+    coef = np.empty(nb, dtype=complex)
+
+    def over(root1):  # mxi / root1, bit for bit
+        s = 1.0 / root1
+        coef.real = are * s
+        coef.imag = aim * s
+        return coef
+
     starts = first + width * np.arange(nb, dtype=float)
     # pass 1: (prev, cur) rows are the basis solutions started at (1, 0), (0, 1)
     root = np.sqrt(starts)
     root1 = np.sqrt(starts + 1.0)
     prev = np.zeros((2, nb), dtype=complex)
     prev[1] = 1.0
-    cur = np.array([mzeta * (root / root1), mxi / root1])
+    cur = np.array([mzeta * (root / root1), over(root1)])
     for j in range(1, width):
         root = root1
         root1 = np.sqrt(starts + (j + 1.0))
-        prev, cur = cur, (mxi / root1) * cur + (mzeta * (root / root1)) * prev
+        prev, cur = cur, over(root1) * cur + (mzeta * (root / root1)) * prev
     # scalar pass across the blocks
-    heads = [(x0, x1)]
+    heads0, heads1 = [x0], [x1]
     for u0, v0, u1, v1 in zip(prev[0].tolist(), prev[1].tolist(),
                               cur[0].tolist(), cur[1].tolist()):
         x0, x1 = u0 * x0 + v0 * x1, u1 * x0 + v1 * x1
-        heads.append((x0, x1))
-    pairs = np.array(heads)
+        heads0.append(x0)
+        heads1.append(x1)
+    pairs = np.empty((nb + 1, 2), dtype=complex)
+    pairs[:, 0], pairs[:, 1] = heads0, heads1
     _store(p, d, slice(first + width, hi + 1, width), pairs[1:, 1])
     # pass 2: every block again from its true (d_{s-1}, d_s)
     block = slice(first + 1, hi + 1)
@@ -440,7 +462,7 @@ def _march(xi, zeta, edge, lo, hi, p, d):
     for j in range(width - 1):
         root = root1
         root1 = np.sqrt(starts + (j + 1.0))
-        prev, cur = cur, (mxi / root1) * cur + (mzeta * (root / root1)) * prev
+        prev, cur = cur, over(root1) * cur + (mzeta * (root / root1)) * prev
         block_p[:, j] = cur.real * cur.real + cur.imag * cur.imag
         if block_d is not None:
             block_d[:, j] = cur
@@ -464,11 +486,43 @@ def _certify(p, top, weight, zeta2, tail_tolerance):
     the first pair that is exactly zero, where top, 2k - 1 or 2k - 2, is the
     last nonzero level.  A zero pair wins a tie with a certified one, and a
     lone last level (an even top) belongs to no pair.
+
+    When the pairs span more than one chunk, a cheaper scan first finds,
+    chunk by chunk, the first pair k* that can end the expansion, and the
+    rule itself starts at start = max(1, k* - 2 _WINDOW) with the pair before
+    start as the last bad one and a window of zeros; start = 1 is the
+    plain reading.  The outcome is the same.  A pair ends the expansion
+    only when it is zero or certifies, and certifying needs mass =
+    weight E_k <= tail_tolerance and mass rho / (1 - rho) <= tail_tolerance
+    for some rho in [zeta2, 1).  Rounding is monotone, so in floats
+    mass rho >= mass zeta2 and 1 - rho <= 1 - zeta2, and the second test
+    implies mass zeta2 / (1 - zeta2) <= tail_tolerance: k* is the first pair that is zero or passes both tests with
+    rho = zeta2 (only a zero pair when zeta2 >= 1, where nothing
+    certifies), and no pair before k* ends the expansion.  The streak and
+    rho at pair k read the pairs k - _WINDOW .. k alone, so from
+    start + _WINDOW - 1 <= k* on, both equal the full reading's; below it
+    the restart only shortens a streak and never certifies.  Without a k*
+    nothing ends the expansion.
     """
-    last_bad = 0                 # pair 0 has no ratio
-    window = np.zeros(_WINDOW - 1)
     end = (top + 1) // 2         # pairs below `end` are complete
-    for k0 in range(1, end, _CHUNK):
+    start = 1
+    if end - 1 > _CHUNK:
+        for k0 in range(1, end, _CHUNK):
+            k1 = min(end, k0 + _CHUNK)
+            pair = p[2 * k0:2 * k1:2] + p[2 * k0 + 1:2 * k1:2]
+            can = pair == 0.0
+            if zeta2 < 1.0:
+                mass = weight * pair
+                can |= (mass <= tail_tolerance) & (mass * zeta2 / (1.0 - zeta2) <= tail_tolerance)
+            i = int(can.argmax())
+            if can[i]:
+                start = max(1, k0 + i - 2 * _WINDOW)
+                break
+        else:
+            return None
+    last_bad = start - 1         # pair 0 has no ratio; below start, none counts
+    window = np.zeros(_WINDOW - 1)
+    for k0 in range(start, end, _CHUNK):
         k1 = min(end, k0 + _CHUNK)
         sums = p[2 * k0 - 2:2 * k1:2] + p[2 * k0 - 1:2 * k1:2]  # E_{k0-1} .. E_{k1-1}
         pair, before = sums[1:], sums[:-1]

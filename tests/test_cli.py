@@ -278,6 +278,17 @@ def test_degree_nine_mass_with_two_zeros_between_samples_exits_two(tmp_path, cap
     assert "m: reaches zero near t=0.497, between two samples" in capsys.readouterr().err
 
 
+def test_mass_whose_l4_m_underflows_exits_two(tmp_path, capsys):
+    # l^4 m = 1e-20 * 1e-320 underflows to 0: evolve ended in a
+    # ZeroDivisionError traceback with exit 1
+    cfg = write(tmp_path, "run.ini", "[hamiltonian]\nparameterization = physical\n"
+                "l = 1e-5\nm = 1e-320\nk = 1\n[integration]\nt_max = 1\n")
+    out = tmp_path / "e.csv"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
+    assert "l^4 m underflows to 0 for mass 1e-320 and l = 1e-05" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mean_energy_past_the_floats_exits_three(tmp_path, capsys):
     # |u| near 1.4e308 takes beta |u|^2 past the floats: evolve wrote inf in
     # every energy cell with exit 0

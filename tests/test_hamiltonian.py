@@ -51,6 +51,22 @@ def test_zero_mass_rejected():
         to_algebraic(PhysicalCoefficients(m=0.0), UNITS)
 
 
+def test_mass_whose_l4_m_underflows_is_refused_by_name():
+    # l^4 m = 1e-20 * 1e-320 underflows to 0 for a nonzero mass: hbar^2 / (l^4 m)
+    # raised a bare ZeroDivisionError
+    units = UnitContext(1.0, 1e-5)
+    message = r"l\^4 m underflows to 0 for mass 1e-320 and l = 1e-05"
+    with pytest.raises(DomainError, match=message):
+        to_algebraic(PhysicalCoefficients(m=1e-320, k=1.0), units)
+    schedule = CoefficientSchedule.physical(units, m=1e-320, k=1.0)
+    with pytest.raises(DomainError, match=message):
+        schedule.algebraic_at(0.0)
+    with pytest.raises(DomainError, match=message):
+        schedule.compiled()(0.5)
+    # l^4 m = 1e-300 keeps its image
+    assert math.isfinite(to_algebraic(PhysicalCoefficients(m=1e-280, k=1.0), units).beta)
+
+
 def test_inverse_map_recovers_free_particle():
     phys = to_physical(AlgebraicCoefficients(alpha=-0.5, beta=0.5, delta=0.25), UNITS)
     assert phys.m == pytest.approx(1.0, abs=1e-14)

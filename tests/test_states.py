@@ -352,6 +352,118 @@ def test_engine_matches_scalar_reference_deep():
     assert_same_expansion(squeezed_frame(0.9999, 0.01, 0.3, 1.9), 1e-10, 1_000_000, 0)
 
 
+def march_oracle(xi, zeta, edge, lo, hi, p, d):
+    """The blocked march as it divided by sqrt(n + 1) in complex arithmetic
+    and converted the scalar pass's pairs from tuples: states._march must
+    write the same bits."""
+    def store(where, values):
+        p[where] = values.real * values.real + values.imag * values.imag
+        if d is not None:
+            d[where] = values
+
+    m = hi - lo
+    width = max(1, int(math.sqrt(m / cssdyn.states._KAPPA)))
+    nb, rem = divmod(m, width) if width > 1 else (0, m)
+    x0, x1 = edge
+    values = []
+    for n in range(lo, lo + rem):
+        root = math.sqrt(n + 1.0)
+        x0, x1 = x1, -(xi * x1) / root - (math.sqrt(n) / root) * (zeta * x0)
+        values.append(x1)
+    first = lo + rem
+    if rem:
+        store(slice(lo + 1, first + 1), np.array(values))
+    if not nb:
+        return x0, x1
+    mxi, mzeta = -xi, -zeta
+    starts = first + width * np.arange(nb, dtype=float)
+    root = np.sqrt(starts)
+    root1 = np.sqrt(starts + 1.0)
+    prev = np.zeros((2, nb), dtype=complex)
+    prev[1] = 1.0
+    cur = np.array([mzeta * (root / root1), mxi / root1])
+    for j in range(1, width):
+        root = root1
+        root1 = np.sqrt(starts + (j + 1.0))
+        prev, cur = cur, (mxi / root1) * cur + (mzeta * (root / root1)) * prev
+    heads = [(x0, x1)]
+    for u0, v0, u1, v1 in zip(prev[0].tolist(), prev[1].tolist(),
+                              cur[0].tolist(), cur[1].tolist()):
+        x0, x1 = u0 * x0 + v0 * x1, u1 * x0 + v1 * x1
+        heads.append((x0, x1))
+    pairs = np.array(heads)
+    store(slice(first + width, hi + 1, width), pairs[1:, 1])
+    block = slice(first + 1, hi + 1)
+    block_p = p[block].reshape(nb, width)
+    block_d = d[block].reshape(nb, width) if d is not None else None
+    prev, cur = pairs[:-1, 0], pairs[:-1, 1]
+    root1 = np.sqrt(starts)
+    for j in range(width - 1):
+        root = root1
+        root1 = np.sqrt(starts + (j + 1.0))
+        prev, cur = cur, (mxi / root1) * cur + (mzeta * (root / root1)) * prev
+        block_p[:, j] = cur.real * cur.real + cur.imag * cur.imag
+        if block_d is not None:
+            block_d[:, j] = cur
+    return x0, x1
+
+
+MARCH_PARAMETERS = [  # (xi, zeta)
+    (complex(0.0, 0.8), 0.5 + 0.3j),                 # xi.real = +0
+    (complex(-0.0, -0.8), -0.6 + 0.2j),              # xi.real = -0
+    (complex(0.0, -0.8), 0.4 - 0.5j),
+    (complex(1.2, 0.0), complex(0.6, 0.0)),          # xi.imag = +0, real zeta
+    (0.3 - 1.1j, complex(0.0, 0.95)),                # purely imaginary zeta
+    (0.02 + 0.01j, complex(-0.0, -0.99999)),
+    (complex(3e-320, 1.1), complex(0.7, -4e-318)),   # subnormal parts
+    (complex(-1.2, -5e-324), complex(1e-310, 0.9)),
+    (0.01 * np.exp(0.7j), 0.99999 * np.exp(2.1j)),   # deep squeezing
+]
+
+
+@pytest.mark.parametrize("levels, width", [(100, 1), (3_300, 10), (260_000, 90),
+                                           (2_510_000, 280)])
+def test_march_writes_the_oracles_bits(levels, width):
+    assert max(1, int(math.sqrt(levels / cssdyn.states._KAPPA))) == width
+    cases = enumerate(MARCH_PARAMETERS)
+    if levels > 10**5:  # keeps the test quick (subnormal arithmetic is slow)
+        cases = [case for case in cases if case[0] in ((0, 2, 4, 6, 8), (1, 4))[levels > 10**6]]
+    for i, (xi, zeta) in cases:
+        xi, zeta = complex(xi), complex(zeta)
+        # from the engine's start, and from a pair in the middle of an expansion
+        lo, edge = (1, (1.0 + 0.0j, -xi)) if i % 2 else (7, (0.3 - 0.2j, -0.0 + 0.4j))
+        for keep in (True, False):
+            runs = []
+            for march in (march_oracle, cssdyn.states._march):
+                p = np.zeros(lo + levels + 1)
+                d = np.zeros(lo + levels + 1, dtype=complex) if keep else np.zeros(0)
+                with np.errstate(over="ignore", invalid="ignore"):  # as in _expand
+                    last = march(xi, zeta, edge, lo, lo + levels, p, d if keep else None)
+                runs.append([np.array(last), p, d])
+            for want, got in zip(*runs):  # the bytes: NaN, -0.0 and subnormals included
+                assert np.array_equal(want.view(np.uint64), got.view(np.uint64)), (xi, zeta, keep)
+
+
+def test_numpy_divides_a_complex_scalar_by_floats_through_the_reciprocal():
+    # _march forms mxi / root1 as ((re + im*0.0) * s, (im - re*0.0) * s),
+    # s = 1.0 / root1; a numpy that divides otherwise fails here instead of
+    # shifting the bits of every expansion
+    rng = np.random.default_rng(29)
+    r = np.concatenate([np.sqrt(np.arange(1.0, 65.0)), np.sqrt(rng.uniform(1.0, 3e6, 64)),
+                        10.0 ** rng.uniform(-3.0, 6.0, 64)])
+    s = 1.0 / r
+    for _ in range(2000):
+        re, im = (rng.choice([-1.0, 1.0]) * rng.choice([
+            0.0, 5e-324 * float(rng.integers(1, 2**52)), 10.0 ** rng.uniform(-300.0, 3.0),
+            10.0 ** rng.uniform(200.0, 308.0)]) for _ in range(2))
+        want = np.empty(r.size, dtype=complex)
+        with np.errstate(over="ignore"):
+            want.real = (re + im * 0.0) * s
+            want.imag = (im - re * 0.0) * s
+            got = complex(re, im) / r
+        assert got.tobytes() == want.tobytes(), complex(re, im)
+
+
 def test_depth_prediction_allocates_close_to_the_truncation():
     # the engine's one allocation: a few percent over, never many times over
     for frame in engine_regimes()[1:]:
@@ -423,14 +535,14 @@ def sawtooth(rng, n):
     return pairs[:n]
 
 
-def certifying_at(rng, k, tol, extra=20):
+def certifying_at(rng, k, tol, extra=20, lo=0.3, hi=0.6):
     """(levels, weight) whose pair k is the first to certify at tail tol:
-    a sawtooth, a repeated pair k - 16, then falling pairs, so that the
-    streak reaches 16 at pair k; the weight puts the mass of pair k at
-    tol / 2."""
+    a sawtooth, a repeated pair k - 16, then pairs falling by ratios in
+    [lo, hi], so that the streak reaches 16 at pair k; the weight puts the
+    mass of pair k at tol / 2."""
     pairs = sawtooth(rng, k - 16)
     pairs.append(pairs[-1])
-    falling(rng, pairs, 16 + extra, 0.3, 0.6)
+    falling(rng, pairs, 16 + extra, lo, hi)
     p = np.array(pairs).ravel()
     return p, 0.5 * tol / (p[2 * k] + p[2 * k + 1])
 
@@ -469,6 +581,27 @@ def synthetic_cases(rng, chunk):
     opened = p.copy()
     opened[2 * k - 32] = math.inf  # the pair before the streak: then a ratio of 0
     yield "inf before the streak", opened, opened.size - 1, weight, 0.25, tol, 2 * k + 1
+    # pairs spanning several chunks, where _certify first scans for the first
+    # pair that can end the expansion, k*, and reads the rule from k* - 32 on:
+    # a fall steep enough that no pair before k has a mass within tol
+    k = 1 + chunk * (2 + -(-40 // chunk)) + 32  # 2 _WINDOW past a chunk opener
+    p, weight = certifying_at(rng, k, tol, lo=1e-3, hi=1e-2)
+    yield "certifying pair 2 _WINDOW past a chunk opener", p, p.size - 1, weight, 0.25, tol, \
+        2 * k + 1
+    for dip, name in ((40, "mass dips below the limit chunks early, no streak"),
+                      (5, "restart clamped to pair 1")):
+        low = p.copy()
+        low[2 * dip - 2:2 * dip] = low[2 * dip - 4:2 * dip - 2]  # a ratio of 1 before it
+        low[2 * dip:2 * dip + 2] = 1e-300
+        yield name, low, low.size - 1, weight, 0.25, tol, 2 * k + 1
+    odd = p.copy()
+    odd[2 * (k // 2)] = math.nan
+    odd[2 * (k - 33) + 1] = math.inf  # the pair before the restart
+    yield "NaN and inf pairs in skipped chunks", odd, odd.size - 1, weight, 0.25, tol, 2 * k + 1
+    zero = p.copy()
+    zero[2 * k + 10:2 * k + 12] = 0.0
+    yield "zeta2 >= 1, a zero pair chunks in", zero, zero.size - 1, weight, 1.0, tol, "zero"
+    yield "zeta2 >= 1, no zero pair", p, p.size - 1, weight, 1.0, tol, None
 
 
 def random_cases(rng, count):
